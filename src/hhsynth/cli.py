@@ -30,6 +30,7 @@ from .numerics import (
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_VERIFY = 4
+MAX_BENCH_QUBITS = 62
 
 
 class CliError(Exception):
@@ -218,8 +219,10 @@ def cmd_bench(args) -> int:
     regime = C.parse_regime(args.regime)
     ns = _parse_range(args.n)
     ss = _parse_range(args.s)
-    if max(ns) > 16:
-        raise CliError("the benchmark is capped at n <= 16", EXIT_PARSE)
+    if max(ns) > MAX_BENCH_QUBITS:
+        raise CliError(
+            f"the benchmark needs n <= {MAX_BENCH_QUBITS} (int64 basis indices)", EXIT_PARSE
+        )
     rows = B.bench_ssp(ns, ss, args.trials, args.seed, regime, args.samples)
     lines = [B.CSV_HEADER] + [r.csv() for r in rows]
     text = "\n".join(lines) + "\n"
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="randomized benchmarks (CSV)")
     pb.add_argument("what", choices=["ssp"])
-    pb.add_argument("--n", required=True, help="e.g. 8-16 or 6,8,10")
+    pb.add_argument("--n", required=True, help="qubit counts up to 62, e.g. 8-16 or 6,8,10")
     pb.add_argument("--s", required=True, help="e.g. 1,2,3")
     pb.add_argument("--trials", type=int, default=200)
     pb.add_argument("--seed", type=int, default=0)

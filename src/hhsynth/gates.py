@@ -13,6 +13,8 @@ simulating every allowed ancilla basis state.
 The module also provides :class:`PermPhase`, the classical form of
 operators of shape ``Diag(phases) . Perm``, which the decompositions use to
 carry "up to diagonal and permutation" residuals without emitting gates.
+A residual is a word of index-map gates, evaluated only on the basis
+indices in play, so it never needs a 2^n array.
 """
 
 from __future__ import annotations
@@ -281,18 +283,28 @@ def _scatter_subset(idx: np.ndarray, values: np.ndarray, qubits, nq: int) -> np.
     return out
 
 
-def gate_permutation(g: Gate, nq: int) -> np.ndarray | None:
-    """Index permutation ``dst[i]`` for gates that act by basis relabeling."""
-    idx = np.arange(1 << nq)
+def _controls_hit(idx: np.ndarray, controls, nq: int) -> np.ndarray:
+    """Which basis indices satisfy every (qubit, polarity) control."""
+    mask = want = 0
+    for q, pol in controls:
+        bit = 1 << (nq - 1 - q)
+        mask |= bit
+        if pol:
+            want |= bit
+    return (idx & mask) == want
+
+
+def gate_permutation(g: Gate, nq: int, idx: np.ndarray | None = None) -> np.ndarray | None:
+    """Images ``dst[i]`` of the basis indices ``idx`` (default: all 2^nq)
+    under a gate that acts by basis relabeling; None for other gates."""
+    if idx is None:
+        idx = np.arange(1 << nq)
     if isinstance(g, CNOT):
         trig = (idx >> (nq - 1 - g.control)) & 1
         return idx ^ (trig << (nq - 1 - g.target))
     if isinstance(g, MCX):
-        trig = np.ones_like(idx)
-        for q, pol in g.controls:
-            bit = (idx >> (nq - 1 - q)) & 1
-            trig &= bit == pol
-        return idx ^ (trig << (nq - 1 - g.target))
+        flip = 1 << (nq - 1 - g.target)
+        return np.where(_controls_hit(idx, g.controls, nq), idx ^ flip, idx)
     if isinstance(g, PermutationGate):
         v = _subset_values(idx, g.qubits, nq)
         return _scatter_subset(idx, np.asarray(g.mapping)[v], g.qubits, nq)
@@ -304,31 +316,42 @@ def gate_permutation(g: Gate, nq: int) -> np.ndarray | None:
     return None
 
 
+def gate_index_map(g: Gate, nq: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dst, phase)`` with ``g |idx[i]> = phase[i] |dst[i]>`` for a
+    basis-relabeling or diagonal gate (an MCU counts when its matrix is
+    diagonal)."""
+    dst = gate_permutation(g, nq, idx)
+    if dst is not None:
+        return dst, np.ones(len(idx), dtype=complex)
+    if isinstance(g, Diagonal):
+        return idx, np.asarray(g.phases)[_subset_values(idx, g.qubits, nq)]
+    if isinstance(g, H0Phase):
+        v = _subset_values(idx, g.qubits, nq)
+        return idx, np.where(v == 0, cmath.exp(1j * g.phi), 1.0 + 0j)
+    if isinstance(g, MCU) and g.matrix[0, 1] == 0 and g.matrix[1, 0] == 0:
+        bit = (idx >> (nq - 1 - g.target)) & 1
+        hit = _controls_hit(idx, g.controls, nq)
+        return idx, np.where(hit, np.diag(g.matrix)[bit], 1.0 + 0j)
+    raise TypeError(f"{g!r} is not a permutation/diagonal gate")
+
+
 def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
     """Exact action of one gate on a statevector or a batch of columns."""
     if state.shape[0] != 1 << nq:
         raise ValueError(f"state dimension {state.shape[0]} != 2^{nq}")
-    perm = gate_permutation(g, nq)
+    idx = np.arange(1 << nq)
+    perm = gate_permutation(g, nq, idx)
     if perm is not None:
         out = np.empty_like(state)
         out[perm] = state
         return out
-    idx = np.arange(1 << nq)
-    if isinstance(g, Diagonal):
-        v = _subset_values(idx, g.qubits, nq)
-        p = np.asarray(g.phases)[v]
-        return state * (p if state.ndim == 1 else p[:, None])
-    if isinstance(g, H0Phase):
-        v = _subset_values(idx, g.qubits, nq)
-        p = np.where(v == 0, cmath.exp(1j * g.phi), 1.0 + 0j)
+    if isinstance(g, (Diagonal, H0Phase)):
+        _, p = gate_index_map(g, nq, idx)
         return state * (p if state.ndim == 1 else p[:, None])
     if isinstance(g, (SingleQubit, MCU)):
         u = g.matrix
         tpos = nq - 1 - g.target
-        mask = np.ones(1 << nq, dtype=bool)
-        if isinstance(g, MCU):
-            for q, pol in g.controls:
-                mask &= ((idx >> (nq - 1 - q)) & 1) == pol
+        mask = _controls_hit(idx, g.controls if isinstance(g, MCU) else (), nq)
         i0 = idx[mask & (((idx >> tpos) & 1) == 0)]
         i1 = i0 | (1 << tpos)
         out = state.copy()
@@ -410,20 +433,72 @@ def complete_state_prep(v: dict[int, complex] | np.ndarray, k: int) -> np.ndarra
 # classical diag x perm residuals
 
 
-@dataclass
 class PermPhase:
-    """The operator Diag(phases) . Perm: |x> -> phases[perm[x]] |perm[x]>."""
+    """The operator Diag(phases) . Perm: |x> -> phases[perm[x]] |perm[x]>.
 
-    perm: np.ndarray
-    phases: np.ndarray
+    Every PermPhase is a word: factors applied in order, each a
+    basis-relabeling or diagonal gate (:func:`gate_index_map`) or a nested
+    PermPhase.  ``PermPhase(perm, phases)`` is the two-factor word
+    PermutationGate then Diagonal on all qubits.  A word is
+    evaluated only on the basis indices asked about (:meth:`map_indices`),
+    so a residual on n qubits costs O(n) per index rather than 2^n; the
+    full ``perm`` and ``phases`` arrays and :meth:`dense` are built on
+    request.
+
+    A word's phase starts at 1 and is multiplied by each factor's phase in
+    application order, so it is bit-identical to multiplying out the full
+    tables factor by factor.
+    """
+
+    def __init__(self, perm, phases):
+        self.dim = len(perm)
+        allq = tuple(range(self.dim.bit_length() - 1))
+        self._factors = (
+            PermutationGate(allq, tuple(int(p) for p in perm)),
+            Diagonal(allq, tuple(phases)),
+        )
+        self._perm = self._phases = None  # the tables, built on request
+
+    @classmethod
+    def word(cls, dim: int, factors) -> "PermPhase":
+        """The product of ``factors`` (gates or PermPhases), first applied first."""
+        pp = cls.__new__(cls)
+        pp._perm = pp._phases = None
+        pp.dim, pp._factors = dim, tuple(factors)
+        return pp
 
     @classmethod
     def identity(cls, dim: int) -> "PermPhase":
-        return cls(np.arange(dim), np.ones(dim, dtype=complex))
+        return cls.word(dim, ())
+
+    def map_indices(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """``(dst, phase)`` with ``self |idx[i]> = phase[i] |dst[i]>``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        nq = self.dim.bit_length() - 1
+        ph = np.ones(len(idx), dtype=complex)
+        for f in self._factors:
+            if isinstance(f, PermPhase):
+                idx, p = f.map_indices(idx)
+            else:
+                idx, p = gate_index_map(f, nq, idx)
+            ph = p * ph
+        return idx, ph
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._perm is None:
+            perm, ph = self.map_indices(np.arange(self.dim))
+            self._phases = np.empty(self.dim, dtype=complex)
+            self._phases[perm] = ph
+            self._perm = perm
+        return self._perm, self._phases
 
     @property
-    def dim(self) -> int:
-        return len(self.perm)
+    def perm(self) -> np.ndarray:
+        return self._table()[0]
+
+    @property
+    def phases(self) -> np.ndarray:
+        return self._table()[1]
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         return bool(
@@ -433,16 +508,13 @@ class PermPhase:
 
     def compose(self, other: "PermPhase") -> "PermPhase":
         """self after other (operator product self . other)."""
-        perm = self.perm[other.perm]
-        phases = np.empty(self.dim, dtype=complex)
-        phases[self.perm] = self.phases[self.perm] * other.phases
-        return PermPhase(perm, phases)
+        return PermPhase.word(self.dim, (other, self))
 
     def dagger(self) -> "PermPhase":
-        inv = np.argsort(self.perm)
-        phases = np.empty(self.dim, dtype=complex)
-        phases[inv] = self.phases.conjugate()
-        return PermPhase(inv, phases)
+        factors: list = []
+        for f in reversed(self._factors):
+            factors.extend([f.dagger()] if isinstance(f, PermPhase) else dagger(f))
+        return PermPhase.word(self.dim, factors)
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -450,39 +522,27 @@ class PermPhase:
         return out
 
     def apply_to_state(self, v: dict[int, complex]) -> dict[int, complex]:
-        return {
-            int(self.perm[k]): a * complex(self.phases[self.perm[k]])
-            for k, a in v.items()
-        }
+        dst, ph = self.map_indices(np.fromiter(v, dtype=np.int64, count=len(v)))
+        return {int(k): a * complex(p) for k, p, a in zip(dst, ph, v.values())}
 
     def apply_to_sparse(self, w: SparseIsometry) -> SparseIsometry:
         out = SparseIsometry(w.n, w.m)
-        for i, j, a in w.entries():
-            i2 = int(self.perm[i])
-            out.set(i2, j, a * complex(self.phases[i2]))
+        entries = list(w.entries())
+        rows = np.array([i for i, _, _ in entries], dtype=np.int64)
+        dst, ph = self.map_indices(rows)
+        for (_, j, a), i2, p in zip(entries, dst, ph):
+            out.set(int(i2), j, a * complex(p))
         return out
 
 
 def gate_perm_phase(g: Gate, nq: int) -> PermPhase:
     """PermPhase form of a basis-relabeling or diagonal gate."""
-    perm = gate_permutation(g, nq)
-    if perm is not None:
-        return PermPhase(perm, np.ones(1 << nq, dtype=complex))
-    idx = np.arange(1 << nq)
-    if isinstance(g, Diagonal):
-        v = _subset_values(idx, g.qubits, nq)
-        return PermPhase(idx, np.asarray(g.phases)[v])
-    if isinstance(g, H0Phase):
-        v = _subset_values(idx, g.qubits, nq)
-        return PermPhase(idx, np.where(v == 0, cmath.exp(1j * g.phi), 1.0 + 0j))
-    raise TypeError(f"{g!r} is not a permutation/diagonal gate")
+    return PermPhase.word(1 << nq, (g,))
 
 
-def sequence_perm_phase(gates: list[Gate], nq: int) -> PermPhase:
-    total = PermPhase.identity(1 << nq)
-    for g in gates:
-        total = gate_perm_phase(g, nq).compose(total)
-    return total
+def sequence_perm_phase(gates: list, nq: int) -> PermPhase:
+    """Product of a gate sequence (gates or PermPhases, first applied first)."""
+    return PermPhase.word(1 << nq, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +600,9 @@ def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int,
     gates.extend(dress)
     gates.extend(_margolus_gates(q1, q2, target))
     gates.extend(dress)
-    idx = np.arange(1 << nq)
-    local = np.zeros_like(idx)
-    for k, q in enumerate((q1, q2, target)):
-        local |= ((idx >> (nq - 1 - q)) & 1) << (2 - k)
     xmask = (4 if p1 == 0 else 0) | (2 if p2 == 0 else 0)
-    phases = _MARGOLUS_DIAG[local ^ xmask]
-    residual = PermPhase(gate_permutation(MCX(controls, target), nq), phases)
+    diag = Diagonal((q1, q2, target), tuple(_MARGOLUS_DIAG[np.arange(8) ^ xmask]))
+    residual = PermPhase.word(1 << nq, (MCX(controls, target), diag))
     return gates, residual
 
 

@@ -4,11 +4,12 @@ All methods reduce the input column by column to a (possibly permuted)
 diagonal isometry and return the inverse gate sequence.  Reflections are
 emitted "up to diagonal and permutation": each reflection's pivoting stage
 yields an operator that is exactly ``Diag . Perm . H`` for a classically
-known diagonal and permutation (:class:`~hhsynth.gates.PermPhase`), which
-is applied to the working matrix instead of being emitted as gates.  The
-accumulated permutation decides each step's current target row, and the
-closing permuted-diagonal stage emits one small permutation plus one
-diagonal gate that absorb everything.
+known diagonal and permutation (:class:`~hhsynth.gates.PermPhase`, a word
+of index-map gates), which is applied to the working matrix instead of
+being emitted as gates.  The residual is evaluated only on the matrix's
+nonzero rows and on the 2^m target rows, which it carries to their
+current positions; the closing permuted-diagonal stage emits one small
+permutation plus one diagonal gate that absorb everything.
 
 The gate order convention: ``StructuredCircuit.gates`` lists gates in
 application order, so a reduction sequence with operator product
@@ -56,7 +57,6 @@ class StepTrace:
     modified: tuple = ()
     fill_in: tuple = ()
     eliminated: tuple = ()
-    row_relabel: np.ndarray | None = None  # original row -> current row, pre-step
 
 
 @dataclass
@@ -83,6 +83,20 @@ def _dress_x(index: int, qubits: tuple[int, ...], n: int) -> list[G.Gate]:
     return [G.x_gate(q) for q in qubits if (index >> (n - 1 - q)) & 1]
 
 
+def _apply_residual(
+    residual: G.PermPhase, work: SparseIsometry, targets: np.ndarray
+) -> tuple[SparseIsometry, np.ndarray]:
+    """The working matrix and the current target rows after a pivot
+    residual, with the residual evaluated once on both."""
+    entries = list(work.entries())
+    rows = np.array([i for i, _, _ in entries] + targets.tolist(), dtype=np.int64)
+    dst, ph = residual.map_indices(rows)
+    out = SparseIsometry(work.n, work.m)
+    for (_, j, a), i2, p in zip(entries, dst, ph):
+        out.set(int(i2), j, a * complex(p))
+    return out, dst[len(entries):]
+
+
 # ---------------------------------------------------------------------------
 # one reflection, up to diagonal and permutation
 
@@ -107,10 +121,11 @@ def householder_up_to(
         raise ValueError("zero vector has no reflection")
     nnz = len(v)
     if nnz == 1:
+        # I - 2|idx><idx|: a Z on the last qubit controlled by the others
         idx = next(iter(v))
-        phases = np.ones(1 << n, dtype=complex)
-        phases[idx] = -1.0
-        residual = G.PermPhase(np.arange(1 << n), phases)
+        z = np.diag([-1.0, 1.0] if idx & 1 == 0 else [1.0, -1.0])
+        controls = tuple((q, (idx >> (n - 1 - q)) & 1) for q in range(n - 1))
+        residual = G.gate_perm_phase(G.MCU(controls, n - 1, z), n)
         return [], residual, {"s": 0, "nnz": nnz, "insertions": 0}
     s = (nnz - 1).bit_length()
     splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
@@ -167,17 +182,18 @@ def perm_diag_reduce(
     if m == n:
         blk = 0
     else:
-        _, blk = P._score(splitting, set(colsum))
+        _, inside = P._score(splitting.block_mask, rows_of)
+        blk = splitting.split(inside)[0]
     plan = P.pivot_plan(colsum, splitting, blk, relax_toffoli)
     f_gates = list(plan.gates)
     f_gates += _dress_x(splitting.join(blk, 0), splitting.block_qubits, n)
     f_pp = G.sequence_perm_phase(f_gates[len(plan.gates):], n).compose(plan.residual)
 
-    # grouped matrix: column j's entry sits at plain index perm_f[rows_of[j]]
-    perm_m = f_pp.perm[rows_of]
+    # grouped matrix: column j's entry sits at plain index perm_m[j]
+    perm_m, phase_m = f_pp.map_indices(rows_of)
     if np.any(perm_m >= (1 << m)):
         raise AssertionError("grouping failed to land in the top block")
-    delta = amp_of * f_pp.phases[perm_m]
+    delta = amp_of * phase_m
     delta = delta / np.abs(delta)
 
     gates: list[G.Gate] = []
@@ -205,8 +221,8 @@ def sparse_householder_iso(
 
     At step ``i`` the column ``sigma^{-1}(i)`` of the working matrix is
     reflected onto the current position of original row ``rho^{-1}(i)``;
-    the pivot residual is folded into the working matrix and the running
-    row relabeling.  Ends with :func:`perm_diag_reduce`.
+    the pivot residual is folded into the working matrix and the current
+    target rows.  Ends with :func:`perm_diag_reduce`.
     """
     _require_isometry(w)
     if strategy is None:
@@ -216,18 +232,15 @@ def sparse_householder_iso(
     sigma_inv = invert_permutation(strategy.sigma)
     rho_inv = invert_permutation(strategy.rho)
     work = w.copy()
-    pi_acc = np.arange(1 << n)
+    targets = rho_inv[: 1 << m].copy()  # current row of each step's target
     committed: list[G.Gate] = []
     trace: list[StepTrace] = []
     for i in range(1 << m):
         c = int(sigma_inv[i])
-        t = int(pi_acc[rho_inv[i]])
+        t = int(targets[i])
         col = dict(work.col(c))
-        relabel = pi_acc.copy()
         if len(col) == 1 and t in col:
-            trace.append(
-                StepTrace(i, c, int(rho_inv[i]), t, 1, 0, True, row_relabel=relabel)
-            )
+            trace.append(StepTrace(i, c, int(rho_inv[i]), t, 1, 0, True))
             continue
         row_support = frozenset(work.row(t))
         u, theta = hh.reduction_vector(col, t)
@@ -235,8 +248,7 @@ def sparse_householder_iso(
         gates, residual, meta = householder_up_to(
             u, n, samples=samples, seed=rng, relax_toffoli=relax_toffoli
         )
-        work = residual.apply_to_sparse(work)
-        pi_acc = residual.perm[pi_acc]
+        work, targets = _apply_residual(residual, work, targets)
         committed.extend(gates)
         trace.append(
             StepTrace(
@@ -253,7 +265,6 @@ def sparse_householder_iso(
                 modified=tuple(rec.modified),
                 fill_in=tuple(rec.fill_in),
                 eliminated=tuple(rec.eliminated),
-                row_relabel=relabel,
             )
         )
     pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
@@ -571,14 +582,13 @@ def no_fill_in_iso(
     work = SparseIsometry(nn, m)
     for i, j, a in w.entries():
         work.set(i, j, a)
-    pi_acc = np.arange(1 << nn)
+    targets = (1 << n) + np.arange(1 << m)  # current row of each step's target
     committed: list[G.Gate] = []
     trace: list[StepTrace] = []
     for i in range(1 << m):
         c = i
-        t = int(pi_acc[(1 << n) + i])
+        t = int(targets[i])
         col = dict(work.col(c))
-        relabel = pi_acc.copy()
         row_support = frozenset(work.row(t))
         u, theta = hh.reduction_vector(col, t)
         rec = hh.reduce_column(work, c, t)
@@ -587,8 +597,7 @@ def no_fill_in_iso(
         gates, residual, meta = householder_up_to(
             u, nn, samples=samples, seed=rng, relax_toffoli=relax_toffoli
         )
-        work = residual.apply_to_sparse(work)
-        pi_acc = residual.perm[pi_acc]
+        work, targets = _apply_residual(residual, work, targets)
         committed.extend(gates)
         trace.append(
             StepTrace(
@@ -599,7 +608,6 @@ def no_fill_in_iso(
                 modified=tuple(rec.modified),
                 fill_in=tuple(rec.fill_in),
                 eliminated=tuple(rec.eliminated),
-                row_relabel=relabel,
             )
         )
     pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)

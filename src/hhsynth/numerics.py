@@ -283,10 +283,11 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
         gram = a.conj().T @ a
         ncols = a.shape[1]
     dev = np.abs(gram - np.eye(ncols))
-    worst_flat = int(np.argmax(dev))
+    worst_flat = int(np.argmax(dev))  # the first NaN, if any
     worst = (worst_flat // ncols, worst_flat % ncols)
     max_dev = float(dev[worst])
-    return ValidationReport(max_dev <= tol, max_dev, worst if max_dev > tol else None)
+    ok = max_dev <= tol
+    return ValidationReport(ok, max_dev, None if ok else worst)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +321,16 @@ def matrix_from_dict(d: dict) -> SparseIsometry:
     n, m = int(d["n"]), int(d["m"])
     out = SparseIsometry(n, m)
     if "entries" in d:
+        seen = set()
         for item in d["entries"]:
             i, j, re, im = item
-            out.set(int(i), int(j), complex(re, im))
+            i, j = int(i), int(j)
+            if not (0 <= i < (1 << n) and 0 <= j < (1 << m)):
+                raise ValueError(f"entry ({i}, {j}) out of range for shape {out.shape}")
+            if (i, j) in seen:
+                raise ValueError(f"entry ({i}, {j}) given twice")
+            seen.add((i, j))
+            out.set(i, j, complex(re, im))
     elif "dense" in d:
         rows = d["dense"]
         if len(rows) != (1 << n):

@@ -20,6 +20,11 @@ Doubly-controlled NOTs are emitted as the 3-CNOT relative-phase network;
 the known diagonal residual is part of the plan's PermPhase, so replaying
 the plan on a state is exact.  Sparse state preparation inverts the plan
 and folds those phases into the dense block's target state.
+
+The plan works on the state's support only: splittings are scored with
+bit masks over the nonzero indices, and each step's residual (a word of
+index-map gates) is evaluated on the nonzeros alone, so planning costs
+polynomial time in n and nnz, with no 2^n array.
 """
 
 from __future__ import annotations
@@ -54,16 +59,22 @@ class QubitSplitting:
     def s(self) -> int:
         return len(self.register_qubits)
 
-    def split(self, index: int) -> tuple[int, int]:
-        """(block value, register value) of a full basis index."""
+    def split(self, index):
+        """(block value, register value) of a full basis index, or of each
+        index in an int64 array."""
         n = self.n
-        blk = 0
+        # 0, or zeros shaped like the index array (two arrays: |= is in place)
+        blk, reg = index & 0, index & 0
         for k, q in enumerate(self.block_qubits):
             blk |= ((index >> (n - 1 - q)) & 1) << (len(self.block_qubits) - 1 - k)
-        reg = 0
         for k, q in enumerate(self.register_qubits):
             reg |= ((index >> (n - 1 - q)) & 1) << (self.s - 1 - k)
         return blk, reg
+
+    @property
+    def block_mask(self) -> int:
+        """The block qubits' bits in a full basis index."""
+        return _block_mask(self.n, self.register_qubits)
 
     def join(self, blk: int, reg: int) -> int:
         n = self.n
@@ -75,14 +86,19 @@ class QubitSplitting:
         return out
 
 
-def _score(splitting: QubitSplitting, pattern) -> tuple[int, int]:
-    """(occupancy of the fullest block, that block's index) for a pattern."""
-    counts: dict[int, int] = {}
-    for p in pattern:
-        blk, _ = splitting.split(p)
-        counts[blk] = counts.get(blk, 0) + 1
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[1], best[0]
+def _block_mask(n: int, register_qubits) -> int:
+    """The bits of a full n-qubit basis index outside the register."""
+    return ((1 << n) - 1) ^ sum(1 << (n - 1 - q) for q in register_qubits)
+
+
+def _score(block_mask: int, pattern: np.ndarray) -> tuple[int, int]:
+    """(occupancy of the fullest block, a pattern index inside it).
+
+    Ties go to the smallest block: with the block qubits in ascending
+    order, block values order like the masked indices."""
+    masked, counts = np.unique(pattern & block_mask, return_counts=True)
+    k = int(np.argmax(counts))
+    return int(counts[k]), int(masked[k])
 
 
 def choose_splitting(
@@ -96,7 +112,7 @@ def choose_splitting(
     """
     if s > n:
         raise ValueError(f"register size {s} exceeds {n} qubits")
-    pattern = sorted(set(pattern))
+    pattern = np.array(sorted(set(pattern)), dtype=np.int64)
     if len(pattern) > (1 << s):
         raise ValueError("pattern does not fit in a 2^s block")
     if s == n:
@@ -107,12 +123,12 @@ def choose_splitting(
         candidates = _sampled_register_subsets(n, s, samples, as_rng(seed))
     best = None
     for reg in candidates:
-        block = tuple(q for q in range(n) if q not in reg)
-        sp = QubitSplitting(block, reg)
-        occ, blk = _score(sp, pattern)
+        occ, inside = _score(_block_mask(n, reg), pattern)
         if best is None or occ > best[0]:
-            best = (occ, sp, blk)
-    return best[1], best[2]
+            best = (occ, reg, inside)
+    _, reg, inside = best
+    sp = QubitSplitting(tuple(q for q in range(n) if q not in reg), reg)
+    return sp, sp.split(inside)[0]
 
 
 def _all_register_subsets(n: int, s: int):
@@ -255,41 +271,31 @@ def pivot_plan(
         raise ValueError("more nonzeros than the target block holds")
     steps: list[PivotStep] = []
     gates: list[G.Gate] = []
-    total = G.PermPhase.identity(1 << n)
+    step_residuals: list[G.PermPhase] = []
     while True:
-        inside_rows = set()
-        outside = []
-        for idx in work:
-            blk, reg = splitting.split(idx)
-            if blk == target_block:
-                inside_rows.add(reg)
-            else:
-                outside.append(idx)
-        if not outside:
+        keys = np.fromiter(work, dtype=np.int64, count=len(work))
+        blk, reg = splitting.split(keys)
+        outside = blk != target_block
+        if not outside.any():
             break
-        free = [r for r in range(1 << s) if r not in inside_rows]
-        dist, src = hypercube_multisource_bfs(s, free)
-        best = None
-        for idx in sorted(outside):
-            blk, reg = splitting.split(idx)
-            d = hamming(blk, target_block) + int(dist[reg])
-            if best is None or d < best[0]:
-                best = (d, idx, int(src[reg]))
-        _, source, slot = best
-        dest = splitting.join(target_block, slot)
+        occupied = np.zeros(1 << s, dtype=bool)
+        occupied[reg[~outside]] = True
+        dist, src = hypercube_multisource_bfs(s, np.flatnonzero(~occupied))
+        # cheapest outside entry, the smallest index among equals
+        keys, blk, reg = keys[outside], blk[outside], reg[outside]
+        cost = np.array([hamming(int(b), target_block) for b in blk]) + dist[reg]
+        k = np.lexsort((keys, cost))[0]
+        source = int(keys[k])
+        dest = splitting.join(target_block, int(src[reg[k]]))
         sgates, pp, ctrl, ncnots = _insertion_gates(
             splitting, source, dest, n, relax_toffoli
         )
         steps.append(PivotStep(source, dest, ctrl, ncnots, sgates))
         gates.extend(sgates)
         work = pp.apply_to_state(work)
-        total = pp.compose(total)
-    register_state = {}
-    for idx, amp in work.items():
-        blk, reg = splitting.split(idx)
-        if blk != target_block:
-            raise AssertionError("entry escaped the target block")
-        register_state[reg] = amp
+        step_residuals.append(pp)
+    register_state = {int(r): amp for r, amp in zip(reg, work.values())}
+    total = G.sequence_perm_phase(step_residuals, n)
     return PivotPlan(
         splitting, target_block, steps, gates, total, work, register_state
     )

@@ -139,3 +139,35 @@ def test_bench_basis_state_needs_no_cnots(tmp_path):
     assert run(["bench", "ssp", "--n", "10", "--s", "0", "--trials", "5", "-o", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert all(int(r.split(",")[4]) == 0 for r in rows)
+
+
+def test_bench_wide_registers_deterministic(capsys):
+    args = ["bench", "ssp", "--n", "40", "--s", "3", "--trials", "2"]
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == first
+    assert first.splitlines()[0] == "n,s,trial,nnz,cnots,bound"
+    assert len(first.splitlines()) == 3
+
+
+def test_bench_rejects_more_than_62_qubits():
+    assert run(["bench", "ssp", "--n", "63", "--s", "1", "--trials", "1"]) == cli.EXIT_PARSE
+
+
+def test_compile_nan_amplitude_exit_3(tmp_path):
+    mat = tmp_path / "nan.json"
+    mat.write_text('{"n": 2, "m": 0, "entries": [[0, 0, NaN, 0], [1, 0, 0.5, 0]]}')
+    assert run(["compile", str(mat), "--method", "ssp"]) == cli.EXIT_VALIDATE
+
+
+def test_compile_out_of_range_row_exit_2(tmp_path):
+    mat = write_json(tmp_path / "oor.json", {"n": 2, "m": 0, "entries": [[9, 0, 1.0, 0]]})
+    assert run(["compile", mat, "--method", "ssp"]) == cli.EXIT_PARSE
+
+
+def test_compile_duplicate_entry_exit_2(tmp_path):
+    mat = write_json(
+        tmp_path / "dup.json", {"n": 2, "m": 0, "entries": [[1, 0, 0.6, 0], [1, 0, 1.0, 0]]}
+    )
+    assert run(["compile", mat, "--method", "ssp"]) == cli.EXIT_PARSE

@@ -256,3 +256,102 @@ def test_validate_rejects_bad_indices():
     c = G.StructuredCircuit(2, (), [G.CNOT(1, 1)])
     with pytest.raises(ValueError):
         c.validate()
+
+
+def _random_index_map_gate(n, rng):
+    """A random X, CNOT, MCX, Decrement, PermutationGate, Diagonal or H0Phase."""
+    kind = int(rng.integers(7))
+    qs = [int(q) for q in rng.permutation(n)]
+    k = int(rng.integers(1, min(n, 3) + 1))
+    if kind == 0:
+        return G.x_gate(qs[0])
+    if kind == 1:
+        return G.CNOT(qs[0], qs[1])
+    if kind == 2:
+        controls = tuple((q, int(rng.integers(2))) for q in qs[1 : 1 + int(rng.integers(0, n))])
+        return G.MCX(controls, qs[0])
+    if kind == 3:
+        return G.Decrement(tuple(qs[:k]))
+    if kind == 4:
+        return G.PermutationGate(tuple(qs[:k]), tuple(int(x) for x in rng.permutation(1 << k)))
+    if kind == 5:
+        return G.Diagonal(tuple(qs[:k]), tuple(np.exp(2j * np.pi * rng.uniform(size=1 << k))))
+    return G.H0Phase(tuple(qs[:k]), float(rng.uniform(-math.pi, math.pi)))
+
+
+def _reference_unitary(g, n):
+    """Dense matrix of a gate from per-basis-state bit arithmetic, written
+    independently of the library's index maps (non-X single-qubit gates
+    go through the simulator's 2x2 path)."""
+    if isinstance(g, G.SingleQubit) and not np.array_equal(g.matrix, G.X_MATRIX):
+        return G.gate_unitary(g, n)
+
+    def bit(x, q):
+        return (x >> (n - 1 - q)) & 1
+
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x in range(1 << n):
+        y, phase = x, 1.0
+        if isinstance(g, G.SingleQubit):
+            y = x ^ (1 << (n - 1 - g.target))
+        elif isinstance(g, G.CNOT):
+            y = x ^ (bit(x, g.control) << (n - 1 - g.target))
+        elif isinstance(g, G.MCX):
+            if all(bit(x, q) == p for q, p in g.controls):
+                y = x ^ (1 << (n - 1 - g.target))
+        else:
+            k = len(g.qubits)
+            sub = sum(bit(x, q) << (k - 1 - i) for i, q in enumerate(g.qubits))
+            new = sub
+            if isinstance(g, G.Decrement):
+                new = (sub - 1) % (1 << k)
+            elif isinstance(g, G.PermutationGate):
+                new = g.mapping[sub]
+            elif isinstance(g, G.Diagonal):
+                phase = g.phases[sub]
+            elif isinstance(g, G.H0Phase):
+                phase = np.exp(1j * g.phi) if sub == 0 else 1.0
+            for i, q in enumerate(g.qubits):
+                pos = n - 1 - q
+                y = (y & ~(1 << pos)) | (((new >> (k - 1 - i)) & 1) << pos)
+        u[y, x] = phase
+    return u
+
+
+def test_index_map_residual_matches_dense_product():
+    from hhsynth.methods import householder_up_to
+
+    rng = np.random.default_rng(31)
+    polarities = [(p1, p2) for p1 in (0, 1) for p2 in (0, 1)]
+    for trial in range(40):
+        n = int(rng.integers(3, 9))
+        word = []
+        for _ in range(int(rng.integers(1, 10))):
+            g = _random_index_map_gate(n, rng)
+            word.append((g, _reference_unitary(g, n)))
+        # the relaxed Toffoli's residual, against its own emitted gates
+        q1, q2, t = (int(q) for q in rng.permutation(n)[:3])
+        p1, p2 = polarities[trial % 4]
+        gates, residual = G.relaxed_mcx2(((q1, p1), (q2, p2)), t, n)
+        u = np.eye(1 << n, dtype=complex)
+        for g in gates:
+            u = _reference_unitary(g, n) @ u
+        word.insert(int(rng.integers(len(word) + 1)), (residual, u))
+        # the reflection about one basis state is its own residual
+        idx = int(rng.integers(1 << n))
+        _, flip, _ = householder_up_to({idx: 1.0 + 0j}, n)
+        dst, ph = flip.map_indices([idx])
+        assert dst[0] == idx and ph[0] == -1.0
+        reflection = np.eye(1 << n, dtype=complex)
+        reflection[idx, idx] = -1.0
+        word.insert(int(rng.integers(len(word) + 1)), (flip, reflection))
+
+        pp = G.sequence_perm_phase([f for f, _ in word], n)
+        dense = np.eye(1 << n, dtype=complex)
+        for _, oracle in word:
+            dense = oracle @ dense
+        np.testing.assert_allclose(pp.dense(), dense, atol=1e-12)
+        np.testing.assert_allclose(pp.dagger().dense(), dense.conj().T, atol=1e-12)
+        probe = rng.choice(1 << n, size=5, replace=False)
+        dst, ph = G.sequence_perm_phase([f for f, _ in word], n).map_indices(probe)
+        np.testing.assert_allclose(dense[dst, probe], ph, atol=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -137,3 +138,21 @@ def test_sparse_state_prep_rejects_bad_input():
         sparse_state_prep_on({}, 3)
     with pytest.raises(ValueError):
         sparse_state_prep_on({0: 0.3 + 0j}, 3)
+
+
+def test_sparse_state_prep_scales_past_dense_arrays():
+    # a 2^40 array cannot be allocated: any dense residual fails this test
+    from hhsynth.methods import householder_up_to
+
+    n, nnz = 40, 8
+    v = random_state_dict(n, nnz, np.random.default_rng(40))
+    c = sparse_state_prep_on(v, n)
+    audited = C.audit_circuit(c, C.AncillaRegime.none()).total
+    assert audited <= C.bound_ssp(n, 3, nnz)
+    again = G.circuit_to_dict(sparse_state_prep_on(v, n))
+    assert json.dumps(G.circuit_to_dict(c), sort_keys=True) == json.dumps(again, sort_keys=True)
+    # the reflection's residual moves the support onto distinct rows, phases exact units
+    _, residual, meta = householder_up_to(v, n)
+    dst, ph = residual.map_indices(list(v))
+    assert len(set(dst.tolist())) == nnz and meta["s"] == 3
+    np.testing.assert_allclose(np.abs(ph), 1.0, atol=1e-15)
