@@ -17,7 +17,6 @@ from .numerics import (
     apply_permutations,
     matrix_from_dict,
     matrix_to_dict,
-    sparse_update,
     validate_isometry,
 )
 from .householder import (

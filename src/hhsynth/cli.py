@@ -20,6 +20,7 @@ from . import methods as M
 from . import ordering as O
 from . import pivoting as P
 from .numerics import (
+    MAX_QUBITS,
     NotAnIsometryError,
     SparseIsometry,
     check_permutation,
@@ -30,7 +31,6 @@ from .numerics import (
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_VERIFY = 4
-MAX_BENCH_QUBITS = 62
 
 
 class CliError(Exception):
@@ -219,9 +219,9 @@ def cmd_bench(args) -> int:
     regime = C.parse_regime(args.regime)
     ns = _parse_range(args.n)
     ss = _parse_range(args.s)
-    if max(ns) > MAX_BENCH_QUBITS:
+    if max(ns) > MAX_QUBITS:
         raise CliError(
-            f"the benchmark needs n <= {MAX_BENCH_QUBITS} (int64 basis indices)", EXIT_PARSE
+            f"the benchmark needs n <= {MAX_QUBITS} (int64 basis indices)", EXIT_PARSE
         )
     rows = B.bench_ssp(ns, ss, args.trials, args.seed, regime, args.samples)
     lines = [B.CSV_HEADER] + [r.csv() for r in rows]

@@ -168,10 +168,6 @@ def _gate_qubits(g: Gate) -> tuple[int, ...]:
     return tuple(g.qubits)
 
 
-def gate_qubit_count(g: Gate) -> int:
-    return len(_gate_qubits(g))
-
-
 def describe_gate(g: Gate) -> str:
     """Compact one-line rendering for logs and demos."""
     if isinstance(g, CNOT):
@@ -467,10 +463,6 @@ class PermPhase:
         pp.dim, pp._factors = dim, tuple(factors)
         return pp
 
-    @classmethod
-    def identity(cls, dim: int) -> "PermPhase":
-        return cls.word(dim, ())
-
     def map_indices(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """``(dst, phase)`` with ``self |idx[i]> = phase[i] |dst[i]>``."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -500,12 +492,6 @@ class PermPhase:
     def phases(self) -> np.ndarray:
         return self._table()[1]
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return bool(
-            np.array_equal(self.perm, np.arange(self.dim))
-            and np.max(np.abs(self.phases - 1.0)) <= tol
-        )
-
     def compose(self, other: "PermPhase") -> "PermPhase":
         """self after other (operator product self . other)."""
         return PermPhase.word(self.dim, (other, self))
@@ -524,20 +510,6 @@ class PermPhase:
     def apply_to_state(self, v: dict[int, complex]) -> dict[int, complex]:
         dst, ph = self.map_indices(np.fromiter(v, dtype=np.int64, count=len(v)))
         return {int(k): a * complex(p) for k, p, a in zip(dst, ph, v.values())}
-
-    def apply_to_sparse(self, w: SparseIsometry) -> SparseIsometry:
-        out = SparseIsometry(w.n, w.m)
-        entries = list(w.entries())
-        rows = np.array([i for i, _, _ in entries], dtype=np.int64)
-        dst, ph = self.map_indices(rows)
-        for (_, j, a), i2, p in zip(entries, dst, ph):
-            out.set(int(i2), j, a * complex(p))
-        return out
-
-
-def gate_perm_phase(g: Gate, nq: int) -> PermPhase:
-    """PermPhase form of a basis-relabeling or diagonal gate."""
-    return PermPhase.word(1 << nq, (g,))
 
 
 def sequence_perm_phase(gates: list, nq: int) -> PermPhase:

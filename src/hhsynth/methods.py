@@ -16,6 +16,13 @@ application order, so a reduction sequence with operator product
 ``G_k ... G_1 G_0`` (G_0 applied first to the matrix) yields the circuit
 ``dagger(G_0), dagger(G_1), ..., dagger(G_k)`` appended after the gates
 implementing the reduced form.
+
+Sparse basic and no fill-in share one driver, :func:`_reduce_columns`:
+they differ only in the embedding (no fill-in adds a clean top qubit),
+the column order and the target rows.  Fixed envelope keeps its own loop
+(no pivoting, a decrement after every step).  The dense unitary's
+halving step reflects each column once, on the whole remaining block,
+and reads the next level's block from that pass.
 """
 
 from __future__ import annotations
@@ -34,8 +41,11 @@ from .numerics import (
     EPS0,
     NotAnIsometryError,
     SparseIsometry,
+    apply_permutations,
+    check_permutation,
     invert_permutation,
     prune_state,
+    qubit_count,
     validate_isometry,
 )
 
@@ -46,7 +56,6 @@ class StepTrace:
 
     step: int
     column: int
-    target_original: int
     target_current: int
     nnz: int  # nonzeros of the reduced column (1 when skipped)
     s: int  # register size budgeted for the reflection
@@ -125,7 +134,7 @@ def householder_up_to(
         idx = next(iter(v))
         z = np.diag([-1.0, 1.0] if idx & 1 == 0 else [1.0, -1.0])
         controls = tuple((q, (idx >> (n - 1 - q)) & 1) for q in range(n - 1))
-        residual = G.gate_perm_phase(G.MCU(controls, n - 1, z), n)
+        residual = G.sequence_perm_phase([G.MCU(controls, n - 1, z)], n)
         return [], residual, {"s": 0, "nnz": nnz, "insertions": 0}
     s = (nnz - 1).bit_length()
     splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
@@ -206,7 +215,60 @@ def perm_diag_reduce(
 
 
 # ---------------------------------------------------------------------------
-# sparse Householder decomposition (basic method)
+# sparse Householder decompositions: one column-reduction driver
+
+
+def _step_trace(
+    i: int, c: int, t: int, col: dict, u: dict, rec: hh.ReductionRecord, s: int,
+    row_support: frozenset,
+) -> StepTrace:
+    return StepTrace(
+        i, c, t, rec.nnz_before, s, False,
+        hh_support=frozenset(u),
+        col_support=frozenset(col),
+        row_support=row_support,
+        modified=tuple(rec.modified),
+        fill_in=tuple(rec.fill_in),
+        eliminated=tuple(rec.eliminated),
+    )
+
+
+def _reduce_columns(
+    work: SparseIsometry,
+    order,
+    targets: np.ndarray,
+    samples: int,
+    seed,
+    relax_toffoli: bool,
+) -> tuple[list[G.Gate], np.ndarray, np.ndarray, list[StepTrace]]:
+    """Reduce column ``order[i]`` onto row ``targets[i]`` at step ``i``.
+
+    Each reflection is emitted up to diag x perm; its pivot residual moves
+    the matrix rows and the remaining target rows together, so ``targets``
+    always holds current positions.  Ends with :func:`perm_diag_reduce` and
+    returns ``(gates, closing diagonal, closing permutation, trace)``.
+    ``work`` is consumed.
+    """
+    rng = P.as_rng(seed)
+    committed: list[G.Gate] = []
+    trace: list[StepTrace] = []
+    for i, c in enumerate(order):
+        c, t = int(c), int(targets[i])
+        col = dict(work.col(c))
+        if len(col) == 1 and t in col:
+            trace.append(StepTrace(i, c, t, 1, 0, True))
+            continue
+        row_support = frozenset(work.row(t))
+        u, _ = hh.reduction_vector(col, t)
+        rec = hh.reduce_column(work, c, t)
+        gates, residual, meta = householder_up_to(
+            u, work.n, samples=samples, seed=rng, relax_toffoli=relax_toffoli
+        )
+        work, targets = _apply_residual(residual, work, targets)
+        committed.extend(gates)
+        trace.append(_step_trace(i, c, t, col, u, rec, meta["s"], row_support))
+    pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
+    return pd_gates + G.dagger_sequence(committed), delta, perm_m, trace
 
 
 def sparse_householder_iso(
@@ -220,56 +282,19 @@ def sparse_householder_iso(
     """Column-by-column sparse reduction with reflections up to diag x perm.
 
     At step ``i`` the column ``sigma^{-1}(i)`` of the working matrix is
-    reflected onto the current position of original row ``rho^{-1}(i)``;
-    the pivot residual is folded into the working matrix and the current
-    target rows.  Ends with :func:`perm_diag_reduce`.
+    reflected onto the current position of original row ``rho^{-1}(i)``
+    (:func:`_reduce_columns`).
     """
     _require_isometry(w)
     if strategy is None:
         strategy = O.greedy_order(w)
-    n, m = w.n, w.m
-    rng = P.as_rng(seed)
-    sigma_inv = invert_permutation(strategy.sigma)
-    rho_inv = invert_permutation(strategy.rho)
-    work = w.copy()
-    targets = rho_inv[: 1 << m].copy()  # current row of each step's target
-    committed: list[G.Gate] = []
-    trace: list[StepTrace] = []
-    for i in range(1 << m):
-        c = int(sigma_inv[i])
-        t = int(targets[i])
-        col = dict(work.col(c))
-        if len(col) == 1 and t in col:
-            trace.append(StepTrace(i, c, int(rho_inv[i]), t, 1, 0, True))
-            continue
-        row_support = frozenset(work.row(t))
-        u, theta = hh.reduction_vector(col, t)
-        rec = hh.reduce_column(work, c, t)
-        gates, residual, meta = householder_up_to(
-            u, n, samples=samples, seed=rng, relax_toffoli=relax_toffoli
-        )
-        work, targets = _apply_residual(residual, work, targets)
-        committed.extend(gates)
-        trace.append(
-            StepTrace(
-                i,
-                c,
-                int(rho_inv[i]),
-                t,
-                rec.nnz_before,
-                meta["s"],
-                False,
-                hh_support=frozenset(u),
-                col_support=frozenset(col),
-                row_support=row_support,
-                modified=tuple(rec.modified),
-                fill_in=tuple(rec.fill_in),
-                eliminated=tuple(rec.eliminated),
-            )
-        )
-    pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
-    gates = pd_gates + G.dagger_sequence(committed)
-    circuit = G.StructuredCircuit(n, (), gates)
+    gates, delta, perm_m, trace = _reduce_columns(
+        w.copy(),
+        invert_permutation(strategy.sigma),
+        invert_permutation(strategy.rho)[: 1 << w.m],
+        samples, seed, relax_toffoli,
+    )
+    circuit = G.StructuredCircuit(w.n, (), gates)
     circuit.validate()
     return DecompositionResult(circuit, delta, perm_m, C.audit_circuit(circuit, regime), trace)
 
@@ -279,15 +304,20 @@ def sparse_householder_iso(
 
 
 def _reduce_dense_columns(
-    v: np.ndarray, sp_qubits: tuple[int, ...], h0_qubits: tuple[int, ...], dress: list[G.Gate]
-) -> tuple[list[list[G.Gate]], np.ndarray, list[StepTrace]]:
-    """Reduce every column of a dense isometry to its own index.
+    v: np.ndarray,
+    cols: int,
+    sp_qubits: tuple[int, ...],
+    h0_qubits: tuple[int, ...],
+    dress: list[G.Gate],
+) -> tuple[list[list[G.Gate]], np.ndarray, list[StepTrace], np.ndarray]:
+    """Reduce each of the first ``cols`` columns of a dense block to its
+    own index.
 
-    Returns (per-step reflection triples, diagonal values, trace).  The
-    triple for step i is [SP^, H0 (dressed), SP]; columns already reduced
-    are skipped.
+    The reflections act on the whole block.  Returns (per-step reflection
+    triples, diagonal values, trace, reduced block).  The triple for step i
+    is [SP^, H0 (dressed), SP]; columns already reduced are skipped.  The
+    trace and the residue check look at the first ``cols`` columns only.
     """
-    rows, cols = v.shape
     work = v.copy()
     triples: list[list[G.Gate]] = []
     trace: list[StepTrace] = []
@@ -295,7 +325,7 @@ def _reduce_dense_columns(
         col = work[:, i]
         off = np.abs(col) ** 2
         if math.sqrt(max(0.0, float(np.sum(off) - off[i]))) <= 1e-12:
-            trace.append(StepTrace(i, i, i, i, 1, 0, True))
+            trace.append(StepTrace(i, i, i, 1, 0, True))
             continue
         aii = col[i]
         if abs(aii) <= EPS0:
@@ -306,10 +336,10 @@ def _reduce_dense_columns(
         u[i] -= eith
         u /= math.sqrt(2.0 * (1.0 + abs(aii)))
         col_support = frozenset(int(x) for x in np.flatnonzero(np.abs(col) > EPS0))
-        row_support = frozenset(int(x) for x in np.flatnonzero(np.abs(work[i, :]) > EPS0))
-        pre = work.copy()
+        row_support = frozenset(int(x) for x in np.flatnonzero(np.abs(work[i, :cols]) > EPS0))
+        pre = work[:, :cols].copy()
         work = work - 2.0 * np.outer(u, u.conj() @ work)
-        changed = np.argwhere(np.abs(work - pre) > 1e-12)
+        changed = np.argwhere(np.abs(work[:, :cols] - pre) > 1e-12)
         mod = tuple(
             (int(s), int(t))
             for s, t in changed
@@ -325,7 +355,7 @@ def _reduce_dense_columns(
         )
         trace.append(
             StepTrace(
-                i, i, i, i,
+                i, i, i,
                 int(np.sum(np.abs(col) > EPS0)), len(sp_qubits), False,
                 hh_support=frozenset(udict),
                 col_support=col_support,
@@ -334,13 +364,13 @@ def _reduce_dense_columns(
             )
         )
     delta = np.array([work[j, j] for j in range(cols)], dtype=complex)
-    body = np.abs(work.copy())
+    body = np.abs(work[:, :cols])
     for j in range(cols):
         body[j, j] = 0.0
     if np.max(body) > 1e-8:
         raise AssertionError("dense reduction left off-diagonal residue")
     delta = delta / np.abs(delta)
-    return triples, delta, trace
+    return triples, delta, trace, work
 
 
 def dense_householder_iso(
@@ -352,12 +382,10 @@ def dense_householder_iso(
     if v.ndim == 1:
         v = v[:, None]
     _require_isometry(v)
-    from .numerics import qubit_count
-
     n = qubit_count(v.shape[0])
     m = qubit_count(v.shape[1])
-    triples, delta, trace = _reduce_dense_columns(
-        v, tuple(range(n)), tuple(range(n)), []
+    triples, delta, trace, _ = _reduce_dense_columns(
+        v, v.shape[1], tuple(range(n)), tuple(range(n)), []
     )
     gates: list[G.Gate] = []
     if np.max(np.abs(delta - 1.0)) > EPS0:
@@ -382,8 +410,6 @@ def dense_householder_unitary(
     each reflection telescopes to the identity.
     """
     u = np.asarray(u, dtype=complex)
-    from .numerics import qubit_count
-
     n = qubit_count(u.shape[0])
     if u.shape[0] != u.shape[1]:
         raise ValueError("not square")
@@ -392,32 +418,16 @@ def dense_householder_unitary(
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if dev > 1e-9:
         raise NotAnIsometryError(validate_isometry(u))
-    work = u.copy()
+    work = u
     sections: list[list[G.Gate]] = []
     trace: list[StepTrace] = []
     for k in range(n):
         half = 1 << (n - k - 1)
         controls = tuple(range(k))
         dress = [G.x_gate(q) for q in controls]
-        triples, delta, tr = _reduce_dense_columns(
-            work[:, :half],
-            tuple(range(k, n)),
-            tuple(range(n)),
-            dress,
+        triples, delta, tr, red = _reduce_dense_columns(
+            work, half, tuple(range(k, n)), tuple(range(n)), dress
         )
-        # apply the same reflections to the full block to expose U1
-        red = work.copy()
-        for i in range(half):
-            col = red[:, i]
-            aii = col[i]
-            off = np.abs(col) ** 2
-            if math.sqrt(max(0.0, float(np.sum(off) - off[i]))) <= 1e-12:
-                continue
-            eith = (-aii / abs(aii)) if abs(aii) > EPS0 else 1.0 + 0j
-            hv = col.copy()
-            hv[i] -= eith
-            hv /= math.sqrt(2.0 * (1.0 + abs(aii)))
-            red = red - 2.0 * np.outer(hv, hv.conj() @ red)
         if np.max(np.abs(red[:half, half:])) > 1e-8 or np.max(np.abs(red[half:, :half])) > 1e-8:
             raise AssertionError("halving step left cross-block residue")
         section: list[G.Gate] = []
@@ -471,14 +481,14 @@ def fixed_envelope_iso(
     The reflection at step i acts on the trailing ``s(i)`` qubits with
     ``2^{s(i)}`` covering the permuted envelope's height above the
     diagonal, which bounds every Householder vector's support a priori.
+    It needs no splitting search, so ``samples`` and ``seed`` have no
+    effect; they are accepted for a call signature shared with the other
+    sparse methods.
     """
     _require_isometry(w)
     if strategy is None:
         strategy = O.greedy_order(w)
     n, m = w.n, w.m
-    rng = P.as_rng(seed)
-    from .numerics import apply_permutations
-
     env = O.envelope(apply_permutations(w, strategy.rho, strategy.sigma)).env
     sigma_inv = invert_permutation(strategy.sigma)
     work = apply_permutations(w, strategy.rho, np.arange(1 << m))
@@ -487,7 +497,8 @@ def fixed_envelope_iso(
         rho_gate = G.PermutationGate(tuple(range(n)), tuple(int(x) for x in strategy.rho))
         reduction.append(rho_gate)
     dec_gate = G.Decrement(tuple(range(n)))
-    dec_pp = G.gate_perm_phase(dec_gate, n)
+    dec_pp = G.sequence_perm_phase([dec_gate], n)
+    no_targets = np.empty(0, dtype=np.int64)
     trace: list[StepTrace] = []
     for i in range(1 << m):
         c = int(sigma_inv[i])
@@ -499,35 +510,24 @@ def fixed_envelope_iso(
                 f"column support escaped the envelope at step {i}"
             )
         if len(col) == 1 and 0 in col:
-            trace.append(StepTrace(i, c, 0, 0, 1, s_i, True))
+            trace.append(StepTrace(i, c, 0, 1, s_i, True))
         else:
             row_support = frozenset(work.row(0))
-            u, theta = hh.reduction_vector(col, 0)
+            u, _ = hh.reduction_vector(col, 0)
             if max(u) >= (1 << s_i):
                 raise G.CircuitVerificationError("Householder vector escaped the top block")
             rec = hh.reduce_column(work, c, 0)
             reg = tuple(range(n - s_i, n))
-            udict = {k: a for k, a in u.items()}
-            reduction.append(G.SPBlock.from_dict(reg, udict, inverted=True))
+            reduction.append(G.SPBlock.from_dict(reg, u, inverted=True))
             reduction.append(G.H0Phase(tuple(range(n)), math.pi))
-            reduction.append(G.SPBlock.from_dict(reg, udict, inverted=False))
-            trace.append(
-                StepTrace(
-                    i, c, 0, 0, rec.nnz_before, s_i, False,
-                    hh_support=frozenset(u),
-                    col_support=frozenset(col),
-                    row_support=row_support,
-                    modified=tuple(rec.modified),
-                    fill_in=tuple(rec.fill_in),
-                    eliminated=tuple(rec.eliminated),
-                )
-            )
+            reduction.append(G.SPBlock.from_dict(reg, u, inverted=False))
+            trace.append(_step_trace(i, c, 0, col, u, rec, s_i, row_support))
         reduction.append(dec_gate)
-        work = dec_pp.apply_to_sparse(work)
+        work, _ = _apply_residual(dec_pp, work, no_targets)
     x_layer = [G.x_gate(q) for q in range(n - m)]
     reduction.extend(x_layer)
     if x_layer:
-        work = G.sequence_perm_phase(x_layer, n).apply_to_sparse(work)
+        work, _ = _apply_residual(G.sequence_perm_phase(x_layer, n), work, no_targets)
     pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
     gates = pd_gates + G.dagger_sequence(reduction)
     circuit = G.StructuredCircuit(n, (), gates)
@@ -577,41 +577,13 @@ def no_fill_in_iso(
     """
     _require_isometry(w)
     n, m = w.n, w.m
-    nn = n + 1
-    rng = P.as_rng(seed)
-    work = SparseIsometry(nn, m)
-    for i, j, a in w.entries():
-        work.set(i, j, a)
-    targets = (1 << n) + np.arange(1 << m)  # current row of each step's target
-    committed: list[G.Gate] = []
-    trace: list[StepTrace] = []
-    for i in range(1 << m):
-        c = i
-        t = int(targets[i])
-        col = dict(work.col(c))
-        row_support = frozenset(work.row(t))
-        u, theta = hh.reduction_vector(col, t)
-        rec = hh.reduce_column(work, c, t)
-        if rec.fill_in:
-            raise G.CircuitVerificationError("fill-in occurred in the no-fill-in method")
-        gates, residual, meta = householder_up_to(
-            u, nn, samples=samples, seed=rng, relax_toffoli=relax_toffoli
-        )
-        work, targets = _apply_residual(residual, work, targets)
-        committed.extend(gates)
-        trace.append(
-            StepTrace(
-                i, c, (1 << n) + i, t, rec.nnz_before, meta["s"], False,
-                hh_support=frozenset(u),
-                col_support=frozenset(col),
-                row_support=row_support,
-                modified=tuple(rec.modified),
-                fill_in=tuple(rec.fill_in),
-                eliminated=tuple(rec.eliminated),
-            )
-        )
-    pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
-    virtual_gates = pd_gates + G.dagger_sequence(committed)
+    work = SparseIsometry(n + 1, m, w.entries())
+    # each target row starts empty, so no step is ever skipped
+    virtual_gates, delta, perm_m, trace = _reduce_columns(
+        work, range(1 << m), (1 << n) + np.arange(1 << m), samples, seed, relax_toffoli
+    )
+    if any(t.fill_in for t in trace):
+        raise G.CircuitVerificationError("fill-in occurred in the no-fill-in method")
     table = {0: n}
     table.update({q + 1: q for q in range(n)})
     gates = [_remap_gate(g, table) for g in virtual_gates]
@@ -663,8 +635,6 @@ def perm_via_householder(perm, regime: C.AncillaRegime = C.AncillaRegime.none())
     (n-1)-controlled NOT), at most 2^n - 1 of them in total.
     """
     p = np.asarray(perm, dtype=np.int64)
-    from .numerics import check_permutation, qubit_count
-
     n = qubit_count(len(p))
     check_permutation(p, 1 << n)
     cur = p.copy()

@@ -19,11 +19,13 @@ index and a column index over the same entry set.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 EPS0 = 1e-12
+MAX_QUBITS = 62  # basis indices are int64
 
 
 def is_power_of_two(x: int) -> bool:
@@ -35,11 +37,6 @@ def qubit_count(dim: int) -> int:
     if not is_power_of_two(dim):
         raise ValueError(f"dimension {dim} is not a power of two")
     return dim.bit_length() - 1
-
-
-def qubit_bit(index: int, q: int, n: int) -> int:
-    """Bit of qubit ``q`` (0 = most significant) in an ``n``-qubit index."""
-    return (index >> (n - 1 - q)) & 1
 
 
 def hamming(a: int, b: int) -> int:
@@ -67,13 +64,6 @@ def state_norm(v: dict[int, complex]) -> float:
     return math.sqrt(math.fsum(abs(a) ** 2 for a in v.values()))
 
 
-def state_inner(v: dict[int, complex], w: dict[int, complex]) -> complex:
-    """<v|w> over the common support."""
-    if len(v) > len(w):
-        return complex(sum(v[k].conjugate() * a for k, a in w.items() if k in v))
-    return complex(sum(a.conjugate() * w[k] for k, a in v.items() if k in w))
-
-
 def prune_state(v: dict[int, complex]) -> dict[int, complex]:
     return {k: complex(a) for k, a in v.items() if abs(a) > EPS0}
 
@@ -85,10 +75,6 @@ def state_to_vector(v: dict[int, complex], n: int) -> np.ndarray:
     return out
 
 
-def vector_to_state(vec: np.ndarray) -> dict[int, complex]:
-    return {int(k): complex(vec[k]) for k in np.flatnonzero(np.abs(vec) > EPS0)}
-
-
 # ---------------------------------------------------------------------------
 # sparse isometry storage
 
@@ -98,8 +84,9 @@ class SparseIsometry:
 
     ``rows[i]`` maps column -> amplitude for row ``i`` and ``cols[j]`` maps
     row -> amplitude for column ``j``.  Both indexes always describe the same
-    entry set, and no stored amplitude has magnitude <= ``EPS0``.  Storage is
-    O(2**n + 2**m + nnz).  Instances are not safe for concurrent mutation.
+    entry set, and no stored amplitude has magnitude <= ``EPS0``.  ``rows``
+    holds only the occupied rows, so storage is O(2**m + nnz) whatever n is.
+    Instances are not safe for concurrent mutation.
     """
 
     __slots__ = ("n", "m", "rows", "cols", "_nnz")
@@ -111,7 +98,7 @@ class SparseIsometry:
             raise ValueError(f"isometry needs rows >= cols, got n={n} < m={m}")
         self.n = n
         self.m = m
-        self.rows: list[dict[int, complex]] = [{} for _ in range(1 << n)]
+        self.rows: defaultdict[int, dict[int, complex]] = defaultdict(dict)
         self.cols: list[dict[int, complex]] = [{} for _ in range(1 << m)]
         self._nnz = 0
         if entries is not None:
@@ -127,7 +114,7 @@ class SparseIsometry:
         return self._nnz
 
     def get(self, i: int, j: int) -> complex:
-        return self.rows[i].get(j, 0j)
+        return self.row(i).get(j, 0j)
 
     def set(self, i: int, j: int, a: complex) -> None:
         """Create, overwrite or remove entry ``(i, j)`` in both indexes.
@@ -142,6 +129,8 @@ class SparseIsometry:
                 del row[j]
                 del self.cols[j][i]
                 self._nnz -= 1
+            if not row:
+                del self.rows[i]
         else:
             if j not in row:
                 self._nnz += 1
@@ -150,7 +139,7 @@ class SparseIsometry:
 
     def row(self, i: int) -> dict[int, complex]:
         """Live row map (column -> amplitude); do not mutate directly."""
-        return self.rows[i]
+        return self.rows.get(i, {})
 
     def col(self, j: int) -> dict[int, complex]:
         """Live column map (row -> amplitude); do not mutate directly."""
@@ -161,18 +150,18 @@ class SparseIsometry:
 
     def entries(self):
         """Deterministic (i, j, amplitude) iteration in row-major order."""
-        for i, row in enumerate(self.rows):
+        for i in sorted(self.rows):
+            row = self.rows[i]
             for j in sorted(row):
                 yield i, j, row[j]
 
     def pattern(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, row in enumerate(self.rows) for j in row}
+        return {(i, j) for i, row in self.rows.items() for j in row}
 
     def copy(self) -> "SparseIsometry":
         out = SparseIsometry(self.n, self.m)
-        for i, row in enumerate(self.rows):
-            if row:
-                out.rows[i] = dict(row)
+        for i, row in self.rows.items():
+            out.rows[i] = dict(row)
         for j, col in enumerate(self.cols):
             if col:
                 out.cols[j] = dict(col)
@@ -181,7 +170,7 @@ class SparseIsometry:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
-        for i, row in enumerate(self.rows):
+        for i, row in self.rows.items():
             for j, a in row.items():
                 out[i, j] = a
         return out
@@ -204,16 +193,11 @@ class SparseIsometry:
         for j, col in enumerate(self.cols):
             for i, a in col.items():
                 rebuilt[(i, j)] = a
-        direct = {(i, j): a for i, row in enumerate(self.rows) for j, a in row.items()}
+        direct = {(i, j): a for i, row in self.rows.items() for j, a in row.items()}
         if rebuilt != direct:
             raise AssertionError("row/column indexes disagree")
         if len(direct) != self._nnz:
             raise AssertionError("nnz counter out of sync")
-
-
-def sparse_update(w: SparseIsometry, i: int, j: int, a: complex) -> None:
-    """Entry update keeping both indexes in sync (alias of ``w.set``)."""
-    w.set(i, j, a)
 
 
 def apply_permutations(w: SparseIsometry, rho, sigma) -> SparseIsometry:
@@ -264,9 +248,7 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
     if isinstance(mat, SparseIsometry):
         ncols = 1 << mat.m
         gram = np.zeros((ncols, ncols), dtype=complex)
-        for row in mat.rows:
-            if not row:
-                continue
+        for _, row in sorted(mat.rows.items()):
             items = sorted(row.items())
             for j, aj in items:
                 cj = aj.conjugate()
@@ -319,6 +301,8 @@ def matrix_from_dict(d: dict) -> SparseIsometry:
     if "n" not in d or "m" not in d:
         raise ValueError('matrix object needs "n" and "m" fields')
     n, m = int(d["n"]), int(d["m"])
+    if n > MAX_QUBITS:
+        raise ValueError(f"n = {n} exceeds {MAX_QUBITS} qubits (int64 basis indices)")
     out = SparseIsometry(n, m)
     if "entries" in d:
         seen = set()

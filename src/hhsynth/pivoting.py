@@ -29,6 +29,7 @@ polynomial time in n and nnz, with no 2^n array.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -132,8 +133,6 @@ def choose_splitting(
 
 
 def _all_register_subsets(n: int, s: int):
-    import itertools
-
     return [tuple(c) for c in itertools.combinations(range(n), s)]
 
 
@@ -200,10 +199,6 @@ class PivotPlan:
     residual: G.PermPhase  # product of the emitted gates, exactly
     final_state: dict[int, complex]  # the input state after the plan
     register_state: dict[int, complex]  # its register factor (phases folded)
-
-    @property
-    def cnot_gate_count(self) -> int:
-        return sum(st.cnots for st in self.steps)
 
 
 def _insertion_gates(
@@ -316,12 +311,7 @@ def sparse_state_prep(
     preparation.
     """
     v = prune_state(v)
-    if not v:
-        raise ValueError("zero state cannot be prepared")
-    nrm = state_norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state norm {nrm} is not 1")
-    n = max(max(v).bit_length(), 1)
+    n = max(max(v, default=0).bit_length(), 1)
     return sparse_state_prep_on(v, n, samples=samples, seed=seed, relax_toffoli=relax_toffoli)
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hhsynth
 from hhsynth import cli
 from hhsynth import gates as G
 from hhsynth.numerics import matrix_to_dict
@@ -171,3 +177,33 @@ def test_compile_duplicate_entry_exit_2(tmp_path):
         tmp_path / "dup.json", {"n": 2, "m": 0, "entries": [[1, 0, 0.6, 0], [1, 0, 1.0, 0]]}
     )
     assert run(["compile", mat, "--method", "ssp"]) == cli.EXIT_PARSE
+
+
+def _run_capped(argv, cap_bytes=1 << 30):
+    """Run the CLI in a subprocess limited to ``cap_bytes`` of address
+    space, so a build that allocates per basis state fails fast instead of
+    exhausting the machine's memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(hhsynth.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "hhsynth.cli", *argv],
+        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_compile_wide_state_costs_no_2n_memory(tmp_path):
+    mat = write_json(tmp_path / "v.json", {"n": 40, "m": 0, "entries": [[5, 0, 1.0, 0]]})
+    out = tmp_path / "c.json"
+    proc = _run_capped(["compile", mat, "--method", "ssp", "-o", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert G.circuit_from_dict(json.loads(out.read_text())).n == 40
+
+
+def test_compile_rejects_more_than_62_qubits(tmp_path):
+    mat = write_json(tmp_path / "v.json", {"n": 63, "m": 0, "entries": [[5, 0, 1.0, 0]]})
+    proc = _run_capped(["compile", mat, "--method", "ssp"])
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
