@@ -23,6 +23,7 @@ from .numerics import (
     MAX_QUBITS,
     NotAnIsometryError,
     SparseIsometry,
+    apply_permutations,
     check_permutation,
     matrix_from_dict,
     validate_isometry,
@@ -52,6 +53,13 @@ def _load_matrix(path: str) -> SparseIsometry:
         return matrix_from_dict(_load_json(path))
     except (ValueError, KeyError, TypeError) as e:
         raise CliError(f"bad matrix file {path}: {e}", EXIT_PARSE)
+
+
+def _load_circuit(path: str) -> G.StructuredCircuit:
+    try:
+        return G.circuit_from_dict(_load_json(path))
+    except (ValueError, KeyError, TypeError) as e:
+        raise CliError(f"bad circuit file {path}: {e}", EXIT_PARSE)
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -98,8 +106,8 @@ def _trace_dict(trace: list[M.StepTrace]) -> list[dict]:
 
 def cmd_compile(args) -> int:
     regime = C.parse_regime(args.regime)
-    data = _load_json(args.input)
     if args.method == "perm":
+        data = _load_json(args.input)
         try:
             perm = check_permutation(data["perm"], len(data["perm"]))
         except (KeyError, ValueError) as e:
@@ -108,10 +116,7 @@ def cmd_compile(args) -> int:
         result = None
         trace = []
     else:
-        try:
-            w = matrix_from_dict(data)
-        except (ValueError, KeyError, TypeError) as e:
-            raise CliError(f"bad matrix file {args.input}: {e}", EXIT_PARSE)
+        w = _load_matrix(args.input)
         rep = validate_isometry(w, args.tol)
         if not rep.ok:
             raise CliError(rep.describe(), EXIT_VALIDATE)
@@ -160,7 +165,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    circuit = G.circuit_from_dict(_load_json(args.circuit))
+    circuit = _load_circuit(args.circuit)
     w = _load_matrix(args.matrix)
     row_perm = None
     if args.row_perm:
@@ -171,7 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    circuit = G.circuit_from_dict(_load_json(args.circuit))
+    circuit = _load_circuit(args.circuit)
     regime = C.parse_regime(args.regime)
     report = C.audit_circuit(circuit, regime)
     if args.table:
@@ -187,8 +192,6 @@ def cmd_audit(args) -> int:
 def cmd_order(args) -> int:
     w = _load_matrix(args.matrix)
     strategy = O.greedy_order(w)
-    from .numerics import apply_permutations
-
     before = O.envelope(w)
     after = O.envelope(apply_permutations(w, strategy.rho, strategy.sigma))
     out = {

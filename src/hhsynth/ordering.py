@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SparseIsometry, check_permutation, invert_permutation
+from .numerics import SparseIsometry, apply_permutations, check_permutation, invert_permutation
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,6 @@ def greedy_order(w: SparseIsometry) -> EliminationStrategy:
 
 def compose_with_optimal_rows(w: SparseIsometry, strategy: EliminationStrategy) -> EliminationStrategy:
     """Keep the strategy's column order, recompute rows optimally for it."""
-    from .numerics import apply_permutations
-
     permuted = apply_permutations(w, np.arange(1 << w.n), strategy.sigma)
     return EliminationStrategy(optimal_row_perm(permuted), strategy.sigma)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from hhsynth import gates as G
 from hhsynth.numerics import SparseIsometry
 
 
@@ -49,6 +50,32 @@ def dense_reflection(u_dict, n):
     for k, a in u_dict.items():
         u[k] = a
     return np.eye(1 << n, dtype=complex) - 2.0 * np.outer(u, u.conj())
+
+
+def full_identity_action(circuit, restore_tol=1e-10, in_dim=None):
+    """Reference for ``gates.circuit_unitary``: simulate the full 2^nq
+    identity, slice out the data block for every allowed ancilla state and
+    check the largest entry of each deviation from the embedded action."""
+    nq = circuit.total_qubits
+    n, a = circuit.n, len(circuit.ancillas)
+    if in_dim is None:
+        in_dim = 1 << n
+    full = G.apply_circuit(np.eye(1 << nq, dtype=complex), circuit)
+    dirty = [k for k, kind in enumerate(circuit.ancillas) if kind == "dirty"]
+    u_data = None
+    for bits in range(1 << len(dirty)):
+        y = 0
+        for k, pos in enumerate(dirty):
+            y |= ((bits >> k) & 1) << (a - 1 - pos)
+        in_cols = (np.arange(in_dim) << a) + y
+        out_rows = (np.arange(1 << n) << a) + y
+        if u_data is None:
+            u_data = full[np.ix_(out_rows, in_cols)]
+        expected = np.zeros((1 << nq, in_dim), dtype=complex)
+        expected[out_rows] = u_data
+        if np.max(np.abs(full[:, in_cols] - expected)) > restore_tol:
+            raise G.CircuitVerificationError(f"ancilla state {y} not restored")
+    return u_data
 
 
 # The worked 4x4 sparsity pattern used across the envelope examples, as

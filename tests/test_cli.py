@@ -207,3 +207,21 @@ def test_compile_rejects_more_than_62_qubits(tmp_path):
     mat = write_json(tmp_path / "v.json", {"n": 63, "m": 0, "entries": [[5, 0, 1.0, 0]]})
     proc = _run_capped(["compile", mat, "--method", "ssp"])
     assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+
+
+MALFORMED_CIRCUITS = {
+    "gate_missing_fields": {"n": 1, "gates": [{"kind": "cnot"}]},
+    "matrix_of_reals": {
+        "n": 1,
+        "gates": [{"kind": "single", "target": 0, "matrix": [[1, 0], [0, 1]]}],
+    },
+    "not_an_object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CIRCUITS))
+def test_malformed_circuit_file_exit_2(tmp_path, name):
+    circ = write_json(tmp_path / "c.json", MALFORMED_CIRCUITS[name])
+    mat = write_json(tmp_path / "m.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
+    assert run(["verify", circ, mat]) == cli.EXIT_PARSE
+    assert run(["audit", circ]) == cli.EXIT_PARSE

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hhsynth import costs as C
 from hhsynth import gates as G
+from hhsynth import methods as M
 from hhsynth.numerics import state_to_vector
 
-from helpers import random_state_dict, random_u2
+from helpers import full_identity_action, random_sparse_isometry, random_state_dict, random_u2
 
 RNG = np.random.default_rng(20)
 
@@ -188,6 +190,48 @@ def test_dirty_dependent_action_rejected():
     bad = G.StructuredCircuit(1, ("dirty",), [G.CNOT(1, 0)])
     with pytest.raises(G.CircuitVerificationError):
         G.circuit_unitary(bad)
+
+
+def test_circuit_unitary_matches_full_identity_oracle():
+    rng = np.random.default_rng(24)
+    cases = []
+    for n, m in ((3, 1), (4, 2), (5, 0)):
+        w = random_sparse_isometry(n, m, 4, rng)
+        c = M.no_fill_in_iso(w, C.AncillaRegime(clean=1, dirty=1)).circuit
+        assert c.ancillas == ("clean",) and m < n
+        cases.append((c, 1 << m))
+    # three-controlled X on qubit 3 from two Toffolis through a borrowed qubit,
+    # dressed with data rotations; the second case also declares an idle clean one
+    ctrl = ((0, 1), (1, 1))
+    for ancillas, d in ((("dirty",), 4), (("clean", "dirty"), 5)):
+        toffolis = [G.MCX(ctrl, d), G.MCX(((d, 1), (2, 1)), 3)] * 2
+        dress = [G.SingleQubit(q, random_u2(rng)) for q in range(4)]
+        c = G.StructuredCircuit(4, ancillas, dress + toffolis + G.dagger_sequence(dress))
+        cases.append((c, None))
+    for c, in_dim in cases:
+        expected = full_identity_action(c, in_dim=in_dim)
+        np.testing.assert_allclose(G.circuit_unitary(c, in_dim=in_dim), expected, rtol=0, atol=1e-12)
+    bad = [
+        G.StructuredCircuit(1, ("clean",), [G.CNOT(0, 1)]),
+        G.StructuredCircuit(1, ("dirty",), [G.x_gate(1)]),
+        G.StructuredCircuit(1, ("dirty",), [G.CNOT(1, 0)]),
+        G.StructuredCircuit(2, ("clean", "dirty"), [G.MCX(((0, 1), (3, 1)), 2)]),
+    ]
+    for c in bad:
+        with pytest.raises(G.CircuitVerificationError):
+            full_identity_action(c)
+        with pytest.raises(G.CircuitVerificationError):
+            G.circuit_unitary(c)
+
+
+def test_simulate_on_state_sees_small_clean_ancilla_leak():
+    # leak norm sin(eps/2) = 1e-9: 1 - cos^2 rounds to 0, so only a norm taken
+    # on the difference itself can see it
+    half = math.asin(1e-9)
+    ry = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+    c = G.StructuredCircuit(8, ("clean",), [G.SingleQubit(8, ry, "ry")])
+    with pytest.raises(G.CircuitVerificationError):
+        G.simulate_on_state(c, np.full(256, 1 / 16, dtype=complex))
 
 
 def test_simulation_cap():

@@ -1,8 +1,10 @@
-"""Generated-input properties of the three sparse isometry methods.
+"""Generated-input properties of sparse state preparation, the three sparse
+isometry methods and gate inversion.
 
-Every shape n = 1..5, m = 0..n is run (m = n and n = 1 included); for each
-one, hypothesis draws the isometry's entries and the compile seed.  It runs
-derandomized, so a failure replays.
+Every isometry shape n = 1..5, m = 0..n is run (m = n and n = 1 included),
+and every state shape n = 1..7, s = 0..n (s = n included) with three kinds
+of amplitudes; for each one, hypothesis draws the entries and the compile
+seed.  It runs derandomized, so a failure replays.
 """
 
 import json
@@ -16,9 +18,12 @@ from hhsynth import costs as C
 from hhsynth import gates as G
 from hhsynth import methods as M
 from hhsynth import ordering as O
+from hhsynth import pivoting as P
+from hhsynth.numerics import prune_state, state_to_vector
 
-from helpers import random_sparse_isometry
+from helpers import random_sparse_isometry, random_u2
 
+NONE = C.AncillaRegime.none()
 D1 = C.AncillaRegime.with_dirty(1)
 CLEAN1_DIRTY1 = C.AncillaRegime(clean=1, dirty=1)
 
@@ -67,3 +72,89 @@ def test_no_fill_in_properties(n, m, rotations, data_seed, seed):
     res = _check_common(lambda: M.no_fill_in_iso(w, CLEAN1_DIRTY1, seed=seed), w, CLEAN1_DIRTY1)
     assert res.audit.total <= C.bound_no_fill_in_dirty(n, m, w.nnz)
     assert not any(t.fill_in for t in res.trace)
+
+
+def _state(n, s, kind, rng):
+    """A unit state on n qubits with nnz nonzeros, 2^(s-1) < nnz <= 2^s.
+
+    ``generic``: random complex amplitudes; ``near_basis``: one amplitude
+    near 1, the rest 1e-7; ``eps0``: every other amplitude of modulus
+    3e-12, just above the pruning threshold EPS0.
+    """
+    nnz = 1 if s == 0 else int(rng.integers((1 << (s - 1)) + 1, (1 << s) + 1))
+    pos = rng.choice(1 << n, size=nnz, replace=False)
+    phases = np.exp(2j * np.pi * rng.uniform(size=nnz))
+    small = np.arange(nnz) % 2 == 1
+    if kind == "generic":
+        amps = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    elif kind == "near_basis":
+        amps = np.where(np.arange(nnz) == 0, 1.0, 1e-7) * phases
+    else:
+        amps = np.where(small, 0.0, rng.uniform(0.5, 1.0, size=nnz)) * phases
+    amps /= np.linalg.norm(amps)
+    if kind == "eps0":
+        amps[small] = 3e-12 * phases[small]  # moves the norm by < 1e-20
+    return {int(p): complex(a) for p, a in zip(pos, amps)}
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 8) for s in range(n + 1)])
+@pytest.mark.parametrize("kind", ["generic", "near_basis", "eps0"])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000))
+def test_sparse_state_prep_properties(n, s, kind, data_seed, seed):
+    v = _state(n, s, kind, np.random.default_rng(data_seed))
+    circuit = P.sparse_state_prep_on(v, n, seed=seed)
+    zero = np.zeros(1 << n, dtype=complex)
+    zero[0] = 1.0
+    out = G.simulate_on_state(circuit, zero)
+    assert np.max(np.abs(out - state_to_vector(v, n))) <= 1e-9
+    text = json.dumps(G.circuit_to_dict(circuit), sort_keys=True)
+    again = P.sparse_state_prep_on(v, n, seed=seed)
+    assert json.dumps(G.circuit_to_dict(again), sort_keys=True) == text
+    nnz = len(prune_state(v))
+    assert nnz == len(v) and (nnz - 1).bit_length() == s
+    if s == 0:
+        assert C.audit_circuit(circuit, NONE).total <= (n - 1) * nnz
+    else:
+        # the bound's dirty helper qubit is found in the register for s <= n - 2
+        regime = NONE if s <= n - 2 else D1
+        assert C.audit_circuit(circuit, regime).total <= C.bound_ssp(n, s, nnz)
+
+
+def _random_gate(nq, rng):
+    qs = [int(q) for q in rng.permutation(nq)]
+    kind = int(rng.integers(9))
+    if kind == 0:
+        return G.CNOT(qs[0], qs[1])
+    if kind == 1:
+        return G.SingleQubit(qs[0], random_u2(rng))
+    controls = tuple((q, int(rng.integers(2))) for q in qs[2:])
+    if kind == 2:
+        return G.MCX(controls, qs[0])
+    if kind == 3:
+        return G.MCU(controls, qs[0], random_u2(rng))
+    sub = tuple(qs[: int(rng.integers(1, nq + 1))])
+    if kind == 4:
+        return G.Diagonal(sub, tuple(np.exp(2j * np.pi * rng.uniform(size=1 << len(sub)))))
+    if kind == 5:
+        return G.PermutationGate(sub, tuple(int(x) for x in rng.permutation(1 << len(sub))))
+    if kind == 6:
+        return G.Decrement(sub)
+    if kind == 7:
+        amps = rng.normal(size=1 << len(sub)) + 1j * rng.normal(size=1 << len(sub))
+        state = dict(enumerate(amps / np.linalg.norm(amps)))
+        return G.SPBlock.from_dict(sub, state, inverted=bool(rng.integers(2)))
+    return G.H0Phase(sub, float(rng.uniform(-np.pi, np.pi)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nq=st.integers(2, 4), length=st.integers(0, 12), data_seed=st.integers(0, 2**32 - 1))
+def test_double_dagger_acts_as_the_sequence(nq, length, data_seed):
+    rng = np.random.default_rng(data_seed)
+    gs = [_random_gate(nq, rng) for _ in range(length)]
+    twice = G.dagger_sequence(G.dagger_sequence(gs))
+    np.testing.assert_allclose(
+        G.circuit_unitary(G.StructuredCircuit(nq, (), twice)),
+        G.circuit_unitary(G.StructuredCircuit(nq, (), gs)),
+        rtol=0, atol=1e-12,
+    )
