@@ -110,7 +110,7 @@ def cmd_compile(args) -> int:
         data = _load_json(args.input)
         try:
             perm = check_permutation(data["perm"], len(data["perm"]))
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, TypeError) as e:
             raise CliError(f"bad permutation input: {e}", EXIT_PARSE)
         circuit = M.perm_via_householder(perm, regime)
         result = None
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except G.CircuitVerificationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ Gates address qubits by index; qubit 0 is the most significant bit of a
 basis index.  Multi-qubit subsets are tuples listed most-significant first,
 and the "subset value" of a basis index collects those bits in that order.
 
+A gate kind is one class here, which owns its qubits, inverse, text form,
+JSON tag and action (an index map, or a dense action), plus one cost rule
+in ``costs._gate_cost``.
+
 Simulation is exact linear algebra on dense statevectors (or batches of
 them), capped at :data:`SIM_CAP` total qubits.  Clean ancillas must start
 and end in |0>; dirty ancillas may start in any basis state and must be
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -49,49 +54,173 @@ class CircuitVerificationError(AssertionError):
 # ---------------------------------------------------------------------------
 # gate kinds
 
+X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+
+
+class _Gate:
+    """A gate kind: a frozen dataclass with a ``kind`` name, ``qubits``,
+    ``dagger``, ``describe`` and an :meth:`index_map` or a dense ``_act``.
+    Qubit fields are ``control``, ``target``, ``controls`` ((qubit,
+    polarity) pairs) or ``qubits``; :data:`_JSON_FIELDS` gives each field's
+    JSON form."""
+
+    def remap(self, table) -> Gate:
+        """The same gate with every qubit ``q`` moved to ``table[q]``."""
+        moved = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in ("control", "target"):
+                moved[f.name] = table[v]
+            elif f.name == "controls":
+                moved[f.name] = tuple((table[q], p) for q, p in v)
+            elif f.name == "qubits":
+                moved[f.name] = tuple(table[q] for q in v)
+        return replace(self, **moved)
+
+    def to_json(self) -> dict:
+        d = {"kind": self.kind}
+        for f in fields(self):
+            key, encode, _ = _JSON_FIELDS[f.name]
+            v = getattr(self, f.name)
+            d[key] = v if encode is None else encode(v)
+        return d
+
+    @classmethod
+    def from_json(cls, d: dict) -> Gate:
+        """Inverse of :meth:`to_json`; fields with a default may be left out."""
+        kw = {}
+        for f in fields(cls):
+            key, _, decode = _JSON_FIELDS[f.name]
+            if key in d or f.default is MISSING:
+                kw[f.name] = d[key] if decode is None else decode(d[key])
+        return cls(**kw)
+
+    def describe(self) -> str:
+        """Compact one-line rendering for logs and demos."""
+        return f"{self.kind}(q{list(self.qubits)})"
+
+    def index_map(self, nq: int, idx: np.ndarray):
+        """``(dst, phase)`` with ``self |idx[i]> = phase[i] |dst[i]>``, where
+        ``phase`` is None when it is 1 everywhere; None for a gate that is
+        neither a basis relabeling nor diagonal."""
+        return None
+
+    def apply(self, state: np.ndarray, nq: int) -> np.ndarray:
+        """Exact action on a (2^nq,) state or a (2^nq, k) batch of columns."""
+        idx = np.arange(1 << nq)
+        imap = self.index_map(nq, idx)
+        if imap is None:
+            return self._act(state, idx, nq)
+        dst, ph = imap
+        if ph is not None:
+            state = state * (ph if state.ndim == 1 else ph[:, None])
+        if dst is idx:
+            return state
+        out = np.empty_like(state)
+        out[dst] = state
+        return out
+
+
+class _Controlled(_Gate):
+    """A 2x2 ``matrix`` on ``target``, applied where every (qubit, polarity)
+    pair of ``controls`` matches; CNOT and MCX apply X."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        if self.matrix.shape != (2, 2):
+            raise ValueError(f"{self.kind} matrix must be 2x2")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return tuple(q for q, _ in self.controls) + (self.target,)
+
+    def describe(self) -> str:
+        ctr = ",".join(f"{q}" if p else f"!{q}" for q, p in self.controls)
+        return f"{self.kind}({ctr}->{self.target})"
+
+    def index_map(self, nq, idx):
+        u, tpos = self.matrix, nq - 1 - self.target
+        if u is X_MATRIX or np.array_equal(u, X_MATRIX):
+            flip = 1 << tpos
+            if self.controls:
+                flip = _controls_hit(idx, self.controls, nq).astype(idx.dtype) << tpos
+            return idx ^ flip, None
+        if u[0, 1] == 0 and u[1, 0] == 0:
+            hit = _controls_hit(idx, self.controls, nq)
+            return idx, np.where(hit, np.diag(u)[(idx >> tpos) & 1], 1.0 + 0j)
+        return None
+
+    def _act(self, state, idx, nq):
+        u = self.matrix
+        tpos = nq - 1 - self.target
+        mask = _controls_hit(idx, self.controls, nq)
+        i0 = idx[mask & (((idx >> tpos) & 1) == 0)]
+        i1 = i0 | (1 << tpos)
+        out = state.copy()
+        a0, a1 = state[i0], state[i1]
+        out[i0] = u[0, 0] * a0 + u[0, 1] * a1
+        out[i1] = u[1, 0] * a0 + u[1, 1] * a1
+        return out
+
 
 @dataclass(frozen=True)
-class CNOT:
+class CNOT(_Controlled):
     control: int
     target: int
+    kind = "cnot"
+    matrix = X_MATRIX
+
+    @property
+    def controls(self) -> tuple[tuple[int, int], ...]:
+        return ((self.control, 1),)
+
+    def dagger(self) -> list[Gate]:
+        return [self]
 
 
 @dataclass(frozen=True)
-class SingleQubit:
+class SingleQubit(_Controlled):
     target: int
     matrix: np.ndarray  # 2x2 unitary
     label: str = "u"
+    kind = "single"
+    controls = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (2, 2):
-            raise ValueError("single-qubit matrix must be 2x2")
+    def dagger(self) -> list[Gate]:
+        return [SingleQubit(self.target, self.matrix.conj().T, label=self.label + "^")]
+
+    def describe(self) -> str:
+        return f"{self.label}(q{self.target})"
 
 
 @dataclass(frozen=True)
-class MCX:
+class MCX(_Controlled):
     controls: tuple[tuple[int, int], ...]  # (qubit, polarity) pairs
     target: int
+    kind = "mcx"
+    matrix = X_MATRIX
+
+    def dagger(self) -> list[Gate]:
+        return [self]
 
 
 @dataclass(frozen=True)
-class MCU:
+class MCU(_Controlled):
     controls: tuple[tuple[int, int], ...]
     target: int
     matrix: np.ndarray
+    kind = "mcu"
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (2, 2):
-            raise ValueError("controlled single-qubit matrix must be 2x2")
+    def dagger(self) -> list[Gate]:
+        return [MCU(self.controls, self.target, self.matrix.conj().T)]
 
 
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_Gate):
     qubits: tuple[int, ...]
     phases: tuple[complex, ...]  # length 2^k, unit modulus
+    kind = "diagonal"
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(complex(p) for p in self.phases))
@@ -100,23 +229,48 @@ class Diagonal:
         if any(abs(abs(p) - 1.0) > 1e-9 for p in self.phases):
             raise ValueError("diagonal phases must have unit modulus")
 
+    def dagger(self) -> list[Gate]:
+        return [Diagonal(self.qubits, tuple(p.conjugate() for p in self.phases))]
+
+    def index_map(self, nq, idx):
+        return idx, np.asarray(self.phases)[_subset_values(idx, self.qubits, nq)]
+
 
 @dataclass(frozen=True)
-class PermutationGate:
+class PermutationGate(_Gate):
     qubits: tuple[int, ...]
     mapping: tuple[int, ...]  # basis value v on the subset goes to mapping[v]
+    kind = "permutation"
 
     def __post_init__(self):
         check_permutation(self.mapping, 1 << len(self.qubits))
 
+    def dagger(self) -> list[Gate]:
+        inv = np.argsort(np.asarray(self.mapping))
+        return [PermutationGate(self.qubits, tuple(int(v) for v in inv))]
+
+    def index_map(self, nq, idx):
+        v = _subset_values(idx, self.qubits, nq)
+        return _scatter_subset(idx, np.asarray(self.mapping)[v], self.qubits, nq), None
+
 
 @dataclass(frozen=True)
-class Decrement:
+class Decrement(_Gate):
     qubits: tuple[int, ...]  # |v> -> |v - 1 mod 2^k> on the subset
+    kind = "decrement"
+
+    def dagger(self) -> list[Gate]:
+        # increment = X^k . Dec . X^k on the subset
+        xs = [x_gate(q) for q in self.qubits]
+        return xs + [self] + xs
+
+    def index_map(self, nq, idx):
+        v = _subset_values(idx, self.qubits, nq)
+        return _scatter_subset(idx, (v - 1) % (1 << len(self.qubits)), self.qubits, nq), None
 
 
 @dataclass(frozen=True)
-class SPBlock:
+class SPBlock(_Gate):
     """Opaque state-preparation block: U|0..0> = state on the subset.
 
     ``inverted`` applies the inverse (un-preparation).  The simulated
@@ -126,103 +280,73 @@ class SPBlock:
     qubits: tuple[int, ...]
     state: tuple[tuple[int, complex], ...]  # sparse (index, amplitude) pairs
     inverted: bool = False
+    kind = "spblock"
 
     @classmethod
     def from_dict(cls, qubits, state: dict[int, complex], inverted: bool = False):
         items = tuple(sorted((int(k), complex(a)) for k, a in state.items()))
         return cls(tuple(qubits), items, inverted)
 
-    def state_dict(self) -> dict[int, complex]:
-        return dict(self.state)
-
     def __post_init__(self):
         nrm = state_norm(dict(self.state))
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"SPBlock target has norm {nrm}")
 
+    def dagger(self) -> list[Gate]:
+        return [SPBlock(self.qubits, self.state, not self.inverted)]
+
+    def describe(self) -> str:
+        tag = "unprepare" if self.inverted else "prepare"
+        return f"{tag}[{len(self.state)} amps](q{list(self.qubits)})"
+
+    def _act(self, state, idx, nq):
+        u = complete_state_prep(dict(self.state), len(self.qubits))
+        if self.inverted:
+            u = u.conj().T
+        return _apply_subset_unitary(state, u, self.qubits, nq)
+
 
 @dataclass(frozen=True)
-class H0Phase:
+class H0Phase(_Gate):
     """I + (e^{i phi} - 1)|0..0><0..0| on the subset; phi = pi reflects."""
 
     qubits: tuple[int, ...]
     phi: float
+    kind = "h0phase"
+
+    def dagger(self) -> list[Gate]:
+        return [H0Phase(self.qubits, -self.phi)]
+
+    def describe(self) -> str:
+        return f"h0(phi={self.phi:.4g}, q{list(self.qubits)})"
+
+    def index_map(self, nq, idx):
+        v = _subset_values(idx, self.qubits, nq)
+        return idx, np.where(v == 0, cmath.exp(1j * self.phi), 1.0 + 0j)
 
 
 Gate = CNOT | SingleQubit | MCX | MCU | Diagonal | PermutationGate | Decrement | SPBlock | H0Phase
-
-X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+GATE_KINDS = {g.kind: g for g in get_args(Gate)}
 
 
 def x_gate(q: int) -> SingleQubit:
     return SingleQubit(q, X_MATRIX, label="x")
 
 
-def _gate_qubits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, CNOT):
-        return (g.control, g.target)
-    if isinstance(g, SingleQubit):
-        return (g.target,)
-    if isinstance(g, (MCX, MCU)):
-        return tuple(q for q, _ in g.controls) + (g.target,)
-    return tuple(g.qubits)
-
-
 def describe_gate(g: Gate) -> str:
     """Compact one-line rendering for logs and demos."""
-    if isinstance(g, CNOT):
-        return f"cnot({g.control}->{g.target})"
-    if isinstance(g, SingleQubit):
-        return f"{g.label}(q{g.target})"
-    if isinstance(g, MCX):
-        ctr = ",".join(f"{q}" if p else f"!{q}" for q, p in g.controls)
-        return f"mcx({ctr}->{g.target})"
-    if isinstance(g, MCU):
-        ctr = ",".join(f"{q}" if p else f"!{q}" for q, p in g.controls)
-        return f"mcu({ctr}->{g.target})"
-    if isinstance(g, Diagonal):
-        return f"diagonal(q{list(g.qubits)})"
-    if isinstance(g, PermutationGate):
-        return f"permutation(q{list(g.qubits)})"
-    if isinstance(g, Decrement):
-        return f"decrement(q{list(g.qubits)})"
-    if isinstance(g, SPBlock):
-        tag = "unprepare" if g.inverted else "prepare"
-        return f"{tag}[{len(g.state)} amps](q{list(g.qubits)})"
-    if isinstance(g, H0Phase):
-        return f"h0(phi={g.phi:.4g}, q{list(g.qubits)})"
-    return repr(g)
+    return g.describe()
 
 
 def dagger(g: Gate) -> list[Gate]:
     """Inverse of a gate as a (usually singleton) gate list."""
-    if isinstance(g, (CNOT, MCX)):
-        return [g]
-    if isinstance(g, SingleQubit):
-        return [SingleQubit(g.target, g.matrix.conj().T, label=g.label + "^")]
-    if isinstance(g, MCU):
-        return [MCU(g.controls, g.target, g.matrix.conj().T)]
-    if isinstance(g, Diagonal):
-        return [Diagonal(g.qubits, tuple(p.conjugate() for p in g.phases))]
-    if isinstance(g, PermutationGate):
-        inv = np.argsort(np.asarray(g.mapping))
-        return [PermutationGate(g.qubits, tuple(int(v) for v in inv))]
-    if isinstance(g, Decrement):
-        # increment = X^k . Dec . X^k on the subset
-        xs = [x_gate(q) for q in g.qubits]
-        return xs + [g] + xs
-    if isinstance(g, SPBlock):
-        return [SPBlock(g.qubits, g.state, not g.inverted)]
-    if isinstance(g, H0Phase):
-        return [H0Phase(g.qubits, -g.phi)]
-    raise TypeError(f"unknown gate {g!r}")
+    return g.dagger()
 
 
 def dagger_sequence(gates: list[Gate]) -> list[Gate]:
     out: list[Gate] = []
     for g in reversed(gates):
-        out.extend(dagger(g))
+        out.extend(g.dagger())
     return out
 
 
@@ -251,7 +375,7 @@ class StructuredCircuit:
             raise ValueError("ancilla kinds must be 'clean' or 'dirty'")
         nq = self.total_qubits
         for g in self.gates:
-            qs = _gate_qubits(g)
+            qs = g.qubits
             if len(set(qs)) != len(qs):
                 raise ValueError(f"repeated qubit in {g!r}")
             if any(not (0 <= q < nq) for q in qs):
@@ -291,77 +415,11 @@ def _controls_hit(idx: np.ndarray, controls, nq: int) -> np.ndarray:
     return (idx & mask) == want
 
 
-def gate_permutation(g: Gate, nq: int, idx: np.ndarray | None = None) -> np.ndarray | None:
-    """Images ``dst[i]`` of the basis indices ``idx`` (default: all 2^nq)
-    under a gate that acts by basis relabeling; None for other gates."""
-    if idx is None:
-        idx = np.arange(1 << nq)
-    if isinstance(g, CNOT):
-        trig = (idx >> (nq - 1 - g.control)) & 1
-        return idx ^ (trig << (nq - 1 - g.target))
-    if isinstance(g, MCX):
-        flip = 1 << (nq - 1 - g.target)
-        return np.where(_controls_hit(idx, g.controls, nq), idx ^ flip, idx)
-    if isinstance(g, PermutationGate):
-        v = _subset_values(idx, g.qubits, nq)
-        return _scatter_subset(idx, np.asarray(g.mapping)[v], g.qubits, nq)
-    if isinstance(g, Decrement):
-        v = _subset_values(idx, g.qubits, nq)
-        return _scatter_subset(idx, (v - 1) % (1 << len(g.qubits)), g.qubits, nq)
-    if isinstance(g, SingleQubit) and np.allclose(g.matrix, X_MATRIX):
-        return idx ^ (1 << (nq - 1 - g.target))
-    return None
-
-
-def gate_index_map(g: Gate, nq: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(dst, phase)`` with ``g |idx[i]> = phase[i] |dst[i]>`` for a
-    basis-relabeling or diagonal gate (an MCU counts when its matrix is
-    diagonal)."""
-    dst = gate_permutation(g, nq, idx)
-    if dst is not None:
-        return dst, np.ones(len(idx), dtype=complex)
-    if isinstance(g, Diagonal):
-        return idx, np.asarray(g.phases)[_subset_values(idx, g.qubits, nq)]
-    if isinstance(g, H0Phase):
-        v = _subset_values(idx, g.qubits, nq)
-        return idx, np.where(v == 0, cmath.exp(1j * g.phi), 1.0 + 0j)
-    if isinstance(g, MCU) and g.matrix[0, 1] == 0 and g.matrix[1, 0] == 0:
-        bit = (idx >> (nq - 1 - g.target)) & 1
-        hit = _controls_hit(idx, g.controls, nq)
-        return idx, np.where(hit, np.diag(g.matrix)[bit], 1.0 + 0j)
-    raise TypeError(f"{g!r} is not a permutation/diagonal gate")
-
-
 def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
     """Exact action of one gate on a statevector or a batch of columns."""
     if state.shape[0] != 1 << nq:
         raise ValueError(f"state dimension {state.shape[0]} != 2^{nq}")
-    idx = np.arange(1 << nq)
-    perm = gate_permutation(g, nq, idx)
-    if perm is not None:
-        out = np.empty_like(state)
-        out[perm] = state
-        return out
-    if isinstance(g, (Diagonal, H0Phase)):
-        _, p = gate_index_map(g, nq, idx)
-        return state * (p if state.ndim == 1 else p[:, None])
-    if isinstance(g, (SingleQubit, MCU)):
-        u = g.matrix
-        tpos = nq - 1 - g.target
-        mask = _controls_hit(idx, g.controls if isinstance(g, MCU) else (), nq)
-        i0 = idx[mask & (((idx >> tpos) & 1) == 0)]
-        i1 = i0 | (1 << tpos)
-        out = state.copy()
-        a0, a1 = state[i0], state[i1]
-        out[i0] = u[0, 0] * a0 + u[0, 1] * a1
-        out[i1] = u[1, 0] * a0 + u[1, 1] * a1
-        return out
-    if isinstance(g, SPBlock):
-        u = complete_state_prep(g.state_dict(), len(g.qubits))
-        if g.inverted:
-            u = u.conj().T
-        return _apply_subset_unitary(state, u, g.qubits, nq)
-    raise TypeError(f"unknown gate {g!r}")
+    return g.apply(state, nq)
 
 
 def _apply_subset_unitary(state, u, qubits, nq):
@@ -434,8 +492,8 @@ class PermPhase:
     """The operator Diag(phases) . Perm: |x> -> phases[perm[x]] |perm[x]>.
 
     Every PermPhase is a word: factors applied in order, each a
-    basis-relabeling or diagonal gate (:func:`gate_index_map`) or a nested
-    PermPhase.  ``PermPhase(perm, phases)`` is the two-factor word
+    basis-relabeling or diagonal gate (its :meth:`_Gate.index_map`) or a
+    nested PermPhase.  ``PermPhase(perm, phases)`` is the two-factor word
     PermutationGate then Diagonal on all qubits.  A word is
     evaluated only on the basis indices asked about (:meth:`map_indices`),
     so a residual on n qubits costs O(n) per index rather than 2^n; the
@@ -470,12 +528,18 @@ class PermPhase:
         nq = self.dim.bit_length() - 1
         ph = np.ones(len(idx), dtype=complex)
         for f in self._factors:
-            if isinstance(f, PermPhase):
-                idx, p = f.map_indices(idx)
-            else:
-                idx, p = gate_index_map(f, nq, idx)
-            ph = p * ph
+            imap = f.index_map(nq, idx)
+            if imap is None:
+                raise TypeError(f"{f!r} is not a permutation/diagonal gate")
+            idx, p = imap
+            # a relabeling multiplies by ones too: that fixes the signs of zero
+            # parts exactly as the product of full tables does
+            ph = (np.ones(len(idx), dtype=complex) if p is None else p) * ph
         return idx, ph
+
+    def index_map(self, nq: int, idx) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`map_indices`, so that a word can be a factor of another."""
+        return self.map_indices(idx)
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         if self._perm is None:
@@ -500,7 +564,7 @@ class PermPhase:
     def dagger(self) -> "PermPhase":
         factors: list = []
         for f in reversed(self._factors):
-            factors.extend([f.dagger()] if isinstance(f, PermPhase) else dagger(f))
+            factors.extend([f.dagger()] if isinstance(f, PermPhase) else f.dagger())
         return PermPhase.word(self.dim, factors)
 
     def dense(self) -> np.ndarray:
@@ -722,71 +786,55 @@ def _mat2(m: np.ndarray) -> list:
     return [[_c(m[0, 0]), _c(m[0, 1])], [_c(m[1, 0]), _c(m[1, 1])]]
 
 
-def gate_to_dict(g: Gate) -> dict:
-    if isinstance(g, CNOT):
-        return {"kind": "cnot", "control": g.control, "target": g.target}
-    if isinstance(g, SingleQubit):
-        return {"kind": "single", "target": g.target, "matrix": _mat2(g.matrix), "label": g.label}
-    if isinstance(g, MCX):
-        return {"kind": "mcx", "controls": [list(c) for c in g.controls], "target": g.target}
-    if isinstance(g, MCU):
-        return {
-            "kind": "mcu",
-            "controls": [list(c) for c in g.controls],
-            "target": g.target,
-            "matrix": _mat2(g.matrix),
-        }
-    if isinstance(g, Diagonal):
-        return {"kind": "diagonal", "qubits": list(g.qubits), "phases": [_c(p) for p in g.phases]}
-    if isinstance(g, PermutationGate):
-        return {"kind": "permutation", "qubits": list(g.qubits), "map": list(g.mapping)}
-    if isinstance(g, Decrement):
-        return {"kind": "decrement", "qubits": list(g.qubits)}
-    if isinstance(g, SPBlock):
-        return {
-            "kind": "spblock",
-            "qubits": list(g.qubits),
-            "state": [[k, a.real, a.imag] for k, a in g.state],
-            "inverted": g.inverted,
-        }
-    if isinstance(g, H0Phase):
-        return {"kind": "h0phase", "qubits": list(g.qubits), "phi": g.phi}
-    raise TypeError(f"unknown gate {g!r}")
-
-
 def _mat2_from(d) -> np.ndarray:
     return np.array([[complex(*e) for e in row] for row in d], dtype=complex)
 
 
+def _qubit(q) -> int:
+    if type(q) is not int:
+        raise ValueError(f"qubit index {q!r} is not an integer")
+    return q
+
+
+def _controls(pairs) -> tuple[tuple[int, int], ...]:
+    out = tuple((_qubit(q), p) for q, p in pairs)
+    if any(type(p) is not int or p not in (0, 1) for _, p in out):
+        raise ValueError(f"control polarities must be 0 or 1, got {pairs!r}")
+    return out
+
+
+# gate field name -> (JSON key, encode, decode); None passes the value through
+_JSON_FIELDS = {
+    "control": ("control", None, _qubit),
+    "target": ("target", None, _qubit),
+    "controls": ("controls", lambda cs: [list(c) for c in cs], _controls),
+    "qubits": ("qubits", list, lambda qs: tuple(map(_qubit, qs))),
+    "matrix": ("matrix", _mat2, _mat2_from),
+    "label": ("label", None, None),
+    "phases": ("phases", lambda ps: [_c(p) for p in ps], lambda ps: tuple(complex(*p) for p in ps)),
+    "mapping": ("map", list, tuple),
+    "state": (
+        "state",
+        lambda st: [[k, a.real, a.imag] for k, a in st],
+        lambda st: tuple(sorted({int(k): complex(re, im) for k, re, im in st}.items())),
+    ),
+    "inverted": ("inverted", None, None),
+    "phi": ("phi", None, float),
+}
+
+
 def gate_from_dict(d: dict) -> Gate:
     kind = d["kind"]
-    if kind == "cnot":
-        return CNOT(d["control"], d["target"])
-    if kind == "single":
-        return SingleQubit(d["target"], _mat2_from(d["matrix"]), label=d.get("label", "u"))
-    if kind == "mcx":
-        return MCX(tuple((q, p) for q, p in d["controls"]), d["target"])
-    if kind == "mcu":
-        return MCU(tuple((q, p) for q, p in d["controls"]), d["target"], _mat2_from(d["matrix"]))
-    if kind == "diagonal":
-        return Diagonal(tuple(d["qubits"]), tuple(complex(*p) for p in d["phases"]))
-    if kind == "permutation":
-        return PermutationGate(tuple(d["qubits"]), tuple(d["map"]))
-    if kind == "decrement":
-        return Decrement(tuple(d["qubits"]))
-    if kind == "spblock":
-        state = {int(k): complex(re, im) for k, re, im in d["state"]}
-        return SPBlock.from_dict(tuple(d["qubits"]), state, d["inverted"])
-    if kind == "h0phase":
-        return H0Phase(tuple(d["qubits"]), float(d["phi"]))
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return GATE_KINDS[kind].from_json(d)
 
 
 def circuit_to_dict(c: StructuredCircuit) -> dict:
     return {
         "n": c.n,
         "ancillas": list(c.ancillas),
-        "gates": [gate_to_dict(g) for g in c.gates],
+        "gates": [g.to_json() for g in c.gates],
     }
 
 

@@ -539,28 +539,6 @@ def fixed_envelope_iso(
 # no fill-in method
 
 
-def _remap_gate(g: G.Gate, table: dict[int, int]) -> G.Gate:
-    if isinstance(g, G.CNOT):
-        return G.CNOT(table[g.control], table[g.target])
-    if isinstance(g, G.SingleQubit):
-        return G.SingleQubit(table[g.target], g.matrix, label=g.label)
-    if isinstance(g, G.MCX):
-        return G.MCX(tuple((table[q], p) for q, p in g.controls), table[g.target])
-    if isinstance(g, G.MCU):
-        return G.MCU(tuple((table[q], p) for q, p in g.controls), table[g.target], g.matrix)
-    if isinstance(g, G.Diagonal):
-        return G.Diagonal(tuple(table[q] for q in g.qubits), g.phases)
-    if isinstance(g, G.PermutationGate):
-        return G.PermutationGate(tuple(table[q] for q in g.qubits), g.mapping)
-    if isinstance(g, G.Decrement):
-        return G.Decrement(tuple(table[q] for q in g.qubits))
-    if isinstance(g, G.SPBlock):
-        return G.SPBlock(tuple(table[q] for q in g.qubits), g.state, g.inverted)
-    if isinstance(g, G.H0Phase):
-        return G.H0Phase(tuple(table[q] for q in g.qubits), g.phi)
-    raise TypeError(f"unknown gate {g!r}")
-
-
 def no_fill_in_iso(
     w: SparseIsometry,
     regime: C.AncillaRegime = C.AncillaRegime.with_dirty(1),
@@ -586,7 +564,7 @@ def no_fill_in_iso(
         raise G.CircuitVerificationError("fill-in occurred in the no-fill-in method")
     table = {0: n}
     table.update({q + 1: q for q in range(n)})
-    gates = [_remap_gate(g, table) for g in virtual_gates]
+    gates = [g.remap(table) for g in virtual_gates]
     circuit = G.StructuredCircuit(n, ("clean",), gates)
     circuit.validate()
     return DecompositionResult(circuit, delta, perm_m, C.audit_circuit(circuit, regime), trace)

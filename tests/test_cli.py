@@ -216,6 +216,8 @@ MALFORMED_CIRCUITS = {
         "gates": [{"kind": "single", "target": 0, "matrix": [[1, 0], [0, 1]]}],
     },
     "not_an_object": [1, 2],
+    "float_qubit": {"n": 2, "gates": [{"kind": "cnot", "control": 0.5, "target": 1}]},
+    "polarity_2": {"n": 2, "gates": [{"kind": "mcx", "controls": [[0, 2]], "target": 1}]},
 }
 
 
@@ -225,3 +227,19 @@ def test_malformed_circuit_file_exit_2(tmp_path, name):
     mat = write_json(tmp_path / "m.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
     assert run(["verify", circ, mat]) == cli.EXIT_PARSE
     assert run(["audit", circ]) == cli.EXIT_PARSE
+
+
+def test_verify_ancilla_violation_exit_4(tmp_path):
+    # the CNOT leaves the clean ancilla at |1> whenever the data qubit is |1>
+    circ = write_json(
+        tmp_path / "c.json",
+        {"n": 1, "ancillas": ["clean"], "gates": [{"kind": "cnot", "control": 0, "target": 1}]},
+    )
+    mat = write_json(tmp_path / "m.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
+    assert run(["verify", circ, mat]) == cli.EXIT_VERIFY
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"perm": 5}], ids=["list", "perm_not_a_list"])
+def test_compile_malformed_permutation_exit_2(tmp_path, data):
+    perm = write_json(tmp_path / "p.json", data)
+    assert run(["compile", perm, "--method", "perm"]) == cli.EXIT_PARSE

@@ -42,6 +42,44 @@ def test_gate_dagger_inverts():
         np.testing.assert_allclose(ud @ u, np.eye(8), atol=1e-12)
 
 
+def _move_qubits(u, table, nq):
+    """``u`` with each qubit ``q`` moved to ``table[q]`` (a permutation of
+    all ``nq`` qubits): P u P^T for the basis relabeling P."""
+    src = np.arange(1 << nq)
+    dst = np.zeros_like(src)
+    for q, t in table.items():
+        dst |= ((src >> (nq - 1 - q)) & 1) << (nq - 1 - t)
+    out = np.empty_like(u)
+    out[np.ix_(dst, dst)] = u
+    return out
+
+
+def test_remap_moves_every_gate_kind():
+    # the sample gates act on qubits 0..2; qubit 0 moves to the spare qubit 3
+    table = {0: 3, 1: 0, 2: 1, 3: 2}
+    for g in sample_gates():
+        moved = g.remap(table)
+        assert type(moved) is type(g)
+        np.testing.assert_allclose(
+            G.gate_unitary(moved, 4), _move_qubits(G.gate_unitary(g, 4), table, 4),
+            rtol=0, atol=1e-12, err_msg=repr(g),
+        )
+
+
+def test_qubits_are_the_qubits_acted_on():
+    x = np.arange(8)
+    for g in sample_gates():
+        assert len(set(g.qubits)) == len(g.qubits), g
+        u = G.gate_unitary(g, 3)
+        for q in range(3):
+            b = 1 << (2 - q)
+            # identity on q: no entry couples bit values of q, and both
+            # values of q see the same action on the other qubits
+            trivial = np.allclose(u[((x[:, None] ^ x[None, :]) & b) != 0], 0, atol=1e-12)
+            trivial = trivial and np.allclose(u, u[np.ix_(x ^ b, x ^ b)], atol=1e-12)
+            assert trivial == (q not in g.qubits), (g, q)
+
+
 def test_decrement_wraps_zero():
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
@@ -63,6 +101,20 @@ def test_mcx_polarity():
     state[0b00] = 1.0
     out = G.apply_gate(state, G.MCX(((0, 0),), 1), 2)
     assert out[0b01] == pytest.approx(1.0)
+
+
+def test_near_x_mcu_is_not_simulated_as_mcx():
+    # X times a phase of 1e-6 is within np.allclose of X, but not X
+    near_x = G.MCU(((0, 1),), 1, G.X_MATRIX * np.exp(1e-6j))
+    res = G.equivalent(G.StructuredCircuit(2, (), [near_x]), G.gate_unitary(G.MCX(((0, 1),), 1), 2))
+    assert not res.ok
+    assert res.residual == pytest.approx(math.sqrt(2.0) * 1e-6, rel=1e-3)
+
+
+def test_perm_phase_word_rejects_a_dense_gate():
+    word = G.sequence_perm_phase([G.MCU(((0, 1),), 1, G.H_MATRIX)], 2)
+    with pytest.raises(TypeError, match="(?s)MCU.*not a permutation/diagonal gate"):
+        word.map_indices([0, 1])
 
 
 def test_spblock_prepares_target():
