@@ -10,7 +10,6 @@ compares the audited CNOT count against dense preparation.
 import numpy as np
 
 import hhsynth as hh
-from hhsynth.gates import describe_gate
 from hhsynth.bench import random_sparse_state
 from hhsynth.numerics import state_to_vector
 
@@ -23,7 +22,7 @@ print(f"target: {n}-qubit state, nonzeros at {sorted(state)}")
 circuit = hh.sparse_state_prep_on(state, n, seed=rng)
 print(f"\ncompiled gate list ({len(circuit.gates)} gates):")
 for g in circuit.gates:
-    print(f"  {describe_gate(g)}")
+    print(f"  {g.describe()}")
 
 # exact verification: apply the circuit to |0...0>
 zero = np.zeros(1 << n, dtype=complex)

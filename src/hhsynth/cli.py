@@ -112,7 +112,7 @@ def cmd_compile(args) -> int:
             perm = check_permutation(data["perm"], len(data["perm"]))
         except (KeyError, ValueError, TypeError) as e:
             raise CliError(f"bad permutation input: {e}", EXIT_PARSE)
-        circuit = M.perm_via_householder(perm, regime)
+        circuit = M.perm_via_householder(perm)
         result = None
         trace = []
     else:
@@ -125,7 +125,7 @@ def cmd_compile(args) -> int:
             if args.method == "ssp":
                 if w.m != 0:
                     raise CliError("ssp expects a state (m = 0)", EXIT_VALIDATE)
-                circuit = P.sparse_state_prep_on(w.column_state(0), w.n, **kw)
+                circuit = P.sparse_state_prep_on(w.col(0), w.n, **kw)
                 result = None
                 trace = []
             elif args.method == "dense":

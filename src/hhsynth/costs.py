@@ -294,7 +294,10 @@ def bound_ssp(n: int, s: int, nnz: int) -> int:
 
 
 def bound_ssp_clean(n: int, s: int, nnz: int) -> int:
-    """(n + 6s - 7) nnz + ceil(23/24 2^s) with ceil(s/2 - 1) clean ancillas."""
+    """(n + 6s - 7) nnz + ceil(23/24 2^s) with ceil(s/2 - 1) clean ancillas,
+    valid for s >= 1."""
+    if s < 1:
+        raise ValueError("formula requires s >= 1")
     return (n + 6 * s - 7) * nnz + ceil_frac(23 * (1 << s), 24)
 
 
@@ -314,7 +317,10 @@ def bound_sparse_basic_dirty(n: int, m: int, elim: int) -> int:
 
 
 def bound_sparse_basic_clean(n: int, m: int, elim: int) -> int:
-    """(7n - 3) elim + (21n + 24m - 38) 2^m, ceil((n-3)/2) clean ancillas."""
+    """(7n - 3) elim + (21n + 24m - 38) 2^m, ceil((n-3)/2) clean ancillas,
+    valid for n >= 2."""
+    if n < 2:
+        raise ValueError("formula requires n >= 2")
     return (7 * n - 3) * elim + (21 * n + 24 * m - 38) * (1 << m)
 
 

@@ -333,16 +333,6 @@ def x_gate(q: int) -> SingleQubit:
     return SingleQubit(q, X_MATRIX, label="x")
 
 
-def describe_gate(g: Gate) -> str:
-    """Compact one-line rendering for logs and demos."""
-    return g.describe()
-
-
-def dagger(g: Gate) -> list[Gate]:
-    """Inverse of a gate as a (usually singleton) gate list."""
-    return g.dagger()
-
-
 def dagger_sequence(gates: list[Gate]) -> list[Gate]:
     out: list[Gate] = []
     for g in reversed(gates):
@@ -489,43 +479,27 @@ def complete_state_prep(v: dict[int, complex] | np.ndarray, k: int) -> np.ndarra
 
 
 class PermPhase:
-    """The operator Diag(phases) . Perm: |x> -> phases[perm[x]] |perm[x]>.
+    """The operator Diag . Perm on ``dim`` basis states, as a word:
+    ``factors`` applied in order, each a basis-relabeling or diagonal gate
+    (its :meth:`_Gate.index_map`) or a nested PermPhase.
 
-    Every PermPhase is a word: factors applied in order, each a
-    basis-relabeling or diagonal gate (its :meth:`_Gate.index_map`) or a
-    nested PermPhase.  ``PermPhase(perm, phases)`` is the two-factor word
-    PermutationGate then Diagonal on all qubits.  A word is
-    evaluated only on the basis indices asked about (:meth:`map_indices`),
-    so a residual on n qubits costs O(n) per index rather than 2^n; the
-    full ``perm`` and ``phases`` arrays and :meth:`dense` are built on
-    request.
+    A word is evaluated only on the basis indices asked about
+    (:meth:`index_map`, the gate protocol, so a word can be a factor of
+    another), so a residual on n qubits costs O(n) per index rather than
+    2^n; :meth:`dense` is the one 2^n form.
 
     A word's phase starts at 1 and is multiplied by each factor's phase in
     application order, so it is bit-identical to multiplying out the full
     tables factor by factor.
     """
 
-    def __init__(self, perm, phases):
-        self.dim = len(perm)
-        allq = tuple(range(self.dim.bit_length() - 1))
-        self._factors = (
-            PermutationGate(allq, tuple(int(p) for p in perm)),
-            Diagonal(allq, tuple(phases)),
-        )
-        self._perm = self._phases = None  # the tables, built on request
+    def __init__(self, dim: int, factors):
+        self.dim, self._factors = dim, tuple(factors)
 
-    @classmethod
-    def word(cls, dim: int, factors) -> "PermPhase":
-        """The product of ``factors`` (gates or PermPhases), first applied first."""
-        pp = cls.__new__(cls)
-        pp._perm = pp._phases = None
-        pp.dim, pp._factors = dim, tuple(factors)
-        return pp
-
-    def map_indices(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        """``(dst, phase)`` with ``self |idx[i]> = phase[i] |dst[i]>``."""
+    def index_map(self, nq: int, idx) -> tuple[np.ndarray, np.ndarray]:
+        """``(dst, phase)`` with ``self |idx[i]> = phase[i] |dst[i]>`` on
+        ``nq`` qubits (``dim == 2^nq``)."""
         idx = np.asarray(idx, dtype=np.int64)
-        nq = self.dim.bit_length() - 1
         ph = np.ones(len(idx), dtype=complex)
         for f in self._factors:
             imap = f.index_map(nq, idx)
@@ -537,49 +511,32 @@ class PermPhase:
             ph = (np.ones(len(idx), dtype=complex) if p is None else p) * ph
         return idx, ph
 
-    def index_map(self, nq: int, idx) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`map_indices`, so that a word can be a factor of another."""
-        return self.map_indices(idx)
-
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._perm is None:
-            perm, ph = self.map_indices(np.arange(self.dim))
-            self._phases = np.empty(self.dim, dtype=complex)
-            self._phases[perm] = ph
-            self._perm = perm
-        return self._perm, self._phases
-
-    @property
-    def perm(self) -> np.ndarray:
-        return self._table()[0]
-
-    @property
-    def phases(self) -> np.ndarray:
-        return self._table()[1]
-
     def compose(self, other: "PermPhase") -> "PermPhase":
         """self after other (operator product self . other)."""
-        return PermPhase.word(self.dim, (other, self))
+        return PermPhase(self.dim, (other, self))
 
     def dagger(self) -> "PermPhase":
         factors: list = []
         for f in reversed(self._factors):
             factors.extend([f.dagger()] if isinstance(f, PermPhase) else f.dagger())
-        return PermPhase.word(self.dim, factors)
+        return PermPhase(self.dim, factors)
 
     def dense(self) -> np.ndarray:
+        idx = np.arange(self.dim)
+        dst, ph = self.index_map(self.dim.bit_length() - 1, idx)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[self.perm, np.arange(self.dim)] = self.phases[self.perm]
+        out[dst, idx] = ph
         return out
 
     def apply_to_state(self, v: dict[int, complex]) -> dict[int, complex]:
-        dst, ph = self.map_indices(np.fromiter(v, dtype=np.int64, count=len(v)))
+        nq = self.dim.bit_length() - 1
+        dst, ph = self.index_map(nq, np.fromiter(v, dtype=np.int64, count=len(v)))
         return {int(k): a * complex(p) for k, p, a in zip(dst, ph, v.values())}
 
 
 def sequence_perm_phase(gates: list, nq: int) -> PermPhase:
     """Product of a gate sequence (gates or PermPhases, first applied first)."""
-    return PermPhase.word(1 << nq, gates)
+    return PermPhase(1 << nq, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +596,7 @@ def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int,
     gates.extend(dress)
     xmask = (4 if p1 == 0 else 0) | (2 if p2 == 0 else 0)
     diag = Diagonal((q1, q2, target), tuple(_MARGOLUS_DIAG[np.arange(8) ^ xmask]))
-    residual = PermPhase.word(1 << nq, (MCX(controls, target), diag))
+    residual = PermPhase(1 << nq, (MCX(controls, target), diag))
     return gates, residual
 
 
@@ -787,7 +744,12 @@ def _mat2(m: np.ndarray) -> list:
 
 
 def _mat2_from(d) -> np.ndarray:
-    return np.array([[complex(*e) for e in row] for row in d], dtype=complex)
+    """A 2x2 unitary, to 1e-7 (an ssp ``phase`` gate holds the state's own
+    amplitude, whose modulus is 1 only to the input norm tolerance)."""
+    m = np.array([[complex(*e) for e in row] for row in d], dtype=complex)
+    if m.shape == (2, 2) and np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-7:
+        raise ValueError(f"gate matrix {m.tolist()} is not unitary")
+    return m
 
 
 def _qubit(q) -> int:

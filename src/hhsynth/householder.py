@@ -64,15 +64,6 @@ class HouseholderSpec:
                 h[k, l] += c * ak * al.conjugate()
         return h
 
-    def apply(self, v: dict[int, complex]) -> dict[int, complex]:
-        """Sparse action H_u^phi |v>."""
-        ov = complex(sum(a.conjugate() * v[k] for k, a in self.u.items() if k in v))
-        c = (cmath.exp(1j * self.phi) - 1.0) * ov
-        out = dict(v)
-        for k, a in self.u.items():
-            out[k] = out.get(k, 0j) + c * a
-        return prune_state(out)
-
 
 @dataclass(frozen=True)
 class IdentityMarker:
@@ -159,10 +150,7 @@ def reduction_vector(
 class ReductionRecord:
     """What one call to :func:`reduce_column` did to the matrix."""
 
-    target_row: int
-    source_col: int
-    theta: float
-    phase: complex  # e^{i theta}, the surviving (target_row, source_col) value
+    theta: float  # the surviving entry is e^{i theta}
     nnz_before: int  # nonzeros of the column before reduction
     modified: list[tuple[int, int]] = field(default_factory=list)
     fill_in: list[tuple[int, int]] = field(default_factory=list)  # subset of modified
@@ -193,9 +181,7 @@ def reduce_column(w: SparseIsometry, j: int, i: int) -> ReductionRecord:
     else:
         theta = math.pi + cmath.phase(aij)
         eith = -aij / abs(aij)
-    rec = ReductionRecord(
-        target_row=i, source_col=j, theta=theta, phase=eith, nnz_before=len(col)
-    )
+    rec = ReductionRecord(theta=theta, nnz_before=len(col))
     coeff = eith.conjugate() / (1.0 + abs(aij))
     for s, asj in col.items():
         if s == i:

@@ -71,14 +71,8 @@ class StepTrace:
 @dataclass
 class DecompositionResult:
     circuit: G.StructuredCircuit
-    residual_phases: np.ndarray | None  # closing diagonal values (2^m)
-    residual_perm: np.ndarray | None  # closing input permutation (2^m)
     audit: C.CostReport
     trace: list[StepTrace]
-
-    @property
-    def cnot_total(self) -> int:
-        return self.audit.total
 
 
 def _require_isometry(w, tol: float = 1e-9):
@@ -99,7 +93,7 @@ def _apply_residual(
     residual, with the residual evaluated once on both."""
     entries = list(work.entries())
     rows = np.array([i for i, _, _ in entries] + targets.tolist(), dtype=np.int64)
-    dst, ph = residual.map_indices(rows)
+    dst, ph = residual.index_map(work.n, rows)
     out = SparseIsometry(work.n, work.m)
     for (_, j, a), i2, p in zip(entries, dst, ph):
         out.set(int(i2), j, a * complex(p))
@@ -115,15 +109,14 @@ def householder_up_to(
     n: int,
     samples: int = 100,
     seed=0,
-    relax_toffoli: bool = True,
-) -> tuple[list[G.Gate], G.PermPhase, dict]:
+) -> tuple[list[G.Gate], G.PermPhase, int]:
     """Gates implementing the reflection about ``v`` up to diag x perm.
 
-    Returns ``(gates, residual, meta)`` with
+    Returns ``(gates, residual, s)`` with
     ``product(gates) == residual . H_v`` exactly, where the residual is the
-    pivot stage's own operator.  When ``v`` is a single basis state the
-    reflection is itself diagonal: no gates are emitted and the residual is
-    that diagonal.
+    pivot stage's own operator and ``s`` the register size.  When ``v`` is
+    a single basis state the reflection is itself diagonal: no gates are
+    emitted and the residual is that diagonal.
     """
     v = prune_state(v)
     if not v:
@@ -135,10 +128,10 @@ def householder_up_to(
         z = np.diag([-1.0, 1.0] if idx & 1 == 0 else [1.0, -1.0])
         controls = tuple((q, (idx >> (n - 1 - q)) & 1) for q in range(n - 1))
         residual = G.sequence_perm_phase([G.MCU(controls, n - 1, z)], n)
-        return [], residual, {"s": 0, "nnz": nnz, "insertions": 0}
+        return [], residual, 0
     s = (nnz - 1).bit_length()
     splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
-    plan = P.pivot_plan(v, splitting, blk, relax_toffoli)
+    plan = P.pivot_plan(v, splitting, blk)
     gates: list[G.Gate] = list(plan.gates)
     xs = _dress_x(
         splitting.join(blk, 0), splitting.block_qubits, n
@@ -150,18 +143,14 @@ def householder_up_to(
     gates.append(G.SPBlock.from_dict(splitting.register_qubits, vtil, inverted=True))
     gates.append(G.H0Phase(tuple(range(n)), math.pi))
     gates.append(G.SPBlock.from_dict(splitting.register_qubits, vtil, inverted=False))
-    meta = {"s": s, "nnz": nnz, "insertions": len(plan.steps)}
-    return gates, residual, meta
+    return gates, residual, s
 
 
 # ---------------------------------------------------------------------------
 # permuted diagonal isometries
 
 
-def perm_diag_reduce(
-    w: SparseIsometry,
-    relax_toffoli: bool = True,
-) -> tuple[list[G.Gate], np.ndarray, np.ndarray]:
+def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.ndarray]:
     """Circuit for an isometry with one unit-modulus entry per column.
 
     Pivots the occupied rows (the column-sum pattern) into one block of the
@@ -193,13 +182,13 @@ def perm_diag_reduce(
     else:
         _, inside = P._score(splitting.block_mask, rows_of)
         blk = splitting.split(inside)[0]
-    plan = P.pivot_plan(colsum, splitting, blk, relax_toffoli)
+    plan = P.pivot_plan(colsum, splitting, blk)
     f_gates = list(plan.gates)
     f_gates += _dress_x(splitting.join(blk, 0), splitting.block_qubits, n)
     f_pp = G.sequence_perm_phase(f_gates[len(plan.gates):], n).compose(plan.residual)
 
     # grouped matrix: column j's entry sits at plain index perm_m[j]
-    perm_m, phase_m = f_pp.map_indices(rows_of)
+    perm_m, phase_m = f_pp.index_map(n, rows_of)
     if np.any(perm_m >= (1 << m)):
         raise AssertionError("grouping failed to land in the top block")
     delta = amp_of * phase_m
@@ -239,14 +228,13 @@ def _reduce_columns(
     targets: np.ndarray,
     samples: int,
     seed,
-    relax_toffoli: bool,
-) -> tuple[list[G.Gate], np.ndarray, np.ndarray, list[StepTrace]]:
+) -> tuple[list[G.Gate], list[StepTrace]]:
     """Reduce column ``order[i]`` onto row ``targets[i]`` at step ``i``.
 
     Each reflection is emitted up to diag x perm; its pivot residual moves
     the matrix rows and the remaining target rows together, so ``targets``
     always holds current positions.  Ends with :func:`perm_diag_reduce` and
-    returns ``(gates, closing diagonal, closing permutation, trace)``.
+    returns ``(gates, trace)``.
     ``work`` is consumed.
     """
     rng = P.as_rng(seed)
@@ -261,14 +249,12 @@ def _reduce_columns(
         row_support = frozenset(work.row(t))
         u, _ = hh.reduction_vector(col, t)
         rec = hh.reduce_column(work, c, t)
-        gates, residual, meta = householder_up_to(
-            u, work.n, samples=samples, seed=rng, relax_toffoli=relax_toffoli
-        )
+        gates, residual, s = householder_up_to(u, work.n, samples=samples, seed=rng)
         work, targets = _apply_residual(residual, work, targets)
         committed.extend(gates)
-        trace.append(_step_trace(i, c, t, col, u, rec, meta["s"], row_support))
-    pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
-    return pd_gates + G.dagger_sequence(committed), delta, perm_m, trace
+        trace.append(_step_trace(i, c, t, col, u, rec, s, row_support))
+    pd_gates, _, _ = perm_diag_reduce(work)
+    return pd_gates + G.dagger_sequence(committed), trace
 
 
 def sparse_householder_iso(
@@ -277,7 +263,6 @@ def sparse_householder_iso(
     regime: C.AncillaRegime = C.AncillaRegime.none(),
     samples: int = 100,
     seed=0,
-    relax_toffoli: bool = True,
 ) -> DecompositionResult:
     """Column-by-column sparse reduction with reflections up to diag x perm.
 
@@ -288,15 +273,15 @@ def sparse_householder_iso(
     _require_isometry(w)
     if strategy is None:
         strategy = O.greedy_order(w)
-    gates, delta, perm_m, trace = _reduce_columns(
+    gates, trace = _reduce_columns(
         w.copy(),
         invert_permutation(strategy.sigma),
         invert_permutation(strategy.rho)[: 1 << w.m],
-        samples, seed, relax_toffoli,
+        samples, seed,
     )
     circuit = G.StructuredCircuit(w.n, (), gates)
     circuit.validate()
-    return DecompositionResult(circuit, delta, perm_m, C.audit_circuit(circuit, regime), trace)
+    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +379,7 @@ def dense_householder_iso(
         gates.extend(tri)
     circuit = G.StructuredCircuit(n, (), gates)
     circuit.validate()
-    return DecompositionResult(circuit, delta, np.arange(1 << m), C.audit_circuit(circuit, regime), trace)
+    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
 
 def dense_householder_unitary(
@@ -460,7 +445,7 @@ def dense_householder_unitary(
         gates.extend(section)
     circuit = G.StructuredCircuit(n, (), gates)
     circuit.validate()
-    return DecompositionResult(circuit, None, None, C.audit_circuit(circuit, regime), trace)
+    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +458,6 @@ def fixed_envelope_iso(
     regime: C.AncillaRegime = C.AncillaRegime.none(),
     samples: int = 100,
     seed=0,
-    relax_toffoli: bool = True,
 ) -> DecompositionResult:
     """Envelope-confined reduction: reflect each column onto the top row,
     decrement, repeat; no pivoting inside the reflections.
@@ -528,11 +512,11 @@ def fixed_envelope_iso(
     reduction.extend(x_layer)
     if x_layer:
         work, _ = _apply_residual(G.sequence_perm_phase(x_layer, n), work, no_targets)
-    pd_gates, delta, perm_m = perm_diag_reduce(work, relax_toffoli=relax_toffoli)
+    pd_gates, _, _ = perm_diag_reduce(work)
     gates = pd_gates + G.dagger_sequence(reduction)
     circuit = G.StructuredCircuit(n, (), gates)
     circuit.validate()
-    return DecompositionResult(circuit, delta, perm_m, C.audit_circuit(circuit, regime), trace)
+    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +528,6 @@ def no_fill_in_iso(
     regime: C.AncillaRegime = C.AncillaRegime.with_dirty(1),
     samples: int = 100,
     seed=0,
-    relax_toffoli: bool = True,
 ) -> DecompositionResult:
     """Fill-in-free reduction using one clean ancilla as a new top qubit.
 
@@ -557,8 +540,8 @@ def no_fill_in_iso(
     n, m = w.n, w.m
     work = SparseIsometry(n + 1, m, w.entries())
     # each target row starts empty, so no step is ever skipped
-    virtual_gates, delta, perm_m, trace = _reduce_columns(
-        work, range(1 << m), (1 << n) + np.arange(1 << m), samples, seed, relax_toffoli
+    virtual_gates, trace = _reduce_columns(
+        work, range(1 << m), (1 << n) + np.arange(1 << m), samples, seed
     )
     if any(t.fill_in for t in trace):
         raise G.CircuitVerificationError("fill-in occurred in the no-fill-in method")
@@ -567,7 +550,7 @@ def no_fill_in_iso(
     gates = [g.remap(table) for g in virtual_gates]
     circuit = G.StructuredCircuit(n, ("clean",), gates)
     circuit.validate()
-    return DecompositionResult(circuit, delta, perm_m, C.audit_circuit(circuit, regime), trace)
+    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +583,12 @@ def _transposition_gates(i: int, j: int, n: int) -> list[G.Gate]:
     out.extend(dress)
     out.append(G.H0Phase(tuple(range(n)), math.pi))
     out.extend(dress)
-    out.extend(G.dagger(rot))
+    out.extend(rot.dagger())
     out.extend(reversed(adj))
     return out
 
 
-def perm_via_householder(perm, regime: C.AncillaRegime = C.AncillaRegime.none()) -> G.StructuredCircuit:
+def perm_via_householder(perm) -> G.StructuredCircuit:
     """Permutation gate as a product of basis-state transpositions.
 
     Reduces the permutation matrix column by column; each non-fixed column
@@ -634,9 +617,7 @@ def perm_via_householder(perm, regime: C.AncillaRegime = C.AncillaRegime.none())
     return circuit
 
 
-def controlled_u_via_householder(
-    k: int, u: np.ndarray, regime: C.AncillaRegime = C.AncillaRegime.none()
-) -> tuple[G.StructuredCircuit, np.ndarray]:
+def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCircuit, np.ndarray]:
     """k-controlled single-qubit gate up to a diagonal, via one reflection.
 
     Emits two free single-qubit gates around one dressed reflection about

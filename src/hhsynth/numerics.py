@@ -145,9 +145,6 @@ class SparseIsometry:
         """Live column map (row -> amplitude); do not mutate directly."""
         return self.cols[j]
 
-    def column_state(self, j: int) -> dict[int, complex]:
-        return dict(self.cols[j])
-
     def entries(self):
         """Deterministic (i, j, amplitude) iteration in row-major order."""
         for i in sorted(self.rows):

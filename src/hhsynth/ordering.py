@@ -44,10 +44,6 @@ class EliminationStrategy:
         """Original column reduced at step i."""
         return int(invert_permutation(self.sigma)[i])
 
-    def step_target(self, i: int) -> int:
-        """Original target row at step i."""
-        return int(invert_permutation(self.rho)[i])
-
 
 @dataclass(frozen=True)
 class EnvelopeProfile:

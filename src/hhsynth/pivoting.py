@@ -183,17 +183,12 @@ def hypercube_multisource_bfs(s: int, sources) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class PivotStep:
-    source: int  # full index of the inserted entry at step time
-    dest: int  # full index of the slot it lands in
-    control: int  # block qubit used as the shared CNOT control
     cnots: int  # adjust CNOTs used (Hamming distance - 1)
     gates: list[G.Gate] = field(default_factory=list)
 
 
 @dataclass
 class PivotPlan:
-    splitting: QubitSplitting
-    target_block: int
     steps: list[PivotStep]
     gates: list[G.Gate]
     residual: G.PermPhase  # product of the emitted gates, exactly
@@ -202,13 +197,12 @@ class PivotPlan:
 
 
 def _insertion_gates(
-    splitting: QubitSplitting, source: int, dest: int, nq: int, relax: bool
-) -> tuple[list[G.Gate], G.PermPhase, int, int]:
+    splitting: QubitSplitting, source: int, dest: int, nq: int
+) -> tuple[list[G.Gate], G.PermPhase, int]:
     """Gates moving ``source`` into block slot ``dest`` without disturbing
-    the target block; returns (gates, residual, control qubit, cnot count)."""
+    the target block; returns (gates, residual, cnot count)."""
     n = splitting.n
-    src_blk, _ = splitting.split(source)
-    dst_blk, dst_reg = splitting.split(dest)
+    _, dst_reg = splitting.split(dest)
     diff_block = [
         q
         for q in splitting.block_qubits
@@ -218,8 +212,7 @@ def _insertion_gates(
         raise ValueError("source already inside the target block")
     ctrl = diff_block[0]
     pol = (source >> (n - 1 - ctrl)) & 1
-    targets = [q for q in diff_block[1:]]
-    targets += [
+    targets = diff_block[1:] + [
         q
         for q in splitting.register_qubits
         if ((source >> (n - 1 - q)) & 1) != ((dest >> (n - 1 - q)) & 1)
@@ -234,27 +227,17 @@ def _insertion_gates(
     controls = tuple(
         (q, (dst_reg >> (s - 1 - k)) & 1) for k, q in enumerate(splitting.register_qubits)
     )
-    adjust = list(gates)
-    residual_tail = None
-    if s == 0:
-        gates.append(G.x_gate(ctrl))
-    elif s == 2 and relax:
-        mgates, residual_tail = G.relaxed_mcx2(controls, ctrl, nq)
-        gates.extend(mgates)
-    else:
-        gates.append(G.MCX(controls, ctrl))
-    if residual_tail is None:
-        pp = G.sequence_perm_phase(gates, nq)
-    else:
-        pp = residual_tail.compose(G.sequence_perm_phase(adjust, nq))
-    return gates, pp, ctrl, len(targets)
+    if s == 2:
+        mgates, tail = G.relaxed_mcx2(controls, ctrl, nq)
+        return gates + mgates, tail.compose(G.sequence_perm_phase(gates, nq)), len(targets)
+    gates.append(G.x_gate(ctrl) if s == 0 else G.MCX(controls, ctrl))
+    return gates, G.sequence_perm_phase(gates, nq), len(targets)
 
 
 def pivot_plan(
     v: dict[int, complex],
     splitting: QubitSplitting,
     target_block: int,
-    relax_toffoli: bool = True,
 ) -> PivotPlan:
     """Greedy insertion plan moving all nonzeros into the target block."""
     n = splitting.n
@@ -282,25 +265,20 @@ def pivot_plan(
         k = np.lexsort((keys, cost))[0]
         source = int(keys[k])
         dest = splitting.join(target_block, int(src[reg[k]]))
-        sgates, pp, ctrl, ncnots = _insertion_gates(
-            splitting, source, dest, n, relax_toffoli
-        )
-        steps.append(PivotStep(source, dest, ctrl, ncnots, sgates))
+        sgates, pp, ncnots = _insertion_gates(splitting, source, dest, n)
+        steps.append(PivotStep(ncnots, sgates))
         gates.extend(sgates)
         work = pp.apply_to_state(work)
         step_residuals.append(pp)
     register_state = {int(r): amp for r, amp in zip(reg, work.values())}
     total = G.sequence_perm_phase(step_residuals, n)
-    return PivotPlan(
-        splitting, target_block, steps, gates, total, work, register_state
-    )
+    return PivotPlan(steps, gates, total, work, register_state)
 
 
 def sparse_state_prep(
     v: dict[int, complex],
     samples: int = 100,
     seed=0,
-    relax_toffoli: bool = True,
 ) -> G.StructuredCircuit:
     """Circuit C with C|0..0> = v, phase-exact.
 
@@ -312,7 +290,7 @@ def sparse_state_prep(
     """
     v = prune_state(v)
     n = max(max(v, default=0).bit_length(), 1)
-    return sparse_state_prep_on(v, n, samples=samples, seed=seed, relax_toffoli=relax_toffoli)
+    return sparse_state_prep_on(v, n, samples=samples, seed=seed)
 
 
 def sparse_state_prep_on(
@@ -320,7 +298,6 @@ def sparse_state_prep_on(
     n: int,
     samples: int = 100,
     seed=0,
-    relax_toffoli: bool = True,
 ) -> G.StructuredCircuit:
     """Same as :func:`sparse_state_prep` with an explicit qubit count."""
     v = prune_state(v)
@@ -334,7 +311,7 @@ def sparse_state_prep_on(
     nnz = len(v)
     s = (nnz - 1).bit_length()
     splitting, blk = choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
-    plan = pivot_plan(v, splitting, blk, relax_toffoli)
+    plan = pivot_plan(v, splitting, blk)
     gates: list[G.Gate] = []
     nblock = len(splitting.block_qubits)
     for k, q in enumerate(splitting.block_qubits):

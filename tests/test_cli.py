@@ -218,6 +218,10 @@ MALFORMED_CIRCUITS = {
     "not_an_object": [1, 2],
     "float_qubit": {"n": 2, "gates": [{"kind": "cnot", "control": 0.5, "target": 1}]},
     "polarity_2": {"n": 2, "gates": [{"kind": "mcx", "controls": [[0, 2]], "target": 1}]},
+    "non_unitary_matrix": {
+        "n": 1,
+        "gates": [{"kind": "single", "target": 0, "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+    },
 }
 
 
@@ -227,6 +231,21 @@ def test_malformed_circuit_file_exit_2(tmp_path, name):
     mat = write_json(tmp_path / "m.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
     assert run(["verify", circ, mat]) == cli.EXIT_PARSE
     assert run(["audit", circ]) == cli.EXIT_PARSE
+
+
+def test_near_unit_phase_gate_round_trips(tmp_path):
+    # the norm is off by 9e-9, inside the state-preparation norm check (1e-8)
+    # and, with --tol 1e-7, the input check; the compiled s = 0 phase gate
+    # holds that amplitude, so |U^dagger U - I| is 1.8e-8 and the unitarity
+    # check on loading must let it through
+    state = write_json(tmp_path / "v.json", {"n": 3, "m": 0, "entries": [[5, 0, 0, 1.000000009]]})
+    circ = tmp_path / "c.json"
+    assert run(["compile", state, "--method", "ssp", "--tol", "1e-7", "-o", str(circ)]) == 0
+    (g,) = [g for g in json.loads(circ.read_text())["gates"] if g.get("label") == "phase"]
+    m = np.array([[complex(*e) for e in row] for row in g["matrix"]])
+    assert 1e-8 < np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-7
+    assert run(["verify", str(circ), state]) == 0
+    assert run(["audit", str(circ)]) == 0
 
 
 def test_verify_ancilla_violation_exit_4(tmp_path):

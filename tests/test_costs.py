@@ -118,6 +118,16 @@ def test_pivot_bound_variant_selection():
         C.pivot_count_bound(5, 4, 16, dirty=-5)
 
 
+def test_clean_bounds_refuse_shapes_outside_their_range():
+    # there the closed forms go negative: s = 0 gives n - 6, (n, m) = (1, 0) 4 elim - 17
+    assert C.bound_ssp_clean(3, 1, 2) == (3 + 6 - 7) * 2 + 2
+    assert C.bound_sparse_basic_clean(2, 0, 1) == (7 * 2 - 3) * 1 + (21 * 2 - 38) * 1
+    with pytest.raises(ValueError):
+        C.bound_ssp_clean(5, 0, 1)
+    with pytest.raises(ValueError):
+        C.bound_sparse_basic_clean(1, 0, 1)
+
+
 def test_audit_single_cnot():
     c = G.StructuredCircuit(2, (), [G.CNOT(0, 1)])
     assert C.audit_circuit(c, NONE).total == 1

@@ -37,7 +37,7 @@ def test_gate_dagger_inverts():
     for g in sample_gates():
         u = G.gate_unitary(g, 3)
         ud = np.eye(8, dtype=complex)
-        for gg in G.dagger(g):
+        for gg in g.dagger():
             ud = G.apply_gate(ud, gg, 3)
         np.testing.assert_allclose(ud @ u, np.eye(8), atol=1e-12)
 
@@ -114,7 +114,7 @@ def test_near_x_mcu_is_not_simulated_as_mcx():
 def test_perm_phase_word_rejects_a_dense_gate():
     word = G.sequence_perm_phase([G.MCU(((0, 1),), 1, G.H_MATRIX)], 2)
     with pytest.raises(TypeError, match="(?s)MCU.*not a permutation/diagonal gate"):
-        word.map_indices([0, 1])
+        word.index_map(2, [0, 1])
 
 
 def test_spblock_prepares_target():
@@ -305,8 +305,13 @@ def test_batch_and_vector_agree():
 def test_perm_phase_matches_dense_products():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        p1 = G.PermPhase(rng.permutation(8), np.exp(1j * rng.uniform(0, 2 * math.pi, 8)))
-        p2 = G.PermPhase(rng.permutation(8), np.exp(1j * rng.uniform(0, 2 * math.pi, 8)))
+        p1, p2 = (
+            G.PermPhase(8, (
+                G.PermutationGate((0, 1, 2), tuple(int(x) for x in rng.permutation(8))),
+                G.Diagonal((0, 1, 2), tuple(np.exp(1j * rng.uniform(0, 2 * math.pi, 8)))),
+            ))
+            for _ in range(2)
+        )
         np.testing.assert_allclose(p2.compose(p1).dense(), p2.dense() @ p1.dense(), atol=1e-12)
         np.testing.assert_allclose(p1.dagger().dense(), p1.dense().conj().T, atol=1e-12)
 
@@ -436,7 +441,7 @@ def test_index_map_residual_matches_dense_product():
         # the reflection about one basis state is its own residual
         idx = int(rng.integers(1 << n))
         _, flip, _ = householder_up_to({idx: 1.0 + 0j}, n)
-        dst, ph = flip.map_indices([idx])
+        dst, ph = flip.index_map(n, [idx])
         assert dst[0] == idx and ph[0] == -1.0
         reflection = np.eye(1 << n, dtype=complex)
         reflection[idx, idx] = -1.0
@@ -449,5 +454,5 @@ def test_index_map_residual_matches_dense_product():
         np.testing.assert_allclose(pp.dense(), dense, atol=1e-12)
         np.testing.assert_allclose(pp.dagger().dense(), dense.conj().T, atol=1e-12)
         probe = rng.choice(1 << n, size=5, replace=False)
-        dst, ph = G.sequence_perm_phase([f for f, _ in word], n).map_indices(probe)
+        dst, ph = G.sequence_perm_phase([f for f, _ in word], n).index_map(n, probe)
         np.testing.assert_allclose(dense[dst, probe], ph, atol=1e-12)

@@ -31,7 +31,7 @@ def identity_iso(n, m):
 
 
 def test_hr_up_to_basis_vector_emits_nothing():
-    gates, residual, meta = M.householder_up_to({0: 1.0 + 0j}, 3)
+    gates, residual, _ = M.householder_up_to({0: 1.0 + 0j}, 3)
     assert gates == []
     # the reflection about |0> is itself the diagonal residual
     np.testing.assert_allclose(residual.dense(), np.diag([-1, 1, 1, 1, 1, 1, 1, 1]), atol=1e-12)
@@ -42,7 +42,7 @@ def test_hr_up_to_matches_reflection_oracle():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         v = random_state_dict(n, int(rng.integers(1, (1 << n) + 1)), rng)
-        gates, residual, meta = M.householder_up_to(v, n, seed=int(rng.integers(1 << 30)))
+        gates, residual, _ = M.householder_up_to(v, n, seed=int(rng.integers(1 << 30)))
         u = np.eye(1 << n, dtype=complex)
         for g in gates:
             u = G.apply_gate(u, g, n)
@@ -54,9 +54,9 @@ def test_hr_up_to_audit_bound_example():
     rng = np.random.default_rng(41)
     for _ in range(10):
         v = random_state_dict(4, 2, rng)
-        gates, _, meta = M.householder_up_to(v, 4, seed=int(rng.integers(1 << 30)))
+        gates, _, s = M.householder_up_to(v, 4, seed=int(rng.integers(1 << 30)))
         audited = C.audit_circuit(G.StructuredCircuit(4, (), gates), D1).total
-        assert audited <= C.bound_hr_up_to_dirty(4, meta["s"], 2) == 94
+        assert audited <= C.bound_hr_up_to_dirty(4, s, 2) == 94
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,14 @@ def test_bfs_matches_brute_force():
 
 def test_single_insertion_at_distance_one():
     # one outside entry whose register part already matches a free slot:
-    # zero adjust CNOTs, one register-controlled NOT
+    # zero adjust CNOTs, one register-controlled NOT as the relaxed Toffoli
     sp = QubitSplitting((0,), (1, 2))
     v = {0b000: 0.8, 0b101: 0.6j}
-    plan = pivot_plan(v, sp, 0, relax_toffoli=False)
+    plan = pivot_plan(v, sp, 0)
     assert len(plan.steps) == 1
     assert plan.steps[0].cnots == 0
-    assert plan.steps[0].gates == [G.MCX(((1, 0), (2, 1)), 0)]
+    relaxed, _ = G.relaxed_mcx2(((1, 0), (2, 1)), 0, 3)
+    assert [g.to_json() for g in plan.steps[0].gates] == [g.to_json() for g in relaxed]
 
 
 def test_plan_simulates_to_block_product_state():
@@ -152,7 +153,7 @@ def test_sparse_state_prep_scales_past_dense_arrays():
     again = G.circuit_to_dict(sparse_state_prep_on(v, n))
     assert json.dumps(G.circuit_to_dict(c), sort_keys=True) == json.dumps(again, sort_keys=True)
     # the reflection's residual moves the support onto distinct rows, phases exact units
-    _, residual, meta = householder_up_to(v, n)
-    dst, ph = residual.map_indices(list(v))
-    assert len(set(dst.tolist())) == nnz and meta["s"] == 3
+    _, residual, s = householder_up_to(v, n)
+    dst, ph = residual.index_map(n, list(v))
+    assert len(set(dst.tolist())) == nnz and s == 3
     np.testing.assert_allclose(np.abs(ph), 1.0, atol=1e-15)
