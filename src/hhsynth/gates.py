@@ -226,7 +226,7 @@ class Diagonal(_Gate):
         object.__setattr__(self, "phases", tuple(complex(p) for p in self.phases))
         if len(self.phases) != 1 << len(self.qubits):
             raise ValueError("diagonal needs 2^k phases")
-        if any(abs(abs(p) - 1.0) > 1e-9 for p in self.phases):
+        if any(not abs(abs(p) - 1.0) <= 1e-9 for p in self.phases):
             raise ValueError("diagonal phases must have unit modulus")
 
     def dagger(self) -> list[Gate]:
@@ -289,7 +289,7 @@ class SPBlock(_Gate):
 
     def __post_init__(self):
         nrm = state_norm(dict(self.state))
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError(f"SPBlock target has norm {nrm}")
 
     def dagger(self) -> list[Gate]:
@@ -331,6 +331,11 @@ GATE_KINDS = {g.kind: g for g in get_args(Gate)}
 
 def x_gate(q: int) -> SingleQubit:
     return SingleQubit(q, X_MATRIX, label="x")
+
+
+def x_layer(index: int, qubits, nq: int) -> list[Gate]:
+    """Free X gates mapping basis ``index`` to 0 on the listed qubits."""
+    return [x_gate(q) for q in qubits if (index >> (nq - 1 - q)) & 1]
 
 
 def dagger_sequence(gates: list[Gate]) -> list[Gate]:
@@ -376,16 +381,18 @@ class StructuredCircuit:
 # simulation kernels; states are (2^N,) or (2^N, batch) arrays
 
 
-def _subset_values(idx: np.ndarray, qubits: tuple[int, ...], nq: int) -> np.ndarray:
-    v = np.zeros_like(idx)
+def _subset_values(idx, qubits: tuple[int, ...], nq: int):
+    """The subset value of a basis index, or of each index in an int64 array."""
+    v = idx & 0  # 0, or a fresh zero array that |= fills in place
     s = len(qubits)
     for k, q in enumerate(qubits):
         v |= ((idx >> (nq - 1 - q)) & 1) << (s - 1 - k)
     return v
 
 
-def _scatter_subset(idx: np.ndarray, values: np.ndarray, qubits, nq: int) -> np.ndarray:
-    out = idx.copy()
+def _scatter_subset(idx, values, qubits, nq: int):
+    """``idx`` with the subset's bits set to ``values`` (ints or int64 arrays)."""
+    out = idx
     s = len(qubits)
     for k, q in enumerate(qubits):
         bit = (values >> (s - 1 - k)) & 1
@@ -747,7 +754,7 @@ def _mat2_from(d) -> np.ndarray:
     """A 2x2 unitary, to 1e-7 (an ssp ``phase`` gate holds the state's own
     amplitude, whose modulus is 1 only to the input norm tolerance)."""
     m = np.array([[complex(*e) for e in row] for row in d], dtype=complex)
-    if m.shape == (2, 2) and np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-7:
+    if m.shape == (2, 2) and not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-7:
         raise ValueError(f"gate matrix {m.tolist()} is not unitary")
     return m
 
@@ -756,6 +763,13 @@ def _qubit(q) -> int:
     if type(q) is not int:
         raise ValueError(f"qubit index {q!r} is not an integer")
     return q
+
+
+def _phi(x) -> float:
+    phi = float(x)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase {x!r} is not finite")
+    return phi
 
 
 def _controls(pairs) -> tuple[tuple[int, int], ...]:
@@ -781,7 +795,7 @@ _JSON_FIELDS = {
         lambda st: tuple(sorted({int(k): complex(re, im) for k, re, im in st}.items())),
     ),
     "inverted": ("inverted", None, None),
-    "phi": ("phi", None, float),
+    "phi": ("phi", None, _phi),
 }
 
 

@@ -127,6 +127,15 @@ def generalized_pair_reflection(
     return HouseholderSpec(u=u, phi=phi, theta=0.0, standard=False, z=complex(z))
 
 
+def target_phase(a: complex) -> tuple[float, complex]:
+    """``(theta, e^{i theta})`` of the entry a column keeps on its target
+    row when the entry there is ``a``: ``e^{i theta} = -a / |a|``, or
+    ``(0, 1)`` when ``a`` vanishes."""
+    if abs(a) <= EPS0:
+        return 0.0, 1.0 + 0j
+    return math.pi + cmath.phase(a), -a / abs(a)
+
+
 def reduction_vector(
     col: dict[int, complex], target: int
 ) -> tuple[dict[int, complex], float]:
@@ -134,12 +143,7 @@ def reduction_vector(
     ``target``: u = (w - e^{i theta}|target>) / ||.||, theta = pi + arg(w_t)
     (theta = 0 when the target entry vanishes)."""
     at = col.get(target, 0j)
-    if abs(at) <= EPS0:
-        theta = 0.0
-        eith = 1.0 + 0j
-    else:
-        theta = math.pi + cmath.phase(at)
-        eith = -at / abs(at)
+    theta, eith = target_phase(at)
     nrm = math.sqrt(2.0 * (1.0 + abs(at)))
     u = {k: a / nrm for k, a in col.items()}
     u[target] = (at - eith) / nrm
@@ -175,12 +179,7 @@ def reduce_column(w: SparseIsometry, j: int, i: int) -> ReductionRecord:
         raise ValueError(f"column {j} is zero")
     row = dict(w.row(i))
     aij = col.get(i, 0j)
-    if abs(aij) <= EPS0:
-        theta = 0.0
-        eith = 1.0 + 0j
-    else:
-        theta = math.pi + cmath.phase(aij)
-        eith = -aij / abs(aij)
+    theta, eith = target_phase(aij)
     rec = ReductionRecord(theta=theta, nnz_before=len(col))
     coeff = eith.conjugate() / (1.0 + abs(aij))
     for s, asj in col.items():

@@ -17,12 +17,15 @@ application order, so a reduction sequence with operator product
 ``dagger(G_0), dagger(G_1), ..., dagger(G_k)`` appended after the gates
 implementing the reduced form.
 
-Sparse basic and no fill-in share one driver, :func:`_reduce_columns`:
-they differ only in the embedding (no fill-in adds a clean top qubit),
-the column order and the target rows.  Fixed envelope keeps its own loop
-(no pivoting, a decrement after every step).  The dense unitary's
-halving step reflects each column once, on the whole remaining block,
-and reads the next level's block from that pass.
+The three sparse methods share one driver, :func:`_reduce_columns`: they
+differ only in the embedding (no fill-in adds a clean top qubit), the
+column order, the target rows and how each step's reflection is built.
+Sparse basic and no fill-in pivot the Householder vector into a block
+(:func:`householder_up_to`); fixed envelope confines it to the trailing
+qubits its envelope allows, with no pivoting, and decrements after every
+step.  Every reflection has one shape, :func:`_reflection`.  The dense
+unitary's halving step reflects each column once, on the whole remaining
+block, and reads the next level's block from that pass.
 """
 
 from __future__ import annotations
@@ -81,9 +84,12 @@ def _require_isometry(w, tol: float = 1e-9):
         raise NotAnIsometryError(rep)
 
 
-def _dress_x(index: int, qubits: tuple[int, ...], n: int) -> list[G.Gate]:
-    """Free X gates mapping basis ``index`` to 0 on the listed qubits."""
-    return [G.x_gate(q) for q in qubits if (index >> (n - 1 - q)) & 1]
+def _reflection(
+    before: list[G.Gate], dress: list[G.Gate], n: int, after: list[G.Gate]
+) -> list[G.Gate]:
+    """``before + dress + H0Phase(pi) + dress + after``, the H0Phase on all
+    ``n`` qubits: the shape of every reflection the methods emit."""
+    return before + dress + [G.H0Phase(tuple(range(n)), math.pi)] + dress + after
 
 
 def _apply_residual(
@@ -132,17 +138,10 @@ def householder_up_to(
     s = (nnz - 1).bit_length()
     splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
     plan = P.pivot_plan(v, splitting, blk)
-    gates: list[G.Gate] = list(plan.gates)
-    xs = _dress_x(
-        splitting.join(blk, 0), splitting.block_qubits, n
-    )
-    gates.extend(xs)
-    residual = G.sequence_perm_phase(xs, n).compose(plan.residual)
+    residual = G.sequence_perm_phase(plan.x_layer, n).compose(plan.residual)
     # register factor of the pivoted vector, after the X layer (block -> 0)
-    vtil = plan.register_state
-    gates.append(G.SPBlock.from_dict(splitting.register_qubits, vtil, inverted=True))
-    gates.append(G.H0Phase(tuple(range(n)), math.pi))
-    gates.append(G.SPBlock.from_dict(splitting.register_qubits, vtil, inverted=False))
+    unprep = G.SPBlock.from_dict(splitting.register_qubits, plan.register_state, inverted=True)
+    gates = _reflection(plan.gates + plan.x_layer + [unprep], [], n, unprep.dagger())
     return gates, residual, s
 
 
@@ -183,9 +182,8 @@ def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.nd
         _, inside = P._score(splitting.block_mask, rows_of)
         blk = splitting.split(inside)[0]
     plan = P.pivot_plan(colsum, splitting, blk)
-    f_gates = list(plan.gates)
-    f_gates += _dress_x(splitting.join(blk, 0), splitting.block_qubits, n)
-    f_pp = G.sequence_perm_phase(f_gates[len(plan.gates):], n).compose(plan.residual)
+    f_gates = plan.gates + plan.x_layer
+    f_pp = G.sequence_perm_phase(plan.x_layer, n).compose(plan.residual)
 
     # grouped matrix: column j's entry sits at plain index perm_m[j]
     perm_m, phase_m = f_pp.index_map(n, rows_of)
@@ -207,54 +205,65 @@ def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.nd
 # sparse Householder decompositions: one column-reduction driver
 
 
-def _step_trace(
-    i: int, c: int, t: int, col: dict, u: dict, rec: hh.ReductionRecord, s: int,
-    row_support: frozenset,
-) -> StepTrace:
-    return StepTrace(
-        i, c, t, rec.nnz_before, s, False,
-        hh_support=frozenset(u),
-        col_support=frozenset(col),
-        row_support=row_support,
-        modified=tuple(rec.modified),
-        fill_in=tuple(rec.fill_in),
-        eliminated=tuple(rec.eliminated),
-    )
-
-
 def _reduce_columns(
     work: SparseIsometry,
     order,
     targets: np.ndarray,
-    samples: int,
-    seed,
+    reflect,
 ) -> tuple[list[G.Gate], list[StepTrace]]:
     """Reduce column ``order[i]`` onto row ``targets[i]`` at step ``i``.
 
-    Each reflection is emitted up to diag x perm; its pivot residual moves
-    the matrix rows and the remaining target rows together, so ``targets``
-    always holds current positions.  Ends with :func:`perm_diag_reduce` and
-    returns ``(gates, trace)``.
-    ``work`` is consumed.
+    ``reflect(i, u)`` builds step ``i`` as ``(gates, residual, s)`` with
+    ``product(gates) == residual . H_u`` (``u`` is None on a skipped step,
+    and a residual of None is the identity).  The residual is applied to
+    the matrix instead of being emitted; it moves the matrix rows and the
+    remaining target rows together, so ``targets`` always holds current
+    positions.  Ends with :func:`perm_diag_reduce` and returns
+    ``(gates, trace)``; ``work`` is consumed.
     """
-    rng = P.as_rng(seed)
     committed: list[G.Gate] = []
     trace: list[StepTrace] = []
     for i, c in enumerate(order):
         c, t = int(c), int(targets[i])
         col = dict(work.col(c))
         if len(col) == 1 and t in col:
-            trace.append(StepTrace(i, c, t, 1, 0, True))
-            continue
-        row_support = frozenset(work.row(t))
-        u, _ = hh.reduction_vector(col, t)
-        rec = hh.reduce_column(work, c, t)
-        gates, residual, s = householder_up_to(u, work.n, samples=samples, seed=rng)
-        work, targets = _apply_residual(residual, work, targets)
+            gates, residual, s = reflect(i, None)
+            trace.append(StepTrace(i, c, t, 1, s, True))
+        else:
+            row_support = frozenset(work.row(t))
+            u, _ = hh.reduction_vector(col, t)
+            rec = hh.reduce_column(work, c, t)
+            gates, residual, s = reflect(i, u)
+            trace.append(
+                StepTrace(
+                    i, c, t, rec.nnz_before, s, False,
+                    hh_support=frozenset(u),
+                    col_support=frozenset(col),
+                    row_support=row_support,
+                    modified=tuple(rec.modified),
+                    fill_in=tuple(rec.fill_in),
+                    eliminated=tuple(rec.eliminated),
+                )
+            )
+        if residual is not None:
+            work, targets = _apply_residual(residual, work, targets)
         committed.extend(gates)
-        trace.append(_step_trace(i, c, t, col, u, rec, s, row_support))
     pd_gates, _, _ = perm_diag_reduce(work)
     return pd_gates + G.dagger_sequence(committed), trace
+
+
+def _pivoted_reflections(n: int, samples: int, seed):
+    """The ``reflect`` of sparse basic and no fill-in: each step pivots
+    with :func:`householder_up_to`, drawing splittings from one seeded rng
+    for the whole run."""
+    rng = P.as_rng(seed)
+
+    def reflect(i, u):
+        if u is None:
+            return [], None, 0
+        return householder_up_to(u, n, samples=samples, seed=rng)
+
+    return reflect
 
 
 def sparse_householder_iso(
@@ -277,7 +286,7 @@ def sparse_householder_iso(
         w.copy(),
         invert_permutation(strategy.sigma),
         invert_permutation(strategy.rho)[: 1 << w.m],
-        samples, seed,
+        _pivoted_reflections(w.n, samples, seed),
     )
     circuit = G.StructuredCircuit(w.n, (), gates)
     circuit.validate()
@@ -292,7 +301,7 @@ def _reduce_dense_columns(
     v: np.ndarray,
     cols: int,
     sp_qubits: tuple[int, ...],
-    h0_qubits: tuple[int, ...],
+    n: int,
     dress: list[G.Gate],
 ) -> tuple[list[list[G.Gate]], np.ndarray, list[StepTrace], np.ndarray]:
     """Reduce each of the first ``cols`` columns of a dense block to its
@@ -300,8 +309,9 @@ def _reduce_dense_columns(
 
     The reflections act on the whole block.  Returns (per-step reflection
     triples, diagonal values, trace, reduced block).  The triple for step i
-    is [SP^, H0 (dressed), SP]; columns already reduced are skipped.  The
-    trace and the residue check look at the first ``cols`` columns only.
+    is [SP^, H0 on all ``n`` qubits (dressed), SP]; columns already reduced
+    are skipped.  The trace and the residue check look at the first
+    ``cols`` columns only.
     """
     work = v.copy()
     triples: list[list[G.Gate]] = []
@@ -313,10 +323,7 @@ def _reduce_dense_columns(
             trace.append(StepTrace(i, i, i, 1, 0, True))
             continue
         aii = col[i]
-        if abs(aii) <= EPS0:
-            eith = 1.0 + 0j
-        else:
-            eith = -aii / abs(aii)
+        _, eith = hh.target_phase(aii)
         u = col.copy()
         u[i] -= eith
         u /= math.sqrt(2.0 * (1.0 + abs(aii)))
@@ -331,13 +338,8 @@ def _reduce_dense_columns(
             if int(s) != i and int(t) != i
         )
         udict = prune_state({int(k): complex(a) for k, a in enumerate(u)})
-        triples.append(
-            [G.SPBlock.from_dict(sp_qubits, udict, inverted=True)]
-            + dress
-            + [G.H0Phase(h0_qubits, math.pi)]
-            + dress
-            + [G.SPBlock.from_dict(sp_qubits, udict, inverted=False)]
-        )
+        unprep = G.SPBlock.from_dict(sp_qubits, udict, inverted=True)
+        triples.append(_reflection([unprep], dress, n, unprep.dagger()))
         trace.append(
             StepTrace(
                 i, i, i,
@@ -369,9 +371,7 @@ def dense_householder_iso(
     _require_isometry(v)
     n = qubit_count(v.shape[0])
     m = qubit_count(v.shape[1])
-    triples, delta, trace, _ = _reduce_dense_columns(
-        v, v.shape[1], tuple(range(n)), tuple(range(n)), []
-    )
+    triples, delta, trace, _ = _reduce_dense_columns(v, v.shape[1], tuple(range(n)), n, [])
     gates: list[G.Gate] = []
     if np.max(np.abs(delta - 1.0)) > EPS0:
         gates.append(G.Diagonal(tuple(range(n - m, n)), tuple(delta)))
@@ -400,9 +400,7 @@ def dense_householder_unitary(
         raise ValueError("not square")
     if n < 1:
         raise ValueError("need at least one qubit")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > 1e-9:
-        raise NotAnIsometryError(validate_isometry(u))
+    _require_isometry(u)
     work = u
     sections: list[list[G.Gate]] = []
     trace: list[StepTrace] = []
@@ -410,9 +408,7 @@ def dense_householder_unitary(
         half = 1 << (n - k - 1)
         controls = tuple(range(k))
         dress = [G.x_gate(q) for q in controls]
-        triples, delta, tr, red = _reduce_dense_columns(
-            work, half, tuple(range(k, n)), tuple(range(n)), dress
-        )
+        triples, delta, tr, red = _reduce_dense_columns(work, half, tuple(range(k, n)), n, dress)
         if np.max(np.abs(red[:half, half:])) > 1e-8 or np.max(np.abs(red[half:, :half])) > 1e-8:
             raise AssertionError("halving step left cross-block residue")
         section: list[G.Gate] = []
@@ -462,58 +458,46 @@ def fixed_envelope_iso(
     """Envelope-confined reduction: reflect each column onto the top row,
     decrement, repeat; no pivoting inside the reflections.
 
-    The reflection at step i acts on the trailing ``s(i)`` qubits with
+    The driver (:func:`_reduce_columns`) runs on the row-permuted matrix
+    with the targets ``0 .. 2^m - 1``: the decrement after step ``i`` (a
+    skipped step included) brings target ``i + 1`` to row 0.  The
+    reflection at step i acts on the trailing ``s(i)`` qubits with
     ``2^{s(i)}`` covering the permuted envelope's height above the
     diagonal, which bounds every Householder vector's support a priori.
-    It needs no splitting search, so ``samples`` and ``seed`` have no
-    effect; they are accepted for a call signature shared with the other
-    sparse methods.
+    The reduced rows end in the last block of :func:`perm_diag_reduce`'s
+    splitting, whose grouping step takes them to the top.  It needs no
+    splitting search, so ``samples`` and ``seed`` have no effect; they are
+    accepted for a call signature shared with the other sparse methods.
     """
     _require_isometry(w)
     if strategy is None:
         strategy = O.greedy_order(w)
     n, m = w.n, w.m
     env = O.envelope(apply_permutations(w, strategy.rho, strategy.sigma)).env
-    sigma_inv = invert_permutation(strategy.sigma)
-    work = apply_permutations(w, strategy.rho, np.arange(1 << m))
-    reduction: list[G.Gate] = []  # operators applied to the matrix, in order
-    if not np.array_equal(strategy.rho, np.arange(1 << n)):
-        rho_gate = G.PermutationGate(tuple(range(n)), tuple(int(x) for x in strategy.rho))
-        reduction.append(rho_gate)
     dec_gate = G.Decrement(tuple(range(n)))
     dec_pp = G.sequence_perm_phase([dec_gate], n)
-    no_targets = np.empty(0, dtype=np.int64)
-    trace: list[StepTrace] = []
-    for i in range(1 << m):
-        c = int(sigma_inv[i])
-        col = dict(work.col(c))
-        height = int(env[i]) - i
-        s_i = height.bit_length()  # ceil(log2(1 + height))
-        if max(col) >= (1 << s_i):
+
+    def reflect(i, u):
+        s_i = (int(env[i]) - i).bit_length()  # ceil(log2(1 + height above the diagonal))
+        if u is None:
+            return [dec_gate], dec_pp, s_i
+        # u's support is the column's support plus row 0
+        if max(u) >= (1 << s_i):
             raise G.CircuitVerificationError(
                 f"column support escaped the envelope at step {i}"
             )
-        if len(col) == 1 and 0 in col:
-            trace.append(StepTrace(i, c, 0, 1, s_i, True))
-        else:
-            row_support = frozenset(work.row(0))
-            u, _ = hh.reduction_vector(col, 0)
-            if max(u) >= (1 << s_i):
-                raise G.CircuitVerificationError("Householder vector escaped the top block")
-            rec = hh.reduce_column(work, c, 0)
-            reg = tuple(range(n - s_i, n))
-            reduction.append(G.SPBlock.from_dict(reg, u, inverted=True))
-            reduction.append(G.H0Phase(tuple(range(n)), math.pi))
-            reduction.append(G.SPBlock.from_dict(reg, u, inverted=False))
-            trace.append(_step_trace(i, c, 0, col, u, rec, s_i, row_support))
-        reduction.append(dec_gate)
-        work, _ = _apply_residual(dec_pp, work, no_targets)
-    x_layer = [G.x_gate(q) for q in range(n - m)]
-    reduction.extend(x_layer)
-    if x_layer:
-        work, _ = _apply_residual(G.sequence_perm_phase(x_layer, n), work, no_targets)
-    pd_gates, _, _ = perm_diag_reduce(work)
-    gates = pd_gates + G.dagger_sequence(reduction)
+        unprep = G.SPBlock.from_dict(tuple(range(n - s_i, n)), u, inverted=True)
+        return _reflection([unprep], [], n, unprep.dagger() + [dec_gate]), dec_pp, s_i
+
+    gates, trace = _reduce_columns(
+        apply_permutations(w, strategy.rho, np.arange(1 << m)),
+        invert_permutation(strategy.sigma),
+        np.arange(1 << m),
+        reflect,
+    )
+    if not np.array_equal(strategy.rho, np.arange(1 << n)):
+        rho_gate = G.PermutationGate(tuple(range(n)), tuple(int(x) for x in strategy.rho))
+        gates.extend(rho_gate.dagger())
     circuit = G.StructuredCircuit(n, (), gates)
     circuit.validate()
     return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
@@ -541,7 +525,10 @@ def no_fill_in_iso(
     work = SparseIsometry(n + 1, m, w.entries())
     # each target row starts empty, so no step is ever skipped
     virtual_gates, trace = _reduce_columns(
-        work, range(1 << m), (1 << n) + np.arange(1 << m), samples, seed
+        work,
+        range(1 << m),
+        (1 << n) + np.arange(1 << m),
+        _pivoted_reflections(n + 1, samples, seed),
     )
     if any(t.fill_in for t in trace):
         raise G.CircuitVerificationError("fill-in occurred in the no-fill-in method")
@@ -576,16 +563,7 @@ def _transposition_gates(i: int, j: int, n: int) -> list[G.Gate]:
         adj.append(G.CNOT(k, q) if pol == 1 else G.MCX(((k, 0),), q))
     bk = (i >> (n - 1 - k)) & 1
     rot = G.SingleQubit(k, _R0 if bk == 0 else _R1, label="fold")
-    dress = _dress_x(i, tuple(range(n)), n)
-    out: list[G.Gate] = []
-    out.extend(adj)
-    out.append(rot)
-    out.extend(dress)
-    out.append(G.H0Phase(tuple(range(n)), math.pi))
-    out.extend(dress)
-    out.extend(rot.dagger())
-    out.extend(reversed(adj))
-    return out
+    return _reflection(adj + [rot], G.x_layer(i, tuple(range(n)), n), n, rot.dagger() + adj[::-1])
 
 
 def perm_via_householder(perm) -> G.StructuredCircuit:
@@ -628,7 +606,7 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
     if k < 1:
         raise ValueError("need at least one control")
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    if u.shape != (2, 2) or not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
         raise ValueError("u must be a 2x2 unitary")
     n = k + 1
     dim = 1 << n
@@ -640,17 +618,16 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
         return circuit, residual
     alpha, beta = u[0, 0], u[1, 0]
     target_idx = dim - 2
-    eith = (-alpha / abs(alpha)) if abs(alpha) > EPS0 else 1.0 + 0j
+    _, eith = hh.target_phase(alpha)
     wvec = np.array([alpha - eith, beta], dtype=complex)
     wvec /= math.sqrt(2.0 * (1.0 + abs(alpha)))
     gh = np.array([[wvec[0], -wvec[1].conjugate()], [wvec[1], wvec[0].conjugate()]], dtype=complex)
-    dress = _dress_x(target_idx, tuple(range(n)), n)
-    gates: list[G.Gate] = []
-    gates.append(G.SingleQubit(n - 1, gh.conj().T, label="fold"))
-    gates.extend(dress)
-    gates.append(G.H0Phase(tuple(range(n)), math.pi))
-    gates.extend(dress)
-    gates.append(G.SingleQubit(n - 1, gh, label="fold"))
+    gates = _reflection(
+        [G.SingleQubit(n - 1, gh.conj().T, label="fold")],
+        G.x_layer(target_idx, tuple(range(n)), n),
+        n,
+        [G.SingleQubit(n - 1, gh, label="fold")],
+    )
     # residual: H (2x2 block on the last two basis states) = C_k(u) . D
     h2 = np.eye(2, dtype=complex) - 2.0 * np.outer(wvec, wvec.conj())
     d2 = u.conj().T @ h2

@@ -65,7 +65,12 @@ def state_norm(v: dict[int, complex]) -> float:
 
 
 def prune_state(v: dict[int, complex]) -> dict[int, complex]:
-    return {k: complex(a) for k, a in v.items() if abs(a) > EPS0}
+    """``v`` without its zero amplitudes; raises ValueError on a NaN one,
+    which ``|a| > EPS0`` would drop as if it were zero."""
+    out = {k: complex(a) for k, a in v.items() if abs(a) > EPS0}
+    if len(out) < len(v) and any(math.isnan(abs(a)) for a in v.values()):
+        raise ValueError("amplitude is NaN")
+    return out
 
 
 def state_to_vector(v: dict[int, complex], n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SparseIsometry, apply_permutations, check_permutation, invert_permutation
+from .numerics import SparseIsometry, check_permutation, invert_permutation
 
 
 @dataclass(frozen=True)
@@ -68,27 +68,28 @@ def envelope(w: SparseIsometry) -> EnvelopeProfile:
     return EnvelopeProfile(env, ed)
 
 
+def _pack_rows(w: SparseIsometry, order) -> np.ndarray:
+    """Row position map packing, column by column in ``order``, the
+    not-yet-placed rows of each column into the next free positions
+    (ascending original row index within a group); leftover rows follow in
+    ascending order."""
+    rho = np.full(1 << w.n, -1, dtype=np.int64)
+    next_pos = 0
+    for j in order:
+        for r in sorted(r for r in w.col(j) if rho[r] < 0):
+            rho[r] = next_pos
+            next_pos += 1
+    rho[rho < 0] = np.arange(next_pos, 1 << w.n)
+    return rho
+
+
 def optimal_row_perm(w: SparseIsometry) -> np.ndarray:
     """Row position map minimizing the envelope pointwise for fixed columns.
 
-    Scans columns left to right, packing the not-yet-placed rows that are
-    nonzero in the current column into the next free positions (ascending
-    original row index within a group); leftover rows follow in ascending
-    order.  The result dominates every other row permutation column-wise.
+    Packs the rows column by column, left to right (:func:`_pack_rows`).
+    The result dominates every other row permutation column-wise.
     """
-    nrows = 1 << w.n
-    rho = np.full(nrows, -1, dtype=np.int64)
-    next_pos = 0
-    for j in range(1 << w.m):
-        group = sorted(r for r in w.col(j) if rho[r] < 0)
-        for r in group:
-            rho[r] = next_pos
-            next_pos += 1
-    for r in range(nrows):
-        if rho[r] < 0:
-            rho[r] = next_pos
-            next_pos += 1
-    return rho
+    return _pack_rows(w, range(1 << w.m))
 
 
 def greedy_order(w: SparseIsometry) -> EliminationStrategy:
@@ -96,20 +97,17 @@ def greedy_order(w: SparseIsometry) -> EliminationStrategy:
 
     At each step the column with the fewest not-yet-deleted nonzeros is
     appended to the column order (ties: smallest column index) and its live
-    rows are packed, in ascending index order, into the next row positions;
-    those rows are then deleted from every other column.  Runs in
-    O(n nnz(W)) heap operations.
+    rows are deleted from every other column.  The rows are then packed in
+    that column order (:func:`_pack_rows`), so each column's live rows take
+    the next row positions, which is :func:`optimal_row_perm` of the
+    column-permuted matrix.  Runs in O(n nnz(W)) heap operations.
     """
     ncols = 1 << w.m
-    nrows = 1 << w.n
     live_cols = {j: set(w.col(j)) for j in range(ncols)}
-    row_entries = {i: set(w.row(i)) for i in range(nrows) if w.row(i)}
+    row_entries = {i: set(row) for i, row in w.rows.items()}
     heap = [(len(rows), j) for j, rows in live_cols.items()]
     heapq.heapify(heap)
-    sigma = np.full(ncols, -1, dtype=np.int64)
-    rho = np.full(nrows, -1, dtype=np.int64)
-    placed_cols = 0
-    next_row = 0
+    order: list[int] = []
     done = set()
     while heap:
         count, j = heapq.heappop(heap)
@@ -119,27 +117,15 @@ def greedy_order(w: SparseIsometry) -> EliminationStrategy:
             heapq.heappush(heap, (len(live_cols[j]), j))
             continue
         done.add(j)
-        sigma[j] = placed_cols
-        placed_cols += 1
-        for r in sorted(live_cols[j]):
-            rho[r] = next_row
-            next_row += 1
-            for j2 in row_entries.get(r, ()):
+        order.append(j)
+        for r in live_cols[j]:
+            for j2 in row_entries[r]:
                 if j2 != j and j2 not in done:
                     live_cols[j2].discard(r)
                     heapq.heappush(heap, (len(live_cols[j2]), j2))
         live_cols[j] = set()
-    for r in range(nrows):
-        if rho[r] < 0:
-            rho[r] = next_row
-            next_row += 1
-    return EliminationStrategy(rho, sigma)
-
-
-def compose_with_optimal_rows(w: SparseIsometry, strategy: EliminationStrategy) -> EliminationStrategy:
-    """Keep the strategy's column order, recompute rows optimally for it."""
-    permuted = apply_permutations(w, np.arange(1 << w.n), strategy.sigma)
-    return EliminationStrategy(optimal_row_perm(permuted), strategy.sigma)
+    sigma = invert_permutation(np.array(order, dtype=np.int64))
+    return EliminationStrategy(_pack_rows(w, order), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +146,6 @@ class PatternStep:
 
 def simulate_pattern_reduction(
     pattern: set[tuple[int, int]],
-    num_cols: int,
     schedule: list[tuple[int, int]],
 ) -> tuple[int, list[PatternStep]]:
     """Structural run of the column-by-column reduction.
@@ -221,5 +206,5 @@ def elim_count(w: SparseIsometry, strategy: EliminationStrategy) -> int:
     sigma_inv = invert_permutation(strategy.sigma)
     rho_inv = invert_permutation(strategy.rho)
     schedule = [(int(sigma_inv[i]), int(rho_inv[i])) for i in range(1 << w.m)]
-    total, _ = simulate_pattern_reduction(w.pattern(), 1 << w.m, schedule)
+    total, _ = simulate_pattern_reduction(w.pattern(), schedule)
     return total

@@ -63,14 +63,10 @@ class QubitSplitting:
     def split(self, index):
         """(block value, register value) of a full basis index, or of each
         index in an int64 array."""
-        n = self.n
-        # 0, or zeros shaped like the index array (two arrays: |= is in place)
-        blk, reg = index & 0, index & 0
-        for k, q in enumerate(self.block_qubits):
-            blk |= ((index >> (n - 1 - q)) & 1) << (len(self.block_qubits) - 1 - k)
-        for k, q in enumerate(self.register_qubits):
-            reg |= ((index >> (n - 1 - q)) & 1) << (self.s - 1 - k)
-        return blk, reg
+        return (
+            G._subset_values(index, self.block_qubits, self.n),
+            G._subset_values(index, self.register_qubits, self.n),
+        )
 
     @property
     def block_mask(self) -> int:
@@ -78,13 +74,8 @@ class QubitSplitting:
         return _block_mask(self.n, self.register_qubits)
 
     def join(self, blk: int, reg: int) -> int:
-        n = self.n
-        out = 0
-        for k, q in enumerate(self.block_qubits):
-            out |= ((blk >> (len(self.block_qubits) - 1 - k)) & 1) << (n - 1 - q)
-        for k, q in enumerate(self.register_qubits):
-            out |= ((reg >> (self.s - 1 - k)) & 1) << (n - 1 - q)
-        return out
+        out = G._scatter_subset(0, blk, self.block_qubits, self.n)
+        return G._scatter_subset(out, reg, self.register_qubits, self.n)
 
 
 def _block_mask(n: int, register_qubits) -> int:
@@ -194,6 +185,7 @@ class PivotPlan:
     residual: G.PermPhase  # product of the emitted gates, exactly
     final_state: dict[int, complex]  # the input state after the plan
     register_state: dict[int, complex]  # its register factor (phases folded)
+    x_layer: list[G.Gate]  # free X gates taking the target block to block 0
 
 
 def _insertion_gates(
@@ -272,7 +264,8 @@ def pivot_plan(
         step_residuals.append(pp)
     register_state = {int(r): amp for r, amp in zip(reg, work.values())}
     total = G.sequence_perm_phase(step_residuals, n)
-    return PivotPlan(steps, gates, total, work, register_state)
+    x_layer = G.x_layer(splitting.join(target_block, 0), splitting.block_qubits, n)
+    return PivotPlan(steps, gates, total, work, register_state, x_layer)
 
 
 def sparse_state_prep(
@@ -312,11 +305,7 @@ def sparse_state_prep_on(
     s = (nnz - 1).bit_length()
     splitting, blk = choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
     plan = pivot_plan(v, splitting, blk)
-    gates: list[G.Gate] = []
-    nblock = len(splitting.block_qubits)
-    for k, q in enumerate(splitting.block_qubits):
-        if (blk >> (nblock - 1 - k)) & 1:
-            gates.append(G.x_gate(q))
+    gates: list[G.Gate] = list(plan.x_layer)
     if s == 0:
         amp = plan.register_state[0]
         if abs(amp - 1.0) > EPS0:

@@ -191,9 +191,7 @@ def test_criterion_7_worked_figure_traces():
     # exactly (1,1) and (1,3)
     from helpers import PATTERN_4X4, PATTERN_4X4_ORDERED, ROW_ORDER_4X4
 
-    _, steps = O.simulate_pattern_reduction(
-        PATTERN_4X4_ORDERED, 4, [(j, j) for j in range(4)]
-    )
+    _, steps = O.simulate_pattern_reduction(PATTERN_4X4_ORDERED, [(j, j) for j in range(4)])
     assert steps[0].eliminated == {(1, 0)}
     assert steps[0].orth_eliminated == {(0, 1), (0, 2), (0, 3)}
     assert steps[0].fill_in == {(1, 1), (1, 3)}
@@ -201,7 +199,7 @@ def test_criterion_7_worked_figure_traces():
     rho = np.array([ROW_ORDER_4X4[i] for i in range(4)])
     rho_inv = np.argsort(rho)
     schedule = [(j, int(rho_inv[j])) for j in range(4)]
-    _, steps_orig = O.simulate_pattern_reduction(PATTERN_4X4, 4, schedule)
+    _, steps_orig = O.simulate_pattern_reduction(PATTERN_4X4, schedule)
     relabel = {(int(rho[i]), j) for (i, j) in steps_orig[0].fill_in}
     assert relabel == {(1, 1), (1, 3)}
 
@@ -209,7 +207,7 @@ def test_criterion_7_worked_figure_traces():
     # empty row 4 + i; the eliminated cells follow the column supports and
     # no fill-in ever appears
     schedule = [(i, 4 + i) for i in range(4)]
-    _, steps_embed = O.simulate_pattern_reduction(set(PATTERN_4X4), 4, schedule)
+    _, steps_embed = O.simulate_pattern_reduction(set(PATTERN_4X4), schedule)
     expected_elims = [
         {(1, 0), (3, 0)},
         {(1, 1), (2, 1)},

@@ -209,6 +209,8 @@ def test_compile_rejects_more_than_62_qubits(tmp_path):
     assert proc.returncode == cli.EXIT_PARSE, proc.stderr
 
 
+NAN = float("nan")
+
 MALFORMED_CIRCUITS = {
     "gate_missing_fields": {"n": 1, "gates": [{"kind": "cnot"}]},
     "matrix_of_reals": {
@@ -222,6 +224,27 @@ MALFORMED_CIRCUITS = {
         "n": 1,
         "gates": [{"kind": "single", "target": 0, "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}],
     },
+    # json writes and reads NaN; no comparison with a tolerance may let it through
+    "nan_matrix": {
+        "n": 2,
+        "gates": [
+            {
+                "kind": "mcu",
+                "controls": [[0, 1]],
+                "target": 1,
+                "matrix": [[[NAN, 0], [0, 0]], [[0, 0], [1, 0]]],
+            }
+        ],
+    },
+    "nan_diagonal_phase": {
+        "n": 1,
+        "gates": [{"kind": "diagonal", "qubits": [0], "phases": [[1, 0], [NAN, 0]]}],
+    },
+    "nan_spblock_amplitude": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[0, 1, 0], [1, NAN, 0]]}],
+    },
+    "nan_h0phase_phi": {"n": 1, "gates": [{"kind": "h0phase", "qubits": [0], "phi": NAN}]},
 }
 
 

@@ -7,6 +7,7 @@ from hhsynth import costs as C
 from hhsynth import gates as G
 from hhsynth import methods as M
 from hhsynth import ordering as O
+from hhsynth import pivoting as P
 from hhsynth.numerics import NotAnIsometryError, SparseIsometry
 
 from helpers import (
@@ -152,6 +153,25 @@ def test_sparse_rejects_non_isometry():
     w = SparseIsometry(2, 1, [(0, 0, 1.0), (0, 1, 1.0)])
     with pytest.raises(NotAnIsometryError):
         M.sparse_householder_iso(w)
+
+
+NAN = float("nan")
+NAN_UNITARY = np.diag([1.0, NAN, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: P.sparse_state_prep_on({0: NAN, 1: 1.0}, 2), ValueError),
+        (lambda: M.householder_up_to({0: NAN, 3: 1.0}, 2), ValueError),
+        (lambda: M.controlled_u_via_householder(2, np.array([[NAN, 0], [0, 1]])), ValueError),
+        (lambda: M.dense_householder_unitary(NAN_UNITARY), NotAnIsometryError),
+    ],
+    ids=["ssp", "householder_up_to", "controlled_u", "dense_unitary"],
+)
+def test_nan_input_is_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,19 @@ def test_greedy_order_diagonal_is_identity():
     np.testing.assert_array_equal(st.sigma, np.arange(4))
 
 
+def test_greedy_rows_are_optimal_for_its_column_order():
+    # greedy packs each column's live rows in its own column order, which is
+    # the optimal row packing of the column-permuted matrix
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, n + 1))
+        w = random_sparse_isometry(n, m, int(rng.integers(0, 3 * n)), rng)
+        st = greedy_order(w)
+        permuted = apply_permutations(w, np.arange(1 << n), st.sigma)
+        np.testing.assert_array_equal(st.rho, optimal_row_perm(permuted))
+
+
 def test_greedy_order_worked_pattern_first_pick():
     st = greedy_order(pattern_iso(PATTERN_4X4, 2, 2))
     # columns 0, 1, 3 tie at two nonzeros; smallest index wins
@@ -101,9 +114,7 @@ def test_elim_count_identity_zero():
 def test_elim_count_worked_pattern_fill_in_cells():
     # ordered pattern, trivial strategy: step 0 reduces column 0 to row 0,
     # eliminating (1,0) and filling in exactly (1,1) and (1,3)
-    total, steps = simulate_pattern_reduction(
-        PATTERN_4X4_ORDERED, 4, [(j, j) for j in range(4)]
-    )
+    total, steps = simulate_pattern_reduction(PATTERN_4X4_ORDERED, [(j, j) for j in range(4)])
     assert steps[0].eliminated == {(1, 0)}
     assert steps[0].fill_in == {(1, 1), (1, 3)}
     assert steps[0].orth_eliminated == {(0, 1), (0, 2), (0, 3)}
@@ -140,7 +151,7 @@ def test_pattern_simulation_covers_numeric_run():
         sigma_inv = invert_permutation(st.sigma)
         rho_inv = invert_permutation(st.rho)
         schedule = [(int(sigma_inv[i]), int(rho_inv[i])) for i in range(4)]
-        _, steps = simulate_pattern_reduction(w.pattern(), 4, schedule)
+        _, steps = simulate_pattern_reduction(w.pattern(), schedule)
         numeric = w.copy()
         for ps in steps:
             numeric_col = set(numeric.col(ps.column))
