@@ -459,7 +459,8 @@ def complete_state_prep(v: dict[int, complex] | np.ndarray, k: int) -> np.ndarra
     if k == 0:
         return np.ones((1, 1), dtype=complex)
     if isinstance(v, np.ndarray):
-        v = {int(i): complex(a) for i, a in enumerate(v) if abs(a) > EPS0}
+        support = np.flatnonzero(np.abs(v) > EPS0)
+        v = dict(zip(support.tolist(), v[support].astype(complex).tolist()))
     else:
         v = prune_state(v)
     nrm = state_norm(v)

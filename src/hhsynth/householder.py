@@ -56,12 +56,13 @@ class HouseholderSpec:
             raise ValueError("standard reflection requires phi == pi")
 
     def dense(self, n: int) -> np.ndarray:
-        """The 2^n x 2^n matrix I + (e^{i phi} - 1) |u><u|."""
+        """The 2^n x 2^n matrix I + (e^{i phi} - 1) |u><u|, with the rank-one
+        term added on u's support in one scatter."""
         h = np.eye(1 << n, dtype=complex)
         c = cmath.exp(1j * self.phi) - 1.0
-        for k, ak in self.u.items():
-            for l, al in self.u.items():
-                h[k, l] += c * ak * al.conjugate()
+        keys = np.array(list(self.u), dtype=np.int64)
+        a = np.array(list(self.u.values()), dtype=complex)
+        h[keys[:, None], keys] += (c * a)[:, None] * a.conj()
         return h
 
 

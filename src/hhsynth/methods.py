@@ -31,7 +31,8 @@ block, and reads the next level's block from that pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +54,15 @@ from .numerics import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class StepTrace:
-    """Per-column record of one reduction step (working coordinates)."""
+    """Per-column record of one reduction step (working coordinates).
+
+    The entries the step changed (outside the target row and the reduced
+    column) are kept as one ``(k, 2)`` int array of ``(row, col)`` pairs,
+    ``changed``; :attr:`modified`, the same pairs as a tuple of int
+    tuples, is built on first read and cached.  Compared by identity.
+    """
 
     step: int
     column: int
@@ -66,9 +73,13 @@ class StepTrace:
     hh_support: frozenset = frozenset()
     col_support: frozenset = frozenset()
     row_support: frozenset = frozenset()
-    modified: tuple = ()
+    changed: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
     fill_in: tuple = ()
     eliminated: tuple = ()
+
+    @cached_property
+    def modified(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.changed.tolist()))
 
 
 @dataclass
@@ -240,7 +251,7 @@ def _reduce_columns(
                     hh_support=frozenset(u),
                     col_support=frozenset(col),
                     row_support=row_support,
-                    modified=tuple(rec.modified),
+                    changed=np.array(rec.modified, dtype=np.int64).reshape(-1, 2),
                     fill_in=tuple(rec.fill_in),
                     eliminated=tuple(rec.eliminated),
                 )
@@ -327,17 +338,14 @@ def _reduce_dense_columns(
         u = col.copy()
         u[i] -= eith
         u /= math.sqrt(2.0 * (1.0 + abs(aii)))
-        col_support = frozenset(int(x) for x in np.flatnonzero(np.abs(col) > EPS0))
-        row_support = frozenset(int(x) for x in np.flatnonzero(np.abs(work[i, :cols]) > EPS0))
+        col_support = frozenset(np.flatnonzero(np.abs(col) > EPS0).tolist())
+        row_support = frozenset(np.flatnonzero(np.abs(work[i, :cols]) > EPS0).tolist())
         pre = work[:, :cols].copy()
         work = work - 2.0 * np.outer(u, u.conj() @ work)
         changed = np.argwhere(np.abs(work[:, :cols] - pre) > 1e-12)
-        mod = tuple(
-            (int(s), int(t))
-            for s, t in changed
-            if int(s) != i and int(t) != i
-        )
-        udict = prune_state({int(k): complex(a) for k, a in enumerate(u)})
+        changed = changed[(changed[:, 0] != i) & (changed[:, 1] != i)]
+        support = np.flatnonzero(np.abs(u) > EPS0)
+        udict = dict(zip(support.tolist(), u[support].tolist()))
         unprep = G.SPBlock.from_dict(sp_qubits, udict, inverted=True)
         triples.append(_reflection([unprep], dress, n, unprep.dagger()))
         trace.append(
@@ -347,7 +355,7 @@ def _reduce_dense_columns(
                 hh_support=frozenset(udict),
                 col_support=col_support,
                 row_support=row_support,
-                modified=mod,
+                changed=changed,
             )
         )
     delta = np.array([work[j, j] for j in range(cols)], dtype=complex)
@@ -606,7 +614,11 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
     if k < 1:
         raise ValueError("need at least one control")
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
+    if (
+        u.shape != (2, 2)
+        or not np.all(np.isfinite(u))
+        or not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10
+    ):
         raise ValueError("u must be a 2x2 unitary")
     n = k + 1
     dim = 1 << n

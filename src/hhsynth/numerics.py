@@ -245,7 +245,9 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
     """Check ``V^dag V = I`` entrywise within ``tol``.
 
     Accepts a :class:`SparseIsometry` or a dense array whose dimensions must
-    be powers of two with at least as many rows as columns.
+    be powers of two with at least as many rows as columns.  A dense array
+    with a NaN or infinite entry fails with deviation ``inf``, reported at
+    the diagonal Gram entry of its first such column.
     """
     if isinstance(mat, SparseIsometry):
         ncols = 1 << mat.m
@@ -264,6 +266,11 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
         qubit_count(a.shape[1])
         if a.shape[0] < a.shape[1]:
             raise ValueError("isometry needs rows >= cols")
+        finite = np.isfinite(a).all(axis=0)
+        if not finite.all():
+            # refused before the product, which an infinity turns into NaN
+            bad = int(np.argmin(finite))  # the first column with a non-finite entry
+            return ValidationReport(False, math.inf, (bad, bad))
         gram = a.conj().T @ a
         ncols = a.shape[1]
     dev = np.abs(gram - np.eye(ncols))

@@ -1,5 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
+import cmath
+
 import numpy as np
 
 from hhsynth import gates as G
@@ -50,6 +52,51 @@ def dense_reflection(u_dict, n):
     for k, a in u_dict.items():
         u[k] = a
     return np.eye(1 << n, dtype=complex) - 2.0 * np.outer(u, u.conj())
+
+
+def dense_spec_reference(spec, n):
+    """``HouseholderSpec.dense`` entry by entry: I + (e^{i phi} - 1)|u><u|."""
+    h = np.eye(1 << n, dtype=complex)
+    c = cmath.exp(1j * spec.phi) - 1.0
+    for k, ak in spec.u.items():
+        for l, al in spec.u.items():
+            h[k, l] += c * ak * al.conjugate()
+    return h
+
+
+def dense_reduction_steps(v, cols):
+    """Replay the dense reduction of the first ``cols`` columns of ``v``:
+    yields ``(i, before, after, u)`` per step, with ``u`` None (and
+    ``after`` the block itself) on a skipped step."""
+    work = np.array(v, dtype=complex)
+    for i in range(cols):
+        col = work[:, i]
+        off = np.abs(col) ** 2
+        if np.sqrt(max(0.0, float(np.sum(off) - off[i]))) <= 1e-12:
+            yield i, work, work, None
+            continue
+        a = col[i]
+        eith = -a / abs(a) if abs(a) > 1e-12 else 1.0 + 0j
+        u = col.copy()
+        u[i] -= eith
+        u /= np.sqrt(2.0 * (1.0 + abs(a)))
+        after = work - 2.0 * np.outer(u, u.conj() @ work)
+        yield i, work, after, u
+        work = after
+
+
+def dense_unitary_levels(u):
+    """The blocks the recursive halving of a dense unitary reduces, one per
+    level: the first half of each block's columns is reduced, and the next
+    block is the lower-right quarter with the reduced diagonal divided out."""
+    work = np.array(u, dtype=complex)
+    while work.shape[0] > 1:
+        half = work.shape[0] // 2
+        yield work, half
+        for _, _, red, _ in dense_reduction_steps(work, half):
+            pass
+        delta = np.diag(red)[:half] / np.abs(np.diag(red)[:half])
+        work = red[half:, half:] * delta.conj()[:, None]
 
 
 def full_identity_action(circuit, restore_tol=1e-10, in_dim=None):

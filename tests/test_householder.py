@@ -15,7 +15,13 @@ from hhsynth.householder import (
 )
 from hhsynth.numerics import SparseIsometry, state_to_vector
 
-from helpers import PATTERN_4X4_ORDERED, dense_reflection, random_isometry, random_state_dict
+from helpers import (
+    PATTERN_4X4_ORDERED,
+    dense_reflection,
+    dense_spec_reference,
+    random_isometry,
+    random_state_dict,
+)
 
 KET0 = {0: 1.0 + 0j}
 KET1 = {1: 1.0 + 0j}
@@ -117,6 +123,23 @@ def test_spec_unitarity_invariant():
         w = random_state_dict(3, int(rng.integers(1, 9)), rng)
         h = standard_pair_reflection(v, w).dense(3)
         assert np.linalg.norm(h.conj().T @ h - np.eye(8)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spec_dense_matches_entrywise_reference(n):
+    rng = np.random.default_rng(100 + n)
+    specs = []
+    for nnz in (1, min(3, 1 << n), 1 << n):  # sparse and full-support u
+        for _ in range(3):
+            v = random_state_dict(n, nnz, rng)
+            w = random_state_dict(n, nnz, rng)
+            specs.append(standard_pair_reflection(v, w))
+            specs.append(generalized_pair_reflection(v, w))
+    specs = [s for s in specs if isinstance(s, HouseholderSpec)]
+    assert any(not s.standard for s in specs)
+    assert any(len(s.u) == 1 << n for s in specs)
+    for spec in specs:
+        np.testing.assert_allclose(spec.dense(n), dense_spec_reference(spec, n), rtol=0, atol=1e-15)
 
 
 def test_theta_conventions_agree_on_basis_targets():

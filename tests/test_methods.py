@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hhsynth import cli
 from hhsynth import costs as C
 from hhsynth import gates as G
 from hhsynth import methods as M
@@ -11,7 +13,9 @@ from hhsynth import pivoting as P
 from hhsynth.numerics import NotAnIsometryError, SparseIsometry
 
 from helpers import (
+    dense_reduction_steps,
     dense_reflection,
+    dense_unitary_levels,
     random_isometry,
     random_sparse_isometry,
     random_state_dict,
@@ -174,6 +178,19 @@ def test_nan_input_is_refused(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, complex(0, math.inf)], ids=["inf", "-inf", "inf_j"]
+)
+def test_infinite_input_is_refused(bad):
+    # refused before any product, which would turn the infinity into NaN
+    with pytest.raises(ValueError, match="2x2 unitary"):
+        M.controlled_u_via_householder(2, np.array([[bad, 0], [0, 1]]))
+    with pytest.raises(NotAnIsometryError):
+        M.dense_householder_unitary(np.diag([1, bad, 1, 1]))
+    with pytest.raises(NotAnIsometryError):
+        M.dense_householder_iso(np.array([[1, 0], [0, bad], [0, 0], [0, 0]]))
+
+
 # ---------------------------------------------------------------------------
 # dense methods
 
@@ -222,6 +239,69 @@ def test_dense_unitary_audit_within_bound_n5():
     assert G.equivalent(res.circuit, u, "exact", 1e-8).ok
     audited = C.audit_circuit(res.circuit, D1).total
     assert audited <= math.ceil(C.bound_dense_unitary(5))
+
+
+def _check_dense_trace(trace, blocks):
+    """Each step's trace fields against the step replayed on ``blocks``
+    (``(block, cols)`` pairs, one per call of the dense reduction)."""
+    expected = []
+    for v, cols in blocks:
+        for i, before, after, u in dense_reduction_steps(v, cols):
+            if u is None:
+                expected.append((i, True, (), frozenset(), frozenset(), frozenset()))
+                continue
+            moved = np.abs(after[:, :cols] - before[:, :cols]) > 1e-12
+            modified = tuple(
+                (s, t)
+                for s in range(before.shape[0])
+                for t in range(cols)
+                if moved[s, t] and s != i and t != i
+            )
+            col_support = frozenset(s for s in range(before.shape[0]) if abs(before[s, i]) > 1e-12)
+            row_support = frozenset(t for t in range(cols) if abs(before[i, t]) > 1e-12)
+            hh_support = frozenset(k for k in range(len(u)) if abs(u[k]) > 1e-12)
+            expected.append((i, False, modified, col_support, row_support, hh_support))
+    assert len(trace) == len(expected)
+    for t, (i, skipped, modified, col_support, row_support, hh_support) in zip(trace, expected):
+        assert (t.step, t.column, t.target_current, t.skipped) == (i, i, i, skipped)
+        assert t.modified == modified
+        assert all(type(x) is int for pair in t.modified for x in pair)
+        assert t.col_support == col_support
+        assert t.row_support == row_support
+        assert t.hh_support == hh_support
+        assert t.nnz == (1 if skipped else len(col_support))
+    json.dumps(cli._trace_dict(trace))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dense_unitary_trace_matches_replayed_steps(n):
+    rng = np.random.default_rng(60 + n)
+    fixed_first = np.eye(1 << n, dtype=complex)  # column 0 is skipped
+    fixed_first[1:, 1:] = random_unitary((1 << n) - 1, rng)
+    for u in (random_unitary(1 << n, rng), random_unitary(1 << n, rng), fixed_first):
+        res = M.dense_householder_unitary(u)
+        _check_dense_trace(res.trace, list(dense_unitary_levels(u)))
+    assert any(t.skipped for t in res.trace)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dense_iso_trace_matches_replayed_steps(n):
+    rng = np.random.default_rng(70 + n)
+    for m in range(n + 1):
+        v = random_isometry(n, m, rng)
+        res = M.dense_householder_iso(v)
+        _check_dense_trace(res.trace, [(v, 1 << m)])
+
+
+def test_sparse_trace_modified_is_int_pairs():
+    rng = np.random.default_rng(80)
+    w = random_sparse_isometry(4, 2, 5, rng)
+    res = M.sparse_householder_iso(w)
+    assert any(t.modified for t in res.trace)
+    for t in res.trace:
+        assert t.changed.shape == (len(t.modified), 2)
+        assert all(type(x) is int for pair in t.modified for x in pair)
+    json.dumps(cli._trace_dict(res.trace))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,14 @@ def test_validate_reports_worst_entry():
     assert rep.max_deviation == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0, np.inf), np.nan])
+def test_validate_dense_non_finite_fails_before_the_product(bad):
+    rep = validate_isometry(np.diag([1, bad, 1, 1]), 1e-10)
+    assert not rep.ok
+    assert rep.worst == (1, 1)
+    assert rep.max_deviation == np.inf
+
+
 def test_validate_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         validate_isometry(np.eye(3))
