@@ -113,8 +113,7 @@ def cmd_compile(args) -> int:
         except (KeyError, ValueError, TypeError) as e:
             raise CliError(f"bad permutation input: {e}", EXIT_PARSE)
         circuit = M.perm_via_householder(perm)
-        result = None
-        trace = []
+        result = M.DecompositionResult(circuit, C.audit_circuit(circuit, regime), [])
     else:
         w = _load_matrix(args.input)
         rep = validate_isometry(w, args.tol)
@@ -126,8 +125,7 @@ def cmd_compile(args) -> int:
                 if w.m != 0:
                     raise CliError("ssp expects a state (m = 0)", EXIT_VALIDATE)
                 circuit = P.sparse_state_prep_on(w.col(0), w.n, **kw)
-                result = None
-                trace = []
+                result = M.DecompositionResult(circuit, C.audit_circuit(circuit, regime), [])
             elif args.method == "dense":
                 result = M.dense_householder_iso(w.to_dense(), regime)
             elif args.method == "sparse":
@@ -144,10 +142,7 @@ def cmd_compile(args) -> int:
                 raise CliError(f"unknown method {args.method!r}", EXIT_PARSE)
         except NotAnIsometryError as e:
             raise CliError(str(e), EXIT_VALIDATE)
-        if result is not None:
-            circuit = result.circuit
-            trace = result.trace
-    audit = C.audit_circuit(circuit, regime)
+    circuit = result.circuit
     if args.verify:
         if args.method == "perm":
             pm = np.zeros((len(perm), len(perm)), dtype=complex)
@@ -159,8 +154,8 @@ def cmd_compile(args) -> int:
             raise CliError(f"verification failed: residual {eq.residual:.3e}", EXIT_VERIFY)
     _dump_json(G.circuit_to_dict(circuit), args.output)
     if args.trace:
-        _dump_json(_trace_dict(trace), args.trace)
-    print(json.dumps(audit.as_dict(), sort_keys=True), file=sys.stderr)
+        _dump_json(_trace_dict(result.trace), args.trace)
+    print(json.dumps(result.audit.as_dict(), sort_keys=True), file=sys.stderr)
     return 0
 
 

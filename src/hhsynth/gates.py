@@ -13,7 +13,10 @@ them), capped at :data:`SIM_CAP` total qubits.  Clean ancillas must start
 and end in |0>; dirty ancillas may start in any basis state and must be
 restored.  :func:`circuit_unitary` and :func:`simulate_on_state` check both
 disciplines by simulating only the data columns they are asked about, each
-embedded at every allowed ancilla basis state, in one batch.
+embedded at every allowed ancilla basis state, in one batch.  An
+:class:`SPBlock` is simulated with :func:`complete_state_prep`, the
+column-reduction reflection of its state onto |0..0> (the primitive the
+decompositions reduce columns with).
 
 The module also provides :class:`PermPhase`, the classical form of
 operators of shape ``Diag(phases) . Perm``, which the decompositions use to
@@ -36,7 +39,6 @@ from .numerics import (
     EPS0,
     SparseIsometry,
     check_permutation,
-    prune_state,
     state_norm,
 )
 
@@ -447,39 +449,30 @@ def gate_unitary(g: Gate, nq: int) -> np.ndarray:
 # canonical state preparation (used to simulate SPBlock)
 
 
-def complete_state_prep(v: dict[int, complex] | np.ndarray, k: int) -> np.ndarray:
+def complete_state_prep(v: dict[int, complex], k: int) -> np.ndarray:
     """A deterministic unitary U on k qubits with U|0..0> = v.
 
-    Canonical choice: the generalized reflection mapping |0..0> to v
-    (identity when v is |0..0|).  In the narrow band where that reflection
-    is numerically degenerate (tiny ``1 - v_0`` but v != |0>), falls back to
-    the standard reflection composed with a phase on |0..0>, which is exact
-    and stable; any completion yields the same conjugated reflection.
+    Canonical choice: the column-reduction reflection H that sends v to
+    e^{i theta}|0..0> (:func:`householder.reduction_vector` with target 0),
+    with the phase put back on |0..0>: column 0 is v itself, which
+    ``e^{i theta} H|0..0>`` equals up to rounding.  The normalization
+    ``1 + |v_0|`` is at least 1, so this is stable for every v, and at
+    v = |0..0> it is exactly the identity.  Any completion gives the same
+    reflection ``U H0 U^dag`` and the same prepare/unprepare pairs.
     """
-    if k == 0:
-        return np.ones((1, 1), dtype=complex)
-    if isinstance(v, np.ndarray):
-        support = np.flatnonzero(np.abs(v) > EPS0)
-        v = dict(zip(support.tolist(), v[support].astype(complex).tolist()))
-    else:
-        v = prune_state(v)
     nrm = state_norm(v)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state norm {nrm} is not 1")
-    zero = {0: 1.0 + 0j}
-    diff2 = sum(abs(a - (1.0 if x == 0 else 0.0)) ** 2 for x, a in v.items())
-    if 0 not in v:
-        diff2 += 1.0
-    if math.sqrt(diff2) <= EPS0:
-        return np.eye(1 << k, dtype=complex)
-    spec = hh.generalized_pair_reflection(zero, v)
-    if isinstance(spec, hh.IdentityMarker):
-        # v within ~1e-4 of |0> but not exactly: phase-safe completion
-        std = hh.standard_pair_reflection(v, zero)
-        u = std.dense(k)
-        u[:, 0] *= cmath.exp(1j * std.theta)
-        return u
-    return spec.dense(k)
+    # unit to rounding, so that H is unitary to rounding
+    v = {x: a / nrm for x, a in v.items()}
+    u, _ = hh.reduction_vector(v, 0)
+    keys = np.fromiter(u, dtype=np.int64, count=len(u))
+    a = np.fromiter(u.values(), dtype=complex, count=len(u))
+    h = np.eye(1 << k, dtype=complex)
+    h[keys[:, None], keys] -= 2.0 * a[:, None] * a.conj()
+    h[:, 0] = 0.0
+    h[list(v), 0] = list(v.values())
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ A standard reflection is ``H_u = I - 2|u><u|``; the generalized form is
   the rotation is skipped, returning an :class:`IdentityMarker` that records
   the approximation error ``||v - w||``.
 
+These two are public API, but the decompositions and the simulator build
+every reflection with :func:`reduction_vector` (and its phase,
+:func:`target_phase`): the reflection sending a unit column ``w`` to
+``e^{i theta}|t>``, whose normalization ``1 + |w_t|`` is at least 1.  The
+simulator completes every state-preparation block with it
+(``gates.complete_state_prep``, target 0).
+
 :func:`reduce_column` applies the reflection sending column ``j`` of a
 sparse isometry to basis row ``i`` directly on the dual-index storage via
 the rank-one update

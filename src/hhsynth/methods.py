@@ -25,7 +25,8 @@ Sparse basic and no fill-in pivot the Householder vector into a block
 qubits its envelope allows, with no pivoting, and decrements after every
 step.  Every reflection has one shape, :func:`_reflection`.  The dense
 unitary's halving step reflects each column once, on the whole remaining
-block, and reads the next level's block from that pass.
+block, and reads the next level's block from that pass; the dense
+isometry is its level 0.
 """
 
 from __future__ import annotations
@@ -308,29 +309,29 @@ def sparse_householder_iso(
 # dense Householder decompositions
 
 
-def _reduce_dense_columns(
-    v: np.ndarray,
-    cols: int,
-    sp_qubits: tuple[int, ...],
-    n: int,
-    dress: list[G.Gate],
-) -> tuple[list[list[G.Gate]], np.ndarray, list[StepTrace], np.ndarray]:
-    """Reduce each of the first ``cols`` columns of a dense block to its
-    own index.
+def _reduce_dense_level(
+    v: np.ndarray, cols: int, k: int, n: int
+) -> tuple[list[G.Gate], np.ndarray, list[StepTrace], np.ndarray]:
+    """Level ``k`` of the halving scheme: reduce each of the first ``cols``
+    columns of a dense block to its own index.
 
-    The reflections act on the whole block.  Returns (per-step reflection
-    triples, diagonal values, trace, reduced block).  The triple for step i
-    is [SP^, H0 on all ``n`` qubits (dressed), SP]; columns already reduced
-    are skipped.  The trace and the residue check look at the first
-    ``cols`` columns only.
+    The reflections act on the whole block: each is [SP^, H0 on all ``n``
+    qubits, SP] with the state-preparation blocks on qubits ``k .. n-1``
+    and the H0 dressed by X on the ``k`` fixed qubits.  Returns (the
+    reflections in circuit order, diagonal values, trace, reduced block);
+    columns already reduced are skipped.  The trace and the residue check
+    look at the first ``cols`` columns only.
     """
+    sp_qubits = tuple(range(k, n))
+    dress = [G.x_gate(q) for q in range(k)]
     work = v.copy()
     triples: list[list[G.Gate]] = []
     trace: list[StepTrace] = []
     for i in range(cols):
         col = work[:, i]
         off = np.abs(col) ** 2
-        if math.sqrt(max(0.0, float(np.sum(off) - off[i]))) <= 1e-12:
+        off[i] = 0.0
+        if math.sqrt(float(np.sum(off))) <= 1e-12:
             trace.append(StepTrace(i, i, i, 1, 0, True))
             continue
         aii = col[i]
@@ -365,27 +366,35 @@ def _reduce_dense_columns(
     if np.max(body) > 1e-8:
         raise AssertionError("dense reduction left off-diagonal residue")
     delta = delta / np.abs(delta)
-    return triples, delta, trace, work
+    return [g for tri in reversed(triples) for g in tri], delta, trace, work
+
+
+def _phase_fix(delta: np.ndarray, k: int, n: int) -> list[G.Gate]:
+    """The diagonal that restores level ``k``'s reduced phases ``delta``:
+    on the ``k`` fixed qubits (all 1) and the trailing ``log2 len(delta)``
+    qubits; none when every phase is 1."""
+    if np.max(np.abs(delta - 1.0)) <= EPS0:
+        return []
+    m = qubit_count(len(delta))
+    phases = np.ones(1 << (k + m), dtype=complex)
+    base = ((1 << k) - 1) << m
+    phases[base : base + len(delta)] = delta
+    return [G.Diagonal(tuple(range(k)) + tuple(range(n - m, n)), tuple(phases))]
 
 
 def dense_householder_iso(
     v: np.ndarray,
     regime: C.AncillaRegime = C.AncillaRegime.none(),
 ) -> DecompositionResult:
-    """Dense isometry via one reflection per column plus a diagonal."""
+    """Dense isometry via one reflection per column plus a diagonal: level
+    0 of :func:`dense_householder_unitary`'s halving scheme."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     _require_isometry(v)
     n = qubit_count(v.shape[0])
-    m = qubit_count(v.shape[1])
-    triples, delta, trace, _ = _reduce_dense_columns(v, v.shape[1], tuple(range(n)), n, [])
-    gates: list[G.Gate] = []
-    if np.max(np.abs(delta - 1.0)) > EPS0:
-        gates.append(G.Diagonal(tuple(range(n - m, n)), tuple(delta)))
-    for tri in reversed(triples):
-        gates.extend(tri)
-    circuit = G.StructuredCircuit(n, (), gates)
+    level, delta, trace, _ = _reduce_dense_level(v, v.shape[1], 0, n)
+    circuit = G.StructuredCircuit(n, (), _phase_fix(delta, 0, n) + level)
     circuit.validate()
     return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
@@ -410,43 +419,28 @@ def dense_householder_unitary(
         raise ValueError("need at least one qubit")
     _require_isometry(u)
     work = u
-    sections: list[list[G.Gate]] = []
+    gates: list[G.Gate] = []
     trace: list[StepTrace] = []
     for k in range(n):
         half = 1 << (n - k - 1)
-        controls = tuple(range(k))
-        dress = [G.x_gate(q) for q in controls]
-        triples, delta, tr, red = _reduce_dense_columns(work, half, tuple(range(k, n)), n, dress)
+        level, delta, tr, red = _reduce_dense_level(work, half, k, n)
         if np.max(np.abs(red[:half, half:])) > 1e-8 or np.max(np.abs(red[half:, :half])) > 1e-8:
             raise AssertionError("halving step left cross-block residue")
-        section: list[G.Gate] = []
         if k == n - 1:
             # deepest level: the leftover 1x1 block is a phase on |1..1>,
             # folded into this level's diagonal (full width, not halved)
+            fix: list[G.Gate] = []
             gamma = complex(red[1, 1] / abs(red[1, 1]))
             if abs(delta[0] - 1.0) > EPS0 or abs(gamma - 1.0) > EPS0:
-                subset = controls + (n - 1,)
                 phases = np.ones(1 << n, dtype=complex)
                 phases[(1 << n) - 2] = delta[0]
                 phases[(1 << n) - 1] = gamma
-                section.append(G.Diagonal(subset, tuple(phases)))
-            work = np.ones((1, 1), dtype=complex)
+                fix.append(G.Diagonal(tuple(range(n)), tuple(phases)))
         else:
-            if np.max(np.abs(delta - 1.0)) > EPS0:
-                subset = controls + tuple(range(k + 1, n))
-                phases = np.ones(1 << len(subset), dtype=complex)
-                base = ((1 << k) - 1) << (n - k - 1)
-                for j in range(half):
-                    phases[base | j] = delta[j]
-                section.append(G.Diagonal(subset, tuple(phases)))
+            fix = _phase_fix(delta, k, n)
             work = red[half:, half:] * delta.conj()[:, None]
-        for tri in reversed(triples):
-            section.extend(tri)
-        sections.append(section)
+        gates[:0] = fix + level
         trace.extend(tr)
-    gates: list[G.Gate] = []
-    for section in reversed(sections):
-        gates.extend(section)
     circuit = G.StructuredCircuit(n, (), gates)
     circuit.validate()
     return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)

@@ -72,7 +72,8 @@ def dense_reduction_steps(v, cols):
     for i in range(cols):
         col = work[:, i]
         off = np.abs(col) ** 2
-        if np.sqrt(max(0.0, float(np.sum(off) - off[i]))) <= 1e-12:
+        off[i] = 0.0
+        if np.sqrt(float(np.sum(off))) <= 1e-12:
             yield i, work, work, None
             continue
         a = col[i]

@@ -72,6 +72,24 @@ def test_compile_ssp_state(tmp_path):
     assert rc == 0
 
 
+NEAR_ZERO_STATES = {
+    # within 1e-7 of e^{i 1e-7}|0>: the simulated state-preparation blocks
+    # must stay exact next to a phased basis state
+    "near_phase": {"n": 1, "m": 0, "entries": [
+        [0, 0, 0.9999999999999901, 9.999999999999933e-08], [1, 0, 9.99999999999995e-08, 0.0]]},
+    # off-diagonal norm 3e-9, above 1e-12: the dense path must reduce it
+    "small_off_diagonal": {"n": 1, "m": 0, "entries": [[0, 0, 1.0, 0.0], [1, 0, 3e-09, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_ZERO_STATES))
+@pytest.mark.parametrize("method", ["dense", "sparse", "fixed-env", "no-fill-in", "ssp"])
+def test_compile_near_zero_state_verifies(tmp_path, name, method):
+    mat = write_json(tmp_path / "v.json", NEAR_ZERO_STATES[name])
+    rc = run(["compile", mat, "--method", method, "-o", str(tmp_path / "c.json"), "--verify"])
+    assert rc == 0
+
+
 def test_compile_perm(tmp_path):
     perm = write_json(tmp_path / "p.json", {"perm": [2, 0, 3, 1]})
     rc = run(["compile", perm, "--method", "perm", "-o", str(tmp_path / "c.json"), "--verify"])

@@ -136,6 +136,38 @@ def test_complete_state_prep_plus_state():
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
 
+def _near_phased_zero(k, dist, alpha, rng):
+    """A unit state at distance about ``dist`` from e^{i alpha}|0..0>, on a
+    random support; every nonzero entry has modulus above 1e-10."""
+    d = 1 << k
+    support = np.flatnonzero(rng.random(d - 1) < 0.7) + 1
+    if len(support) == 0:
+        support = np.array([1 + rng.integers(d - 1)])
+    noise = rng.uniform(0.5, 1.0, len(support)) * np.exp(2j * np.pi * rng.random(len(support)))
+    v = np.zeros(d, dtype=complex)
+    v[0] = np.exp(1j * alpha)
+    v[support] = dist * noise / np.linalg.norm(noise)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_complete_state_prep_is_exact_near_a_phased_basis_state(k):
+    rng = np.random.default_rng(90 + k)
+    states = [state_to_vector(random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng), k)
+              for _ in range(20)]
+    # a small alpha is the hard case: the state is then close to |0..0> itself
+    for _ in range(100):
+        alpha = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, 0)
+        states.append(_near_phased_zero(k, 10.0 ** rng.uniform(-9, -2), alpha, rng))
+    for v in states:
+        vd = {int(x): complex(v[x]) for x in np.flatnonzero(v)}
+        assert min(abs(a) for a in vd.values()) > 1e-10
+        u = G.complete_state_prep(vd, k)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(1 << k))) <= 1e-14
+        assert np.max(np.abs(u[:, 0] - v)) <= 1e-14
+    np.testing.assert_array_equal(G.complete_state_prep({0: 1.0 + 0j}, k), np.eye(1 << k))
+
+
 def test_completion_invariance_of_conjugated_reflection():
     # SP . (I - 2|0><0|) . SP^dag is the same for any completion of v
     rng = np.random.default_rng(21)

@@ -218,6 +218,49 @@ def test_dense_iso_audit_within_bound_n5():
         assert audited <= math.ceil(C.bound_dense_iso(2, 5))
 
 
+def _numbers_apart(obj):
+    """A JSON value with every float replaced by None, and those floats."""
+    if isinstance(obj, float):
+        return None, [obj]
+    if isinstance(obj, dict):
+        parts = {k: _numbers_apart(v) for k, v in obj.items()}
+        return {k: p[0] for k, p in parts.items()}, [x for p in parts.values() for x in p[1]]
+    if isinstance(obj, list):
+        parts = [_numbers_apart(v) for v in obj]
+        return [p[0] for p in parts], [x for p in parts for x in p[1]]
+    return obj, []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dense_iso_is_level_0_of_the_unitary(n):
+    # equal up to rounding: the unitary's level reflects the whole block,
+    # so its matmuls see more columns than the isometry's
+    rng = np.random.default_rng(110 + n)
+    u = random_unitary(1 << n, rng)
+    iso = M.dense_householder_iso(u[:, : 1 << (n - 1)])
+    full = M.dense_householder_unitary(u)
+    mine = G.circuit_to_dict(iso.circuit)["gates"]
+    tail = G.circuit_to_dict(full.circuit)["gates"][-len(mine):]
+    if n == 1:
+        # the deepest level's diagonal also holds the leftover phase, so
+        # it is full width; the isometry's is the 0-qubit one
+        assert mine[0]["qubits"] == [] and tail[0]["qubits"] == [0]
+        mine, tail = mine[1:], tail[1:]
+    (shape, xs), (shape_full, ys) = _numbers_apart(mine), _numbers_apart(tail)
+    assert shape == shape_full
+    np.testing.assert_allclose(xs, ys, rtol=0, atol=1e-13)
+    trace = cli._trace_dict(iso.trace)
+    assert trace == cli._trace_dict(full.trace)[: 1 << (n - 1)]
+
+
+def test_dense_iso_keeps_a_global_phase():
+    # n = 1, m = 0: the phase fix is a 0-qubit diagonal, a global phase
+    v = np.array([0.6, 0.8j])
+    res = M.dense_householder_iso(v)
+    assert res.circuit.gates[0] == G.Diagonal((), (-1.0 + 0j,))
+    assert G.equivalent(res.circuit, v, "exact", 1e-12).ok
+
+
 def test_dense_unitary_identity_empty():
     res = M.dense_householder_unitary(np.eye(8))
     assert res.circuit.gates == []

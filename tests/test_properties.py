@@ -1,5 +1,7 @@
 """Generated-input properties of sparse state preparation, the three sparse
-isometry methods, matrix files with a duplicate entry and gate inversion.
+isometry methods, matrix files with a duplicate entry and gate inversion,
+plus seeded numpy sweeps of states next to e^{i alpha}|0..0> through the
+dense and ssp paths.
 
 Every isometry shape n = 1..5, m = 0..n is run (m = n and n = 1 included),
 and every state shape n = 1..7, s = 0..n (s = n included) with three kinds
@@ -32,7 +34,7 @@ from hhsynth import gates as G
 from hhsynth import methods as M
 from hhsynth import ordering as O
 from hhsynth import pivoting as P
-from hhsynth.numerics import matrix_to_dict, prune_state, state_to_vector
+from hhsynth.numerics import SparseIsometry, matrix_to_dict, prune_state, state_to_vector
 
 from helpers import random_sparse_isometry, random_u2
 
@@ -161,6 +163,38 @@ def test_sparse_state_prep_properties(n, s, kind, data_seed, seed):
         assert C.audit_circuit(circuit, regime).total <= C.bound_ssp(n, s, nnz)
         clean = C.AncillaRegime.with_clean(math.ceil(s / 2 - 1))
         assert C.audit_circuit(circuit, clean).total <= C.bound_ssp_clean(n, s, nnz)
+
+
+def _near_zero_states(count, alphas, epsilons, rng):
+    """``count`` unit states (e^{i alpha}, eps * noise) on n = 1..4 qubits,
+    normalized: alpha and eps log-uniform in the given ranges (alpha = 0
+    when its range is None), the noise a unit complex Gaussian vector on
+    the basis states other than |0..0>."""
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        alpha = 0.0 if alphas is None else 10.0 ** rng.uniform(*np.log10(alphas))
+        eps = 10.0 ** rng.uniform(*np.log10(epsilons))
+        noise = rng.normal(size=(1 << n) - 1) + 1j * rng.normal(size=(1 << n) - 1)
+        v = np.concatenate([[np.exp(1j * alpha)], eps * noise / np.linalg.norm(noise)])
+        yield n, SparseIsometry.from_dense((v / np.linalg.norm(v))[:, None])
+
+
+@pytest.mark.parametrize(
+    "count,alphas,epsilons",
+    [(300, (3e-8, 3e-6), (3e-8, 1e-6)), (400, None, (1e-8, 1e-6))],
+    ids=["phased", "unphased"],
+)
+def test_near_zero_states_verify_with_dense_and_ssp(count, alphas, epsilons):
+    # near e^{i alpha}|0..0> the simulated state-preparation blocks must
+    # stay exact, and the dense path must reduce every column whose
+    # off-diagonal norm is above 1e-12
+    rng = np.random.default_rng(95)
+    for n, w in _near_zero_states(count, alphas, epsilons, rng):
+        for circuit in (
+            M.dense_householder_iso(w.to_dense()).circuit,
+            P.sparse_state_prep_on(w.col(0), n),
+        ):
+            assert G.equivalent(circuit, w, "exact", 1e-9).ok, matrix_to_dict(w)
 
 
 def _random_gate(nq, rng):
