@@ -20,14 +20,10 @@ from .numerics import (
     validate_isometry,
 )
 from .householder import (
-    HouseholderSpec,
-    IdentityMarker,
     ReductionRecord,
     fill_in_predicate,
-    generalized_pair_reflection,
     reduce_column,
     reduction_vector,
-    standard_pair_reflection,
 )
 from .gates import (
     CNOT,
@@ -71,7 +67,6 @@ from .pivoting import (
     choose_splitting,
     hypercube_multisource_bfs,
     pivot_plan,
-    sparse_state_prep,
     sparse_state_prep_on,
 )
 from .ordering import (

@@ -80,7 +80,7 @@ def _load_strategy(spec: str, w: SparseIsometry) -> O.EliminationStrategy:
         d = _load_json(spec[5:])
         try:
             return O.EliminationStrategy.checked(d["rho"], d["sigma"], w.n, w.m)
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, TypeError) as e:
             raise CliError(f"bad strategy file: {e}", EXIT_PARSE)
     raise CliError(f"unknown strategy {spec!r}", EXIT_PARSE)
 

@@ -39,6 +39,7 @@ from .numerics import (
     EPS0,
     SparseIsometry,
     check_permutation,
+    int_field,
     state_norm,
 )
 
@@ -516,12 +517,6 @@ class PermPhase:
         """self after other (operator product self . other)."""
         return PermPhase(self.dim, (other, self))
 
-    def dagger(self) -> "PermPhase":
-        factors: list = []
-        for f in reversed(self._factors):
-            factors.extend([f.dagger()] if isinstance(f, PermPhase) else f.dagger())
-        return PermPhase(self.dim, factors)
-
     def dense(self) -> np.ndarray:
         idx = np.arange(self.dim)
         dst, ph = self.index_map(self.dim.bit_length() - 1, idx)
@@ -754,9 +749,7 @@ def _mat2_from(d) -> np.ndarray:
 
 
 def _qubit(q) -> int:
-    if type(q) is not int:
-        raise ValueError(f"qubit index {q!r} is not an integer")
-    return q
+    return int_field(q, "qubit index")
 
 
 def _phi(x) -> float:
@@ -810,7 +803,9 @@ def circuit_to_dict(c: StructuredCircuit) -> dict:
 
 def circuit_from_dict(d: dict) -> StructuredCircuit:
     c = StructuredCircuit(
-        int(d["n"]), tuple(d.get("ancillas", ())), [gate_from_dict(g) for g in d["gates"]]
+        int_field(d["n"], "n"),
+        tuple(d.get("ancillas", ())),
+        [gate_from_dict(g) for g in d["gates"]],
     )
     c.validate()
     return c

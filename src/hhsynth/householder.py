@@ -1,23 +1,11 @@
-"""Householder reflections between states and sparse column reduction.
+"""Householder reflections for column reduction, and the sparse update.
 
-A standard reflection is ``H_u = I - 2|u><u|``; the generalized form is
-``H_u^phi = I + (e^{i phi} - 1)|u><u|``.  Given unit states ``v`` and ``w``,
-
-* :func:`standard_pair_reflection` builds ``u`` so that
-  ``H_u |v> = e^{i theta}|w>`` with ``theta = pi - arg(<v|w>)`` (or 0 when
-  the overlap vanishes).  The normalization ``1 + |<v|w>|`` is bounded away
-  from zero, so this path is unconditionally stable.
-* :func:`generalized_pair_reflection` fixes the phase (``H |v> = |w>``)
-  at the price of a normalization ``z = 1 - <v|w>`` that can be small; the
-  computation runs in extended precision and below ``|z| <= IDENTITY_DELTA``
-  the rotation is skipped, returning an :class:`IdentityMarker` that records
-  the approximation error ``||v - w||``.
-
-These two are public API, but the decompositions and the simulator build
-every reflection with :func:`reduction_vector` (and its phase,
-:func:`target_phase`): the reflection sending a unit column ``w`` to
-``e^{i theta}|t>``, whose normalization ``1 + |w_t|`` is at least 1.  The
-simulator completes every state-preparation block with it
+One construction gives every reflection: the standard reflection
+``H_u = I - 2|u><u|`` sending a unit column ``w`` to ``e^{i theta}|t>``.
+:func:`reduction_vector` builds its ``u`` and :func:`target_phase` its
+phase; the normalization ``1 + |w_t|`` is at least 1, so the construction
+is stable for every column.  The decompositions reduce columns with it, and
+the simulator completes every state-preparation block with it
 (``gates.complete_state_prep``, target 0).
 
 :func:`reduce_column` applies the reflection sending column ``j`` of a
@@ -37,102 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .numerics import EPS0, SparseIsometry, prune_state, state_norm
-
-IDENTITY_DELTA = 1e-8
-
-
-@dataclass(frozen=True)
-class HouseholderSpec:
-    """A reflection descriptor: unit vector ``u``, phase ``phi``, target
-    phase ``theta``; ``standard`` means ``phi == pi`` exactly."""
-
-    u: dict[int, complex]
-    phi: float
-    theta: float
-    standard: bool
-    z: complex  # normalization diagnostic
-
-    def __post_init__(self):
-        nrm = state_norm(self.u)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"Householder vector norm {nrm} is not 1")
-        if self.standard and self.phi != math.pi:
-            raise ValueError("standard reflection requires phi == pi")
-
-    def dense(self, n: int) -> np.ndarray:
-        """The 2^n x 2^n matrix I + (e^{i phi} - 1) |u><u|, with the rank-one
-        term added on u's support in one scatter."""
-        h = np.eye(1 << n, dtype=complex)
-        c = cmath.exp(1j * self.phi) - 1.0
-        keys = np.array(list(self.u), dtype=np.int64)
-        a = np.array(list(self.u.values()), dtype=complex)
-        h[keys[:, None], keys] += (c * a)[:, None] * a.conj()
-        return h
-
-
-@dataclass(frozen=True)
-class IdentityMarker:
-    """Returned when the requested rotation is numerically negligible."""
-
-    residual: float  # ||v - w||, the error incurred by skipping
-
-
-def _check_unit(v: dict[int, complex], name: str) -> None:
-    nrm = state_norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"{name} has norm {nrm}, expected a unit state")
-
-
-def standard_pair_reflection(v: dict[int, complex], w: dict[int, complex]) -> HouseholderSpec:
-    """Reflection with H_u |v> = e^{i theta} |w>, theta = pi - arg(<v|w>)."""
-    _check_unit(v, "v")
-    _check_unit(w, "w")
-    ip = complex(sum(a.conjugate() * w[k] for k, a in v.items() if k in w))
-    if abs(ip) <= EPS0:
-        theta = 0.0
-    else:
-        theta = math.pi - cmath.phase(ip)
-    eith = cmath.exp(1j * theta)
-    diff = dict(v)
-    for k, a in w.items():
-        diff[k] = diff.get(k, 0j) - eith * a
-    nrm = math.sqrt(2.0 * (1.0 + abs(ip)))
-    u = {k: a / nrm for k, a in diff.items() if abs(a) > EPS0}
-    return HouseholderSpec(u=u, phi=math.pi, theta=theta, standard=True, z=1.0 + abs(ip))
-
-
-def generalized_pair_reflection(
-    v: dict[int, complex], w: dict[int, complex], delta: float = IDENTITY_DELTA
-):
-    """Reflection with H_u^phi |v> = |w| exactly, or an IdentityMarker.
-
-    Works in extended precision: ``z = 1 - <v|w>`` suffers cancellation when
-    the states nearly coincide, and ``phi = pi + 2 arg(z)`` inherits the
-    error.  Below ``|z| <= delta`` the transformation is skipped.
-    """
-    _check_unit(v, "v")
-    _check_unit(w, "w")
-    keys = sorted(set(v) | set(w))
-    va = np.array([v.get(k, 0j) for k in keys], dtype=np.clongdouble)
-    wa = np.array([w.get(k, 0j) for k in keys], dtype=np.clongdouble)
-    ip = np.sum(va.conjugate() * wa)
-    z = np.clongdouble(1.0) - ip
-    diff = va - wa
-    # 2 Re z = ||v - w||^2; the entrywise form avoids the cancellation in z.
-    nrm2 = np.sum(np.abs(diff) ** 2)
-    if abs(complex(z)) <= delta:
-        return IdentityMarker(residual=float(np.sqrt(nrm2)))
-    ua = diff / np.sqrt(nrm2)
-    u = {k: complex(a) for k, a in zip(keys, ua) if abs(complex(a)) > EPS0}
-    phi = math.pi + 2.0 * math.atan2(float(z.imag), float(z.real))
-    # wrap into (-pi, pi]
-    phi = math.remainder(phi, 2.0 * math.pi)
-    if phi <= -math.pi:
-        phi += 2.0 * math.pi
-    return HouseholderSpec(u=u, phi=phi, theta=0.0, standard=False, z=complex(z))
+from .numerics import EPS0, SparseIsometry, prune_state
 
 
 def target_phase(a: complex) -> tuple[float, complex]:

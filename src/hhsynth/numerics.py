@@ -44,10 +44,21 @@ def hamming(a: int, b: int) -> int:
 
 
 def check_permutation(perm, size: int) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.int64)
+    p = np.asarray(perm)
+    if p.size and not np.issubdtype(p.dtype, np.integer):
+        raise ValueError(f"permutation entries must be integers, got {p.dtype} values")
+    p = p.astype(np.int64)
     if p.shape != (size,) or not np.array_equal(np.sort(p), np.arange(size)):
         raise ValueError(f"not a bijection on {size} indices")
     return p
+
+
+def int_field(x, name: str) -> int:
+    """An integer field of an input file; booleans, floats and strings are
+    refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} {x!r} is not an integer")
+    return int(x)
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
@@ -309,7 +320,7 @@ def _parse_scalar(x) -> complex:
 def matrix_from_dict(d: dict) -> SparseIsometry:
     if "n" not in d or "m" not in d:
         raise ValueError('matrix object needs "n" and "m" fields')
-    n, m = int(d["n"]), int(d["m"])
+    n, m = int_field(d["n"], "n"), int_field(d["m"], "m")
     if n > MAX_QUBITS:
         raise ValueError(f"n = {n} exceeds {MAX_QUBITS} qubits (int64 basis indices)")
     out = SparseIsometry(n, m)
@@ -317,7 +328,7 @@ def matrix_from_dict(d: dict) -> SparseIsometry:
         seen = set()
         for item in d["entries"]:
             i, j, re, im = item
-            i, j = int(i), int(j)
+            i, j = int_field(i, "row index"), int_field(j, "column index")
             if not (0 <= i < (1 << n) and 0 <= j < (1 << m)):
                 raise ValueError(f"entry ({i}, {j}) out of range for shape {out.shape}")
             if (i, j) in seen:

@@ -104,6 +104,8 @@ def choose_splitting(
     """
     if s > n:
         raise ValueError(f"register size {s} exceeds {n} qubits")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     pattern = np.array(sorted(set(pattern)), dtype=np.int64)
     if len(pattern) > (1 << s):
         raise ValueError("pattern does not fit in a 2^s block")
@@ -268,12 +270,13 @@ def pivot_plan(
     return PivotPlan(steps, gates, total, work, register_state, x_layer)
 
 
-def sparse_state_prep(
+def sparse_state_prep_on(
     v: dict[int, complex],
+    n: int,
     samples: int = 100,
     seed=0,
 ) -> G.StructuredCircuit:
-    """Circuit C with C|0..0> = v, phase-exact.
+    """Circuit C on ``n`` qubits with C|0..0> = v, phase-exact.
 
     Structure: free X gates selecting the target block, one dense
     state-preparation block on the s register qubits (with the plan's
@@ -281,18 +284,6 @@ def sparse_state_prep(
     gates.  The CNOT count is the pivot cost plus one dense s-qubit
     preparation.
     """
-    v = prune_state(v)
-    n = max(max(v, default=0).bit_length(), 1)
-    return sparse_state_prep_on(v, n, samples=samples, seed=seed)
-
-
-def sparse_state_prep_on(
-    v: dict[int, complex],
-    n: int,
-    samples: int = 100,
-    seed=0,
-) -> G.StructuredCircuit:
-    """Same as :func:`sparse_state_prep` with an explicit qubit count."""
     v = prune_state(v)
     if not v:
         raise ValueError("zero state cannot be prepared")
@@ -308,8 +299,10 @@ def sparse_state_prep_on(
     gates: list[G.Gate] = list(plan.x_layer)
     if s == 0:
         amp = plan.register_state[0]
-        if abs(amp - 1.0) > EPS0:
-            q = splitting.block_qubits[0] if splitting.block_qubits else 0
+        if abs(amp - 1.0) > EPS0 and n == 0:  # no qubit: a global phase
+            gates.append(G.Diagonal((), (amp / abs(amp),)))
+        elif abs(amp - 1.0) > EPS0:
+            q = splitting.block_qubits[0]
             gates.append(G.SingleQubit(q, np.eye(2) * amp, label="phase"))
     else:
         gates.append(

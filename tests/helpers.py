@@ -1,7 +1,5 @@
 """Shared generators and oracles for the test suite."""
 
-import cmath
-
 import numpy as np
 
 from hhsynth import gates as G
@@ -52,16 +50,6 @@ def dense_reflection(u_dict, n):
     for k, a in u_dict.items():
         u[k] = a
     return np.eye(1 << n, dtype=complex) - 2.0 * np.outer(u, u.conj())
-
-
-def dense_spec_reference(spec, n):
-    """``HouseholderSpec.dense`` entry by entry: I + (e^{i phi} - 1)|u><u|."""
-    h = np.eye(1 << n, dtype=complex)
-    c = cmath.exp(1j * spec.phi) - 1.0
-    for k, ak in spec.u.items():
-        for l, al in spec.u.items():
-            h[k, l] += c * ak * al.conjugate()
-    return h
 
 
 def dense_reduction_steps(v, cols):

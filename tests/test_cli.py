@@ -237,6 +237,7 @@ MALFORMED_CIRCUITS = {
     },
     "not_an_object": [1, 2],
     "float_qubit": {"n": 2, "gates": [{"kind": "cnot", "control": 0.5, "target": 1}]},
+    "float_n": {"n": 1.5, "gates": []},
     "polarity_2": {"n": 2, "gates": [{"kind": "mcx", "controls": [[0, 2]], "target": 1}]},
     "non_unitary_matrix": {
         "n": 1,
@@ -299,7 +300,113 @@ def test_verify_ancilla_violation_exit_4(tmp_path):
     assert run(["verify", circ, mat]) == cli.EXIT_VERIFY
 
 
-@pytest.mark.parametrize("data", [[1, 2], {"perm": 5}], ids=["list", "perm_not_a_list"])
+@pytest.mark.parametrize(
+    "data",
+    [[1, 2], {"perm": 5}, {"perm": [1.5, 0.5, 2.9, 3.2]}, {"perm": [True, False]}],
+    ids=["list", "perm_not_a_list", "floats", "booleans"],
+)
 def test_compile_malformed_permutation_exit_2(tmp_path, data):
     perm = write_json(tmp_path / "p.json", data)
     assert run(["compile", perm, "--method", "perm"]) == cli.EXIT_PARSE
+
+
+ZERO_QUBIT_STATE = {"n": 0, "m": 0, "entries": [[0, 0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse", "fixed-env", "no-fill-in", "ssp"])
+def test_compile_zero_qubit_state_verifies(tmp_path, method):
+    mat = write_json(tmp_path / "v.json", ZERO_QUBIT_STATE)
+    out = tmp_path / "c.json"
+    assert run(["compile", mat, "--method", method, "-o", str(out), "--verify"]) == 0
+    assert run(["verify", str(out), mat]) == 0
+
+
+def test_bench_zero_qubits(capsys):
+    assert run(["bench", "ssp", "--n", "0", "--s", "0", "--trials", "1"]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.startswith("0,0,0,1,0,")  # n, s, trial, nnz, cnots
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_exit_2(tmp_path, samples):
+    state = {"n": 3, "m": 0, "entries": [[1, 0, 0.6, 0], [6, 0, 0.8, 0]]}
+    mat = write_json(tmp_path / "v.json", state)
+    assert run(["compile", mat, "--method", "ssp", "--samples", samples]) == cli.EXIT_PARSE
+    bench = ["bench", "ssp", "--n", "3", "--s", "1", "--trials", "1", "--samples", samples]
+    assert run(bench) == cli.EXIT_PARSE
+
+
+BAD_STRATEGIES = {
+    "float_rho": {"rho": [0.5, 1, 2, 3], "sigma": [0, 1]},
+    "object_rho": {"rho": {"0": 0}, "sigma": [0, 1]},
+    "top_level_list": [[0, 1, 2, 3], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STRATEGIES))
+@pytest.mark.parametrize("method", ["sparse", "fixed-env"])
+def test_compile_malformed_strategy_exit_2(tmp_path, name, method):
+    mat = write_json(tmp_path / "m.json", {"n": 2, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
+    strategy = write_json(tmp_path / "s.json", BAD_STRATEGIES[name])
+    argv = ["compile", mat, "--method", method, "--strategy", f"file:{strategy}"]
+    assert run(argv) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2.5, "m": 0, "entries": [[0, 0, 1.0, 0]]},
+        {"n": 2, "m": 0.0, "entries": [[0, 0, 1.0, 0]]},
+        {"n": True, "m": 0, "entries": [[0, 0, 1.0, 0]]},
+        {"n": 2, "m": 0, "entries": [[0.7, 0, 1.0, 0]]},
+        {"n": 2, "m": 1, "entries": [[0, 0, 1.0, 0], [1, 1.0, 1.0, 0]]},
+    ],
+    ids=["float_n", "float_m", "boolean_n", "float_row", "float_column"],
+)
+def test_compile_non_integer_matrix_field_exit_2(tmp_path, data):
+    mat = write_json(tmp_path / "m.json", data)
+    assert run(["compile", mat, "--method", "dense"]) == cli.EXIT_PARSE
+
+
+def _row_permuted_case(tmp_path):
+    """A compiled 2-qubit isometry, the matrix with its rows moved by a
+    seeded permutation ``rp`` (row i to rp[i]), and ``rp``."""
+    rng = np.random.default_rng(64)
+    a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    w, _ = np.linalg.qr(a)
+    rp = [int(x) for x in rng.permutation(4)]
+    assert rp != [0, 1, 2, 3]
+    moved = np.empty_like(w)
+    moved[rp] = w
+    mat = write_json(tmp_path / "w.json", {"n": 2, "m": 1, "entries": [
+        [i, j, w[i, j].real, w[i, j].imag] for i in range(4) for j in range(2)]})
+    circ = str(tmp_path / "c.json")
+    assert run(["compile", mat, "--method", "dense", "-o", circ, "--verify"]) == 0
+    permuted = write_json(tmp_path / "pw.json", {"n": 2, "m": 1, "entries": [
+        [i, j, moved[i, j].real, moved[i, j].imag] for i in range(4) for j in range(2)]})
+    return circ, permuted, rp
+
+
+def _verify_row_perm(tmp_path, circ, mat, witness):
+    argv = ["verify", circ, mat, "--mode", "up_to_diag_and_row_perm"]
+    if witness is not None:
+        argv += ["--row-perm", write_json(tmp_path / "rp.json", witness)]
+    return run(argv)
+
+
+def test_verify_row_perm_witness(tmp_path):
+    circ, permuted, rp = _row_permuted_case(tmp_path)
+    assert _verify_row_perm(tmp_path, circ, permuted, rp) == 0
+    assert _verify_row_perm(tmp_path, circ, permuted, [0, 1, 2, 3]) == cli.EXIT_VERIFY
+    assert _verify_row_perm(tmp_path, circ, permuted, None) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("kind", ["non_bijection", "floats", "object"])
+def test_verify_malformed_row_perm_exit_2(tmp_path, kind):
+    circ, permuted, rp = _row_permuted_case(tmp_path)
+    witness = {
+        "non_bijection": [rp[0], rp[0], rp[2], rp[3]],
+        "floats": [x + 0.5 for x in rp],
+        "object": {"perm": rp},
+    }[kind]
+    assert _verify_row_perm(tmp_path, circ, permuted, witness) == cli.EXIT_PARSE

@@ -4,6 +4,7 @@ import pytest
 from hhsynth.numerics import (
     SparseIsometry,
     apply_permutations,
+    check_permutation,
     matrix_from_dict,
     matrix_to_dict,
     validate_isometry,
@@ -102,6 +103,15 @@ def test_apply_permutations_rejects_non_bijection():
     w = SparseIsometry(1, 0, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         apply_permutations(w, [0, 0], [0])
+
+
+@pytest.mark.parametrize(
+    "perm", [[1.0, 0.0], [True, False], ["1", "0"], [1, None], {"0": 1}],
+    ids=["floats", "booleans", "strings", "objects", "mapping"],
+)
+def test_check_permutation_refuses_non_integer_entries(perm):
+    with pytest.raises(ValueError):
+        check_permutation(perm, 2)
 
 
 def test_permutation_preserves_isometry():

@@ -111,6 +111,18 @@ def test_sparse_state_prep_zero_state():
     assert c.gates == []
 
 
+def test_sparse_state_prep_zero_qubits_is_a_global_phase():
+    c = sparse_state_prep_on({0: 1j}, 0)
+    assert [g.to_json() for g in c.gates] == [G.Diagonal((), (1j,)).to_json()]
+    np.testing.assert_allclose(G.simulate_on_state(c, np.ones(1, dtype=complex)), [1j])
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_choose_splitting_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError):
+        choose_splitting({1, 6}, 3, 1, samples=samples)
+
+
 def test_sparse_state_prep_two_amplitudes_bound():
     v = {0b000: 1 / math.sqrt(2), 0b101: 1 / math.sqrt(2)}
     c = sparse_state_prep_on(v, 3)
