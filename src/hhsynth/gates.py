@@ -5,18 +5,31 @@ basis index.  Multi-qubit subsets are tuples listed most-significant first,
 and the "subset value" of a basis index collects those bits in that order.
 
 A gate kind is one class here, which owns its qubits, inverse, text form,
-JSON tag and action (an index map, or a dense action), plus one cost rule
-in ``costs._gate_cost``.
+JSON tag and action, plus one cost rule in ``costs._gate_cost``.  The
+action is either an index map (a basis relabeling or a diagonal) or a
+2^k x 2^k ``subset_matrix`` on ``k`` qubits, applied where the gate's
+controls hold (:meth:`_Gate.mixing`).  An :class:`SPBlock`'s matrix is
+:func:`complete_state_prep`, the column-reduction reflection of its state
+onto |0..0> (the primitive the decompositions reduce columns with).
 
-Simulation is exact linear algebra on dense statevectors (or batches of
-them), capped at :data:`SIM_CAP` total qubits.  Clean ancillas must start
-and end in |0>; dirty ancillas may start in any basis state and must be
-restored.  :func:`circuit_unitary` and :func:`simulate_on_state` check both
-disciplines by simulating only the data columns they are asked about, each
-embedded at every allowed ancilla basis state, in one batch.  An
-:class:`SPBlock` is simulated with :func:`complete_state_prep`, the
-column-reduction reflection of its state onto |0..0> (the primitive the
-decompositions reduce columns with).
+Simulation is exact linear algebra on the live rows of a state: an int64
+array of distinct basis indices and their amplitudes, one column per state
+of a batch (:func:`_simulate`).  An index map moves and rephases the live
+rows; a mixing gate adds the rows its matrix reaches and multiplies each
+group of them.  On at most :data:`SIM_CAP` qubits, once the live rows pass
+``1 / DENSE_SHARE`` of the basis, the rest of the circuit runs on the dense
+statevector (:func:`apply_gate`).  Above :data:`SIM_CAP` the live form runs
+on any register up to 62 qubits, and a gate that would hold more than
+:data:`LIVE_CAP` live amplitudes raises :class:`SimulationCapExceeded`
+before it allocates them.
+
+Clean ancillas must start and end in |0>; dirty ancillas may start in any
+basis state and must be restored.  :func:`circuit_unitary`,
+:func:`simulate_on_state` and :func:`equivalent` check both disciplines by
+simulating only the data columns they are asked about, each embedded at
+every allowed ancilla basis state, in one batch.  What is ``2^n`` long by
+nature (:func:`circuit_unitary`, dense data states, row-permutation
+witnesses) stays capped at :data:`SIM_CAP` qubits.
 
 The module also provides :class:`PermPhase`, the classical form of
 operators of shape ``Diag(phases) . Perm``, which the decompositions use to
@@ -37,13 +50,16 @@ import numpy as np
 from . import householder as hh
 from .numerics import (
     EPS0,
+    MAX_QUBITS,
     SparseIsometry,
     check_permutation,
     int_field,
     state_norm,
 )
 
-SIM_CAP = 14
+SIM_CAP = 14  # qubits of a dense simulation
+LIVE_CAP = 1 << 22  # live amplitudes (rows x columns) above SIM_CAP: 64 MiB
+DENSE_SHARE = 4  # at most SIM_CAP qubits, go dense past 2^nq / DENSE_SHARE rows
 
 
 class SimulationCapExceeded(ValueError):
@@ -63,7 +79,8 @@ H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 class _Gate:
     """A gate kind: a frozen dataclass with a ``kind`` name, ``qubits``,
-    ``dagger``, ``describe`` and an :meth:`index_map` or a dense ``_act``.
+    ``dagger``, ``describe`` and an :meth:`index_map`, or else a
+    :meth:`mixing` with its ``subset_matrix()`` and a dense ``_act``.
     Qubit fields are ``control``, ``target``, ``controls`` ((qubit,
     polarity) pairs) or ``qubits``; :data:`_JSON_FIELDS` gives each field's
     JSON form."""
@@ -109,6 +126,12 @@ class _Gate:
         neither a basis relabeling nor diagonal."""
         return None
 
+    def mixing(self, nq: int, idx: np.ndarray):
+        """``(qubits, hit)`` for a gate without an index map: it applies
+        ``subset_matrix()`` to the subset ``qubits`` of every index ``idx[i]``
+        with ``hit[i]`` (``hit`` None: of every index)."""
+        raise NotImplementedError
+
     def apply(self, state: np.ndarray, nq: int) -> np.ndarray:
         """Exact action on a (2^nq,) state or a (2^nq, k) batch of columns."""
         idx = np.arange(1 << nq)
@@ -141,6 +164,12 @@ class _Controlled(_Gate):
     def describe(self) -> str:
         ctr = ",".join(f"{q}" if p else f"!{q}" for q, p in self.controls)
         return f"{self.kind}({ctr}->{self.target})"
+
+    def subset_matrix(self) -> np.ndarray:
+        return self.matrix
+
+    def mixing(self, nq, idx):
+        return (self.target,), _controls_hit(idx, self.controls, nq) if self.controls else None
 
     def index_map(self, nq, idx):
         u, tpos = self.matrix, nq - 1 - self.target
@@ -302,11 +331,15 @@ class SPBlock(_Gate):
         tag = "unprepare" if self.inverted else "prepare"
         return f"{tag}[{len(self.state)} amps](q{list(self.qubits)})"
 
-    def _act(self, state, idx, nq):
+    def subset_matrix(self) -> np.ndarray:
         u = complete_state_prep(dict(self.state), len(self.qubits))
-        if self.inverted:
-            u = u.conj().T
-        return _apply_subset_unitary(state, u, self.qubits, nq)
+        return u.conj().T if self.inverted else u
+
+    def mixing(self, nq, idx):
+        return self.qubits, None
+
+    def _act(self, state, idx, nq):
+        return _apply_subset_unitary(state, self.subset_matrix(), self.qubits, nq)
 
 
 @dataclass(frozen=True)
@@ -381,7 +414,8 @@ class StructuredCircuit:
 
 
 # ---------------------------------------------------------------------------
-# simulation kernels; states are (2^N,) or (2^N, batch) arrays
+# simulation kernels: dense states are (2^N,) or (2^N, batch) arrays, live
+# states an int64 array of distinct basis rows and their (rows, batch) amplitudes
 
 
 def _subset_values(idx, qubits: tuple[int, ...], nq: int):
@@ -435,11 +469,99 @@ def _apply_subset_unitary(state, u, qubits, nq):
     return t.reshape(shape).copy()
 
 
-def apply_circuit(state: np.ndarray, circuit: StructuredCircuit) -> np.ndarray:
+def _sorted_unique(idx: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int array, without the ``numpy.ma`` import that
+    ``np.unique`` costs on first use."""
+    idx = np.sort(idx)
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = idx[1:] != idx[:-1]
+    return idx[first]
+
+
+def _admit(nq: int, amplitudes: int) -> None:
+    """Refuse an array of ``amplitudes`` on more than SIM_CAP qubits beyond
+    LIVE_CAP, before it is allocated."""
+    if nq > SIM_CAP and amplitudes > LIVE_CAP:
+        raise SimulationCapExceeded(
+            f"{amplitudes} amplitudes on {nq} qubits exceed the live cap of {LIVE_CAP}"
+        )
+
+
+def _live_gate(g: Gate, rows: np.ndarray, amps: np.ndarray, nq: int):
+    """One gate on a live state: ``(rows, amps)`` after the gate.  The rows
+    are distinct but in no particular order; a mixing gate returns them
+    sorted, without those it leaves at exactly 0 in every column."""
+    imap = g.index_map(nq, rows)
+    if imap is not None:
+        dst, ph = imap
+        return dst, amps if ph is None else amps * ph[:, None]
+    qubits, hit = g.mixing(nq, rows)
+    k = len(qubits)
+    mask = sum(1 << (nq - 1 - q) for q in qubits)
+    bases = _sorted_unique((rows if hit is None else rows[hit]) & ~mask)
+    kept = rows[:0] if hit is None else rows[~hit]  # untouched, and in no hit group
+    # the live rows after the gate, and the 2^k x 2^k matrix
+    _admit(nq, max((len(kept) + (len(bases) << k)) * amps.shape[1], 1 << 2 * k))
+    # group[v, b]: the row of base b whose subset value is v
+    offsets = _scatter_subset(np.zeros(1 << k, dtype=np.int64), np.arange(1 << k), qubits, nq)
+    group = offsets[:, None] | bases
+    new_rows = np.sort(np.concatenate([kept, group.ravel()]))
+    u = g.subset_matrix()
+    out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, u))
+    out[np.searchsorted(new_rows, rows)] = amps
+    pos = np.searchsorted(new_rows, group)
+    block = out[pos]
+    out[pos] = (u @ block.reshape(1 << k, -1)).reshape(block.shape)
+    live = np.any(out != 0, axis=1)
+    if live.all():
+        return new_rows, out
+    return new_rows[live], out[live]
+
+
+def _simulate(circuit: StructuredCircuit, rows: np.ndarray, amps: np.ndarray):
+    """The circuit on the live state ``(rows, amps)``, ``rows`` sorted;
+    returns the live state after it, also sorted.  On at most SIM_CAP
+    qubits, a state with more than ``2^nq / DENSE_SHARE`` rows is scattered
+    once into a dense batch, which the dense kernel finishes; the rows
+    returned are then all 2^nq."""
     nq = circuit.total_qubits
-    for g in circuit.gates:
-        state = apply_gate(state, g, nq)
-    return state
+    dense_at = (1 << nq) // DENSE_SHARE if nq <= SIM_CAP else None
+    for i, g in enumerate(circuit.gates):
+        if dense_at is not None and len(rows) > dense_at:
+            # the rows passed the share at the start or at a mixing gate, so
+            # they are sorted; all 2^nq of them are then the dense order
+            state = amps
+            if len(rows) < 1 << nq:
+                state = np.zeros((1 << nq, amps.shape[1]), dtype=amps.dtype)
+                state[rows] = amps
+            for g in circuit.gates[i:]:
+                state = apply_gate(state, g, nq)
+            rows, amps = np.arange(1 << nq), state
+            break
+        rows, amps = _live_gate(g, rows, amps, nq)
+    else:  # still live: sort once, at the end
+        order = np.argsort(rows)
+        rows, amps = rows[order], amps[order]
+    _LAST_COMPLETION[:] = None, None  # no completion outlives its simulation
+    return rows, amps
+
+
+def apply_circuit(state: np.ndarray, circuit: StructuredCircuit) -> np.ndarray:
+    """Exact action of the circuit on a statevector or a batch of columns,
+    simulated on the rows where the input is not zero."""
+    nq = circuit.total_qubits
+    state = np.asarray(state)
+    if state.shape[0] != 1 << nq:
+        raise ValueError(f"state dimension {state.shape[0]} != 2^{nq}")
+    cols = state.reshape(state.shape[0], -1)
+    rows = np.flatnonzero(np.any(cols != 0, axis=1))
+    _admit(nq, len(rows) * cols.shape[1])
+    rows, amps = _simulate(circuit, rows, cols[rows])
+    if len(rows) == len(cols):
+        return amps.reshape(state.shape)
+    out = np.zeros(cols.shape, dtype=amps.dtype)
+    out[rows] = amps
+    return out.reshape(state.shape)
 
 
 def gate_unitary(g: Gate, nq: int) -> np.ndarray:
@@ -450,8 +572,11 @@ def gate_unitary(g: Gate, nq: int) -> np.ndarray:
 # canonical state preparation (used to simulate SPBlock)
 
 
+_LAST_COMPLETION: list = [None, None]  # [(state items, k), matrix] of the last call
+
+
 def complete_state_prep(v: dict[int, complex], k: int) -> np.ndarray:
-    """A deterministic unitary U on k qubits with U|0..0> = v.
+    """A deterministic unitary U on k qubits with U|0..0> = v, read-only.
 
     Canonical choice: the column-reduction reflection H that sends v to
     e^{i theta}|0..0> (:func:`householder.reduction_vector` with target 0),
@@ -460,7 +585,14 @@ def complete_state_prep(v: dict[int, complex], k: int) -> np.ndarray:
     ``1 + |v_0|`` is at least 1, so this is stable for every v, and at
     v = |0..0> it is exactly the identity.  Any completion gives the same
     reflection ``U H0 U^dag`` and the same prepare/unprepare pairs.
+
+    The last matrix is kept: a reflection's unprepare and prepare blocks
+    ask for the same one.
     """
+    key = (tuple(v.items()), k)
+    if _LAST_COMPLETION[0] == key:
+        return _LAST_COMPLETION[1]
+    _LAST_COMPLETION[:] = None, None  # not held while the next one is built
     nrm = state_norm(v)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state norm {nrm} is not 1")
@@ -473,6 +605,8 @@ def complete_state_prep(v: dict[int, complex], k: int) -> np.ndarray:
     h[keys[:, None], keys] -= 2.0 * a[:, None] * a.conj()
     h[:, 0] = 0.0
     h[list(v), 0] = list(v.values())
+    h.flags.writeable = False
+    _LAST_COMPLETION[:] = key, h
     return h
 
 
@@ -600,15 +734,19 @@ def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int,
 # circuit-level unitary extraction and equivalence
 
 
-def _check_simulable(circuit: StructuredCircuit) -> None:
+def _check_simulable(circuit: StructuredCircuit, cap: int = SIM_CAP) -> None:
     circuit.validate()
     nq = circuit.total_qubits
-    if nq > SIM_CAP:
-        raise SimulationCapExceeded(f"{nq} qubits exceeds the {SIM_CAP}-qubit cap")
+    if nq > cap:
+        raise SimulationCapExceeded(f"{nq} qubits exceeds the {cap}-qubit cap")
 
 
-def _data_action(circuit: StructuredCircuit, cols: np.ndarray, restore_tol: float) -> np.ndarray:
-    """The action on the data columns ``cols`` (2^n x k) at ancilla state 0.
+def _data_action(
+    circuit: StructuredCircuit, rows: np.ndarray, cols: np.ndarray, restore_tol: float
+):
+    """The action at ancilla state 0 on the data columns ``cols``, whose
+    rows are the data basis indices ``rows``: ``(rows, action)``, the
+    sorted live data rows of the result and their amplitudes.
 
     Every column is embedded at every allowed ancilla basis state and the
     batch is simulated at once.  An output column farther than
@@ -619,24 +757,39 @@ def _data_action(circuit: StructuredCircuit, cols: np.ndarray, restore_tol: floa
     """
     n, a = circuit.n, len(circuit.ancillas)
     clean = sum(1 << (a - 1 - k) for k, kind in enumerate(circuit.ancillas) if kind == "clean")
-    ys = [y for y in range(1 << a) if not y & clean]  # clean bits 0, dirty bits free
-    # axes: data index, ancilla index, ancilla state d (y = ys[d]), column
-    batch = np.zeros((1 << n, 1 << a, len(ys), cols.shape[1]), dtype=complex)
-    for d, y in enumerate(ys):
-        batch[:, y, d] = cols
-    out = apply_circuit(batch.reshape(1 << circuit.total_qubits, -1), circuit)
-    out = out.reshape(batch.shape)
-    action = out[:, 0, 0].copy()
-    for d, y in enumerate(ys):
-        out[:, y, d] -= action
-    err = np.linalg.norm(out.reshape(-1, len(ys), cols.shape[1]), axis=0)
+    ys = np.arange(1 << a, dtype=np.int64)
+    ys = ys[(ys & clean) == 0]  # clean bits 0, dirty bits free
+    nd, ncols = len(ys), cols.shape[1]
+    _admit(circuit.total_qubits, len(rows) * nd * nd * ncols)
+    # row (x, ancilla state d), column (d, j): data column j embedded at ys[d]
+    batch = np.zeros((len(rows), nd, nd, ncols), dtype=complex)
+    for d in range(nd):
+        batch[:, d, d] = cols
+    out_rows, out = _simulate(
+        circuit, ((rows[:, None] << a) | ys).ravel(), batch.reshape(len(rows) * nd, -1)
+    )
+    del batch  # not held through the checks below
+    at0 = (out_rows & ((1 << a) - 1)) == 0
+    rows, action = out_rows[at0] >> a, out[at0, :ncols]
+    # every output column minus the action embedded at its own ancilla state
+    want = ((rows[:, None] << a) | ys).ravel()
+    every = _sorted_unique(np.concatenate([out_rows, want]))
+    if len(every) > len(out_rows):
+        grown = np.zeros((len(every), out.shape[1]), dtype=out.dtype)
+        grown[np.searchsorted(every, out_rows)] = out
+        out = grown
+    out = out.reshape(len(every), nd, ncols)
+    pos = np.searchsorted(every, want).reshape(len(rows), nd)
+    for d in range(nd):
+        out[pos[:, d], d] -= action
+    err = np.linalg.norm(out, axis=0)
     d, j = np.unravel_index(np.argmax(err), err.shape)
     if err[d, j] > restore_tol:
         raise CircuitVerificationError(
             f"ancilla discipline violated for ancilla state {ys[d]:0{max(a, 1)}b}: "
             f"deviation {err[d, j]:.3e} on column {j}"
         )
-    return action
+    return rows, action
 
 
 def circuit_unitary(
@@ -654,16 +807,42 @@ def circuit_unitary(
     _check_simulable(circuit)
     if in_dim is None:
         in_dim = 1 << circuit.n
-    return _data_action(circuit, np.eye(1 << circuit.n, in_dim, dtype=complex), restore_tol)
+    rows, action = _data_action(
+        circuit, np.arange(in_dim), np.eye(in_dim, dtype=complex), restore_tol
+    )
+    if len(rows) == 1 << circuit.n:
+        return action
+    out = np.zeros((1 << circuit.n, in_dim), dtype=complex)
+    out[rows] = action
+    return out
 
 
-def simulate_on_state(
-    circuit: StructuredCircuit, data_state: np.ndarray, restore_tol: float = 1e-10
-) -> np.ndarray:
+def simulate_on_state(circuit: StructuredCircuit, data_state, restore_tol: float = 1e-10):
     """Apply the circuit to a data state (clean ancillas |0>, dirty checked
-    on all their basis states) and return the resulting data state."""
+    on all their basis states) and return the resulting data state.
+
+    A ``{index: amplitude}`` dict gives a dict of the nonzero amplitudes,
+    on any register up to 62 qubits; a dense vector gives a dense vector,
+    up to SIM_CAP qubits.
+    """
+    dim = 1 << circuit.n
+    if isinstance(data_state, dict):
+        _check_simulable(circuit, MAX_QUBITS)
+        keys = sorted(data_state)
+        if keys and not (0 <= keys[0] and keys[-1] < dim):
+            raise ValueError(f"state index out of range for {circuit.n} qubits")
+        cols = np.array([data_state[k] for k in keys], dtype=complex)[:, None]
+        rows, action = _data_action(circuit, np.array(keys, dtype=np.int64), cols, restore_tol)
+        return {int(r): complex(x) for r, x in zip(rows, action[:, 0]) if x != 0}
     _check_simulable(circuit)
-    return _data_action(circuit, np.asarray(data_state)[:, None], restore_tol)[:, 0]
+    data_state = np.asarray(data_state)
+    if data_state.shape != (dim,):
+        raise ValueError(f"state shape {data_state.shape} != ({dim},)")
+    rows = np.flatnonzero(data_state)
+    rows, action = _data_action(circuit, rows, data_state[rows][:, None], restore_tol)
+    out = np.zeros(dim, dtype=complex)
+    out[rows] = action[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -674,6 +853,25 @@ class EquivalenceResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _sparse_columns(circuit: StructuredCircuit, mat: SparseIsometry, restore_tol: float):
+    """The circuit's action on the columns of ``mat`` and ``mat`` itself, both
+    on the union of their supports: two (rows, 2^m) arrays."""
+    _check_simulable(circuit, MAX_QUBITS)
+    ncols = 1 << mat.m
+    rows, action = _data_action(
+        circuit, np.arange(ncols), np.eye(ncols, dtype=complex), restore_tol
+    )
+    every = _sorted_unique(
+        np.concatenate([rows, np.fromiter(mat.rows, dtype=np.int64, count=len(mat.rows))])
+    )
+    a = np.zeros((len(every), ncols), dtype=complex)
+    a[np.searchsorted(every, rows)] = action
+    m = np.zeros_like(a)
+    for i, j, amp in mat.entries():
+        m[np.searchsorted(every, i), j] = amp
+    return a, m
 
 
 def equivalent(
@@ -691,17 +889,29 @@ def equivalent(
         column by column) with || U_c I_{n,m} - M D ||_F <= tol
       * ``up_to_diag_and_row_perm`` -- additionally applies the caller's
         row-permutation witness to the circuit action first.
+
+    A :class:`SparseIsometry` in the first two modes is compared on the
+    union of the supports, on any register up to 62 qubits; a dense matrix
+    and a row-permutation witness are 2^n long, so up to SIM_CAP qubits.
     """
-    if isinstance(mat, SparseIsometry):
-        m_dense = mat.to_dense()
+    restore_tol = max(tol, 1e-10)
+    if isinstance(mat, SparseIsometry) and mode != "up_to_diag_and_row_perm":
+        if mat.n != circuit.n:
+            return EquivalenceResult(False, math.inf)
+        a, m_dense = _sparse_columns(circuit, mat, restore_tol)
+        ncols = a.shape[1]
     else:
-        m_dense = np.asarray(mat, dtype=complex)
-        if m_dense.ndim == 1:
-            m_dense = m_dense[:, None]
-    ncols = m_dense.shape[1]
-    if m_dense.shape[0] != (1 << circuit.n) or ncols > m_dense.shape[0]:
-        return EquivalenceResult(False, math.inf)
-    a = circuit_unitary(circuit, restore_tol=max(tol, 1e-10), in_dim=ncols)
+        if isinstance(mat, SparseIsometry):
+            _check_simulable(circuit)  # before the 2^n dense form
+            m_dense = mat.to_dense()
+        else:
+            m_dense = np.asarray(mat, dtype=complex)
+            if m_dense.ndim == 1:
+                m_dense = m_dense[:, None]
+        ncols = m_dense.shape[1]
+        if m_dense.shape[0] != (1 << circuit.n) or ncols > m_dense.shape[0]:
+            return EquivalenceResult(False, math.inf)
+        a = circuit_unitary(circuit, restore_tol=restore_tol, in_dim=ncols)
     if mode == "up_to_diag_and_row_perm":
         if row_perm is None:
             raise ValueError("mode up_to_diag_and_row_perm needs a row_perm witness")

@@ -88,6 +88,15 @@ def dense_unitary_levels(u):
         work = red[half:, half:] * delta.conj()[:, None]
 
 
+def dense_circuit_action(state, circuit):
+    """The circuit gate by gate through the dense kernel (``apply_gate`` on
+    the whole 2^nq state or batch): the oracle of the live-row simulator."""
+    nq = circuit.total_qubits
+    for g in circuit.gates:
+        state = G.apply_gate(state, g, nq)
+    return state
+
+
 def full_identity_action(circuit, restore_tol=1e-10, in_dim=None):
     """Reference for ``gates.circuit_unitary``: simulate the full 2^nq
     identity, slice out the data block for every allowed ancilla state and
@@ -96,7 +105,7 @@ def full_identity_action(circuit, restore_tol=1e-10, in_dim=None):
     n, a = circuit.n, len(circuit.ancillas)
     if in_dim is None:
         in_dim = 1 << n
-    full = G.apply_circuit(np.eye(1 << nq, dtype=complex), circuit)
+    full = dense_circuit_action(np.eye(1 << nq, dtype=complex), circuit)
     dirty = [k for k, kind in enumerate(circuit.ancillas) if kind == "dirty"]
     u_data = None
     for bits in range(1 << len(dirty)):

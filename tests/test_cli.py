@@ -221,6 +221,29 @@ def test_compile_wide_state_costs_no_2n_memory(tmp_path):
     assert G.circuit_from_dict(json.loads(out.read_text())).n == 40
 
 
+def _wide_state_file(path, n, nnz, seed):
+    rng = np.random.default_rng(seed)
+    rows = set()
+    while len(rows) < nnz:
+        rows.add(int(rng.integers(0, 1 << n, dtype=np.int64)))
+    amps = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    amps /= np.linalg.norm(amps)
+    entries = [[r, 0, a.real, a.imag] for r, a in zip(sorted(rows), amps)]
+    return write_json(path, {"n": n, "m": 0, "entries": entries}), entries
+
+
+def test_compile_and_verify_past_the_dense_cap(tmp_path):
+    mat, entries = _wide_state_file(tmp_path / "v.json", 40, 64, seed=77)
+    out = tmp_path / "c.json"
+    proc = _run_capped(["compile", mat, "--method", "ssp", "--verify", "-o", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert run(["verify", str(out), mat]) == 0
+    # the same norm, one amplitude's sign flipped
+    entries[17] = entries[17][:2] + [-entries[17][2], -entries[17][3]]
+    changed = write_json(tmp_path / "changed.json", {"n": 40, "m": 0, "entries": entries})
+    assert run(["verify", str(out), changed]) == cli.EXIT_VERIFY
+
+
 def test_compile_rejects_more_than_62_qubits(tmp_path):
     mat = write_json(tmp_path / "v.json", {"n": 63, "m": 0, "entries": [[5, 0, 1.0, 0]]})
     proc = _run_capped(["compile", mat, "--method", "ssp"])

@@ -1,0 +1,374 @@
+"""The live-row simulator against the dense kernel, and verification past
+the dense simulator's SIM_CAP qubits.
+
+Every generator is a seeded numpy one, so two versions of the source see
+the same circuits and inputs.  The oracle is the dense kernel gate by gate
+(``helpers.dense_circuit_action``), on registers the dense kernel can hold;
+wider registers are checked against it through circuits embedded on a few
+of their qubits, and through sparse state preparation, whose target is
+known.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hhsynth import gates as G
+from hhsynth import householder as hh
+from hhsynth import pivoting as P
+from hhsynth.numerics import SparseIsometry
+
+from helpers import dense_circuit_action, full_identity_action, random_state_dict, random_u2
+
+KINDS = (
+    "cnot", "single", "mcx", "mcu", "diagonal", "permutation", "decrement", "spblock", "h0phase"
+)
+LIVE_ONLY = 1  # a DENSE_SHARE that never hands over to the dense kernel
+
+
+def random_gate(rng, nq, kind, qubits=None):
+    """A random gate of ``kind`` on the listed qubits (default: all ``nq``)."""
+    qs = [int(q) for q in rng.permutation(range(nq) if qubits is None else qubits)]
+    k = int(rng.integers(1, min(len(qs), 3) + 1))
+    ncontrols = int(rng.integers(min(len(qs), 4)))
+    controls = tuple((q, int(rng.integers(2))) for q in qs[1 : 1 + ncontrols])
+    phases = tuple(np.exp(2j * np.pi * rng.uniform(size=1 << k)))
+    if kind == "cnot":
+        return G.CNOT(qs[0], qs[1]) if len(qs) > 1 else G.x_gate(qs[0])
+    if kind in ("single", "mcu"):
+        # mostly mixing matrices; X and diagonal ones take the index-map path
+        pick = int(rng.integers(5))
+        u = [random_u2(rng), G.H_MATRIX, random_u2(rng), G.X_MATRIX, np.diag(phases[:2])][pick]
+        if kind == "single":
+            return G.SingleQubit(qs[0], u)
+        return G.MCU(controls, qs[0], u)
+    if kind == "mcx":
+        return G.MCX(controls, qs[0])
+    if kind == "diagonal":
+        return G.Diagonal(tuple(qs[:k]), phases)
+    if kind == "permutation":
+        return G.PermutationGate(tuple(qs[:k]), tuple(int(x) for x in rng.permutation(1 << k)))
+    if kind == "decrement":
+        return G.Decrement(tuple(qs[:k]))
+    if kind == "spblock":
+        k = int(rng.integers(1, min(len(qs), 4) + 1))
+        state = random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng)
+        return G.SPBlock.from_dict(tuple(qs[:k]), state, inverted=bool(rng.integers(2)))
+    return G.H0Phase(tuple(qs[:k]), float(rng.uniform(-math.pi, math.pi)))
+
+
+def random_gates(rng, nq, length, qubits=None):
+    """``length`` gates cycling through all nine kinds in shuffled rounds."""
+    out = []
+    while len(out) < length:
+        out += [random_gate(rng, nq, KINDS[i], qubits) for i in rng.permutation(len(KINDS))]
+    return out[:length]
+
+
+def random_vector(rng, dim, nnz):
+    v = np.zeros(dim, dtype=complex)
+    pos = rng.choice(dim, size=min(nnz, dim), replace=False)
+    v[pos] = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
+    return v / np.linalg.norm(v)
+
+
+def random_inputs(rng, dim):
+    """One-hot, sparse and dense states, and a batch of all three."""
+    one_hot, sparse, dense = (random_vector(rng, dim, k) for k in (1, 3, dim))
+    return [one_hot, sparse, dense, np.stack([one_hot, sparse, dense, one_hot], axis=1)]
+
+
+def hadamard_spread(rng, nq, gates):
+    """``gates`` with a Hadamard on every qubit inserted at random places,
+    so that a one-hot input fills the register part way through."""
+    out = list(gates)
+    for q in range(nq):
+        out.insert(int(rng.integers(len(out) + 1)), G.SingleQubit(q, G.H_MATRIX, "h"))
+    return out
+
+
+@pytest.mark.parametrize("nq", range(1, 13))
+def test_live_form_matches_the_dense_kernel(nq, monkeypatch):
+    rng = np.random.default_rng(700 + nq)
+    default_share = G.DENSE_SHARE
+    dense_calls = []
+    apply_gate = G.apply_gate
+    monkeypatch.setattr(G, "apply_gate", lambda *a: dense_calls.append(1) or apply_gate(*a))
+    crossed = 0
+    for trial in range(6):
+        gates = random_gates(rng, nq, 30)
+        if trial % 2:
+            gates = hadamard_spread(rng, nq, gates)
+        c = G.StructuredCircuit(nq, (), gates)
+        for state in random_inputs(rng, 1 << nq):
+            want = dense_circuit_action(state, c)
+            for share in (LIVE_ONLY, default_share):
+                monkeypatch.setattr(G, "DENSE_SHARE", share)
+                dense_calls.clear()
+                got = G.apply_circuit(state, c)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+                crossed += 0 < len(dense_calls) < len(c.gates)
+    # one-hot and sparse inputs hand over to the dense kernel mid-circuit;
+    # on one qubit any live row is past the share already
+    assert crossed > 0 or nq == 1
+
+
+def _borrowing_block(rng, n, ancilla, kind):
+    """Gates whose action on the data is independent of the ancilla's state
+    (any for a dirty one, |0> for a clean one), which they restore."""
+    qs = [int(q) for q in rng.permutation(n)]
+    ctrls = tuple((q, int(rng.integers(2))) for q in qs[1 : 1 + int(rng.integers(1, min(n, 3)))])
+    if kind == "clean":
+        # compute a control into the ancilla, use it, uncompute it
+        flag = G.MCX(ctrls, ancilla)
+        return [flag, G.MCU(((ancilla, 1),), qs[0], random_u2(rng)), flag]
+    # a multi-controlled X through a borrowed qubit: it toggles the target
+    # by (a ^ c) ^ a = c, whatever the borrowed qubit's state a
+    free = [q for q in qs[1:] if q not in dict(ctrls)]
+    extra = ((free[0], int(rng.integers(2))),) if free else ()
+    use = G.MCX(((ancilla, 1),) + extra, qs[0])
+    flip = G.MCX(ctrls, ancilla)
+    return [use, flip, use, flip]
+
+
+def dense_data_action(circuit, v, restore_tol=1e-10):
+    """Oracle for ``simulate_on_state`` on a dense data state: the dense
+    kernel on ``v`` embedded at every allowed ancilla state, each output
+    checked entry by entry against the action at ancilla state 0."""
+    n, a = circuit.n, len(circuit.ancillas)
+    clean = sum(1 << (a - 1 - k) for k, kind in enumerate(circuit.ancillas) if kind == "clean")
+    data_rows = np.arange(1 << n) << a
+    action = None
+    for y in (y for y in range(1 << a) if not y & clean):
+        state = np.zeros(1 << circuit.total_qubits, dtype=complex)
+        state[data_rows | y] = v
+        out = dense_circuit_action(state, circuit)
+        if action is None:
+            action = out[data_rows]
+        out[data_rows | y] -= action
+        if np.max(np.abs(out)) > restore_tol:
+            raise G.CircuitVerificationError(f"ancilla state {y} not restored")
+    return action
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except G.CircuitVerificationError:
+        return "rejected"
+
+
+ANCILLA_SHAPES = [
+    (n, ancillas)
+    for ancillas in (("clean",), ("dirty",), ("clean", "dirty"), ("dirty", "dirty"))
+    for n in range(2, 13 - len(ancillas))
+]
+
+
+@pytest.mark.parametrize("n,ancillas", ANCILLA_SHAPES)
+def test_live_verifier_matches_the_dense_oracle_with_ancillas(n, ancillas, monkeypatch):
+    rng = np.random.default_rng(1000 * n + len(ancillas) * 10 + ancillas.count("clean"))
+    default_share = G.DENSE_SHARE
+    gates = []
+    for _ in range(3):
+        gates += hadamard_spread(rng, n, random_gates(rng, n, 6, range(n)))
+        for k, kind in enumerate(ancillas):
+            gates += _borrowing_block(rng, n, n + k, kind)
+    good = G.StructuredCircuit(n, ancillas, gates)
+    # random gates on the ancillas as well mostly break the discipline
+    bad = G.StructuredCircuit(n, ancillas, gates + random_gates(rng, n + len(ancillas), 9))
+    inputs = random_inputs(rng, 1 << n)[:3]
+    basis = np.eye(1 << n, 4, dtype=complex).T
+    columns = np.stack([dense_data_action(good, e) for e in basis], axis=1)
+    w = SparseIsometry.from_dense(columns[:, : 1 << int(rng.integers(min(n, 2) + 1))])
+    for share in (LIVE_ONLY, default_share):
+        monkeypatch.setattr(G, "DENSE_SHARE", share)
+        for v in inputs:
+            want = dense_data_action(good, v)
+            got = G.simulate_on_state(good, {int(x): complex(v[x]) for x in np.flatnonzero(v)})
+            dense = np.zeros(1 << n, dtype=complex)
+            dense[list(got)] = list(got.values())
+            assert np.max(np.abs(dense - want)) <= 1e-12
+            assert np.max(np.abs(G.simulate_on_state(good, v) - want)) <= 1e-12
+            expected = _verdict(dense_data_action, bad, v)
+            got = _verdict(G.simulate_on_state, bad, v)
+            if isinstance(expected, str) or isinstance(got, str):
+                assert got == expected
+            else:
+                assert np.max(np.abs(got - expected)) <= 1e-12
+        res = G.equivalent(good, w, "exact", 1e-9)
+        assert res.ok and res.residual <= 1e-12
+        if good.total_qubits <= 8:
+            assert np.max(np.abs(G.circuit_unitary(good) - full_identity_action(good))) <= 1e-12
+
+
+def _embedding(rng, narrow, wide):
+    """``(table, embed)``: qubit q of a ``narrow``-qubit register sits at
+    ``table[q]`` of a ``wide`` one whose other qubits hold random bits, and
+    ``embed`` maps a narrow basis index to its wide one."""
+    table = [int(q) for q in rng.choice(wide, size=narrow, replace=False)]
+    background = 0
+    for q in set(range(wide)) - set(table):
+        background |= int(rng.integers(2)) << (wide - 1 - q)
+
+    def embed(x):
+        out = background
+        for q in range(narrow):
+            out |= ((x >> (narrow - 1 - q)) & 1) << (wide - 1 - table[q])
+        return out
+
+    return table, embed
+
+
+@pytest.mark.parametrize("wide", [15, 40, 62])
+def test_wide_register_matches_the_dense_kernel_on_its_embedded_qubits(wide):
+    rng = np.random.default_rng(900 + wide)
+    narrow = 8
+    for _ in range(4):
+        table, embed = _embedding(rng, narrow, wide)
+        gates = random_gates(rng, narrow, 40)
+        c = G.StructuredCircuit(wide, (), [g.remap(table) for g in gates])
+        for v in random_inputs(rng, 1 << narrow)[:3]:
+            want = dense_circuit_action(v, G.StructuredCircuit(narrow, (), gates))
+            got = G.simulate_on_state(c, {embed(int(x)): complex(v[x]) for x in np.flatnonzero(v)})
+            back = {embed(x): x for x in range(1 << narrow)}
+            assert set(got) <= set(back)
+            dense = np.zeros(1 << narrow, dtype=complex)
+            for y, a in got.items():
+                dense[back[y]] = a
+            assert np.max(np.abs(dense - want)) <= 1e-12
+
+
+def wide_state(rng, n, nnz):
+    """A random unit state with ``nnz`` nonzeros on ``n`` qubits (n <= 62)."""
+    pos = set()
+    while len(pos) < nnz:
+        pos.add(int(rng.integers(0, 1 << n, dtype=np.int64)))
+    amps = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    amps /= np.linalg.norm(amps)
+    return {p: complex(a) for p, a in zip(sorted(pos), amps)}
+
+
+def _distance(out: dict, v: dict) -> float:
+    return math.sqrt(sum(abs(out.get(k, 0) - v.get(k, 0)) ** 2 for k in set(out) | set(v)))
+
+
+WIDE_SSP = [(n, nnz) for n in (15, 40, 62) for nnz in (1, 3, 4, 8, 64)] + [(40, 512)]
+
+
+@pytest.mark.parametrize("n,nnz", WIDE_SSP)
+def test_ssp_verifies_past_the_dense_cap(n, nnz):
+    rng = np.random.default_rng(10_000 + 100 * n + nnz)
+    v = wide_state(rng, n, nnz)
+    c = P.sparse_state_prep_on(v, n)
+    assert _distance(G.simulate_on_state(c, {0: 1.0 + 0j}), v) <= 1e-9
+    w = SparseIsometry(n, 0, [(k, 0, a) for k, a in v.items()])
+    res = G.equivalent(c, w, "exact", 1e-9)
+    assert res.ok and res.residual <= 1e-9
+    res = G.equivalent(c, w, "up_to_diagonal", 1e-9)
+    assert res.ok and res.residual <= 1e-9
+
+
+def test_dropping_any_gate_of_a_wide_circuit_is_rejected():
+    n = 40
+    v = wide_state(np.random.default_rng(41), n, 8)
+    c = P.sparse_state_prep_on(v, n)
+    w = SparseIsometry(n, 0, [(k, 0, a) for k, a in v.items()])
+    assert G.equivalent(c, w, "exact", 1e-9).ok
+    for i in range(len(c.gates)):
+        dropped = G.StructuredCircuit(n, (), c.gates[:i] + c.gates[i + 1 :])
+        res = G.equivalent(dropped, w, "exact", 1e-9)
+        assert not res.ok, (i, c.gates[i].describe())
+        assert _distance(G.simulate_on_state(dropped, {0: 1.0 + 0j}), v) > 1e-9
+
+
+def test_wide_clean_ancilla_leak_is_caught():
+    n = 20
+    half = math.asin(1e-9)  # leak norm 1e-9: only a norm of the difference sees it
+    ry = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+    w = SparseIsometry(n, 0, [(0, 0, 1.0)])
+    for leak in (G.SingleQubit(n, ry, "ry"), G.CNOT(n - 1, n)):
+        c = G.StructuredCircuit(n, ("clean",), [G.x_gate(n - 1), leak, G.x_gate(n - 1)])
+        with pytest.raises(G.CircuitVerificationError):
+            G.simulate_on_state(c, {4: 1.0 + 0j})
+        with pytest.raises(G.CircuitVerificationError):
+            G.equivalent(c, w, "exact", 1e-10)
+    borrowed = G.StructuredCircuit(n, ("dirty",), [G.CNOT(n, 3), G.CNOT(n, 3)])
+    assert G.simulate_on_state(borrowed, {4: 1.0 + 0j}) == {4: 1.0 + 0j}
+    with pytest.raises(G.CircuitVerificationError):
+        G.simulate_on_state(G.StructuredCircuit(n, ("dirty",), [G.CNOT(n, 3)]), {4: 1.0 + 0j})
+
+
+def _hadamards(n, count):
+    return G.StructuredCircuit(n, (), [G.SingleQubit(q, G.H_MATRIX, "h") for q in range(count)])
+
+
+def test_live_amplitude_cap_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(G, "LIVE_CAP", 64)
+    assert len(G.simulate_on_state(_hadamards(40, 6), {0: 1.0 + 0j})) == 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(G.SimulationCapExceeded, match="128 amplitudes"):
+            G.simulate_on_state(_hadamards(40, 7), {0: 1.0 + 0j})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # a batch counts every column: a dirty ancilla doubles the rows and the
+    # columns, so 5 Hadamards make 2 x 32 rows x 2 columns
+    assert len(G.simulate_on_state(_hadamards(40, 5), {0: 1.0 + 0j})) == 32
+    c = G.StructuredCircuit(40, ("dirty",), _hadamards(40, 5).gates)
+    with pytest.raises(G.SimulationCapExceeded, match="128 amplitudes"):
+        G.simulate_on_state(c, {0: 1.0 + 0j})
+
+
+@pytest.mark.parametrize("k", [12, 30])
+def test_wide_spblock_beyond_the_cap_is_refused_before_allocating(k):
+    # the 2^k group (k = 30) or the 2^k x 2^k completion (k = 12) would not fit
+    state = {0: 2 ** -0.5 + 0j, (1 << k) - 1: 2 ** -0.5 + 0j}
+    c = G.StructuredCircuit(40, (), [G.SPBlock.from_dict(tuple(range(5, 5 + k)), state)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(G.SimulationCapExceeded):
+            G.simulate_on_state(c, {0: 1.0 + 0j})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dense_forms_keep_the_qubit_cap():
+    wide = G.StructuredCircuit(G.SIM_CAP + 1)
+    with pytest.raises(G.SimulationCapExceeded):
+        G.simulate_on_state(wide, np.zeros(4, dtype=complex))
+    w = SparseIsometry(G.SIM_CAP + 1, 0, [(0, 0, 1.0)])
+    with pytest.raises(G.SimulationCapExceeded):
+        G.equivalent(wide, w, "up_to_diag_and_row_perm", 1e-9, row_perm=[0])
+    assert G.equivalent(wide, w, "exact", 1e-9).ok
+    assert G.simulate_on_state(wide, {3: 1.0 + 0j}) == {3: 1.0 + 0j}
+    with pytest.raises(ValueError, match="out of range"):
+        G.simulate_on_state(wide, {1 << (G.SIM_CAP + 1): 1.0 + 0j})
+
+
+def test_reflection_builds_its_completion_once(monkeypatch):
+    rng = np.random.default_rng(51)
+    v = random_state_dict(3, 6, rng)
+    c = G.StructuredCircuit(4, (), [
+        G.SPBlock.from_dict((1, 2, 3), v, inverted=True),
+        G.H0Phase((1, 2, 3), math.pi),
+        G.SPBlock.from_dict((1, 2, 3), v),
+    ])
+    built = []
+    reduction_vector = hh.reduction_vector
+    monkeypatch.setattr(hh, "reduction_vector", lambda *a: built.append(1) or reduction_vector(*a))
+    u = G.circuit_unitary(c)
+    assert len(built) == 1
+    np.testing.assert_array_equal(u, full_identity_action(c))
+    first = G.complete_state_prep(v, 3)
+    assert G.complete_state_prep(dict(v), 3) is first and not first.flags.writeable
+    other = G.complete_state_prep(random_state_dict(3, 2, rng), 3)
+    assert other is not first
+    np.testing.assert_array_equal(G.complete_state_prep(v, 3), first)
