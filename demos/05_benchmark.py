@@ -2,7 +2,8 @@
 
 Draws random states with 2^s nonzeros at uniform positions, compiles them
 without ancillas, and reports mean CNOT counts per (n, s) cell against the
-clean-ancilla reference bound (n + 6s - 7 + 23/24) 2^s.  The full-size run
+clean-ancilla reference line (n + 6s - 7 + 23/24) 2^s, column `ref` (a
+reference, not a bound: it is negative for s = 0 and n <= 6).  The full-size run
 is `hhsynth bench ssp --n 8-16 --s 1,2,3 --trials 200 -o out.csv`; the CSV
 plots with any tool, e.g.
 pandas.read_csv("out.csv").groupby(["n","s"]).cnots.mean().unstack().plot().
@@ -15,9 +16,9 @@ from hhsynth import bench
 rows = bench.bench_ssp(ns=range(8, 15, 2), ss=(1, 2, 3), trials=50, seed=0)
 cells = bench.summarize(rows)
 
-print(f"{'n':>3} {'s':>3} {'mean':>9} {'sem':>7} {'bound':>9}")
+print(f"{'n':>3} {'s':>3} {'mean':>9} {'sem':>7} {'ref':>9}")
 for (n, s), cell in cells.items():
-    print(f"{n:>3} {s:>3} {cell['mean']:>9.2f} {cell['sem']:>7.2f} {cell['bound']:>9.2f}")
+    print(f"{n:>3} {s:>3} {cell['mean']:>9.2f} {cell['sem']:>7.2f} {cell['ref']:>9.2f}")
 
 print("\nlinear fits (mean CNOTs vs n):")
 for s in (1, 2, 3):

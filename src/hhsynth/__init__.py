@@ -43,7 +43,6 @@ from .gates import (
     circuit_from_dict,
     circuit_to_dict,
     circuit_unitary,
-    complete_state_prep,
     equivalent,
     gate_unitary,
     simulate_on_state,

@@ -18,7 +18,7 @@ import numpy as np
 from . import costs as C
 from . import pivoting as P
 
-CSV_HEADER = "n,s,trial,nnz,cnots,bound"
+CSV_HEADER = "n,s,trial,nnz,cnots,ref"
 
 
 def random_sparse_state(n: int, nnz: int, rng: np.random.Generator) -> dict[int, complex]:
@@ -40,10 +40,10 @@ class BenchRow:
     trial: int
     nnz: int
     cnots: int
-    bound: float
+    ref: float  # the figure's dashed reference line, not a bound on cnots
 
     def csv(self) -> str:
-        return f"{self.n},{self.s},{self.trial},{self.nnz},{self.cnots},{self.bound:.6g}"
+        return f"{self.n},{self.s},{self.trial},{self.nnz},{self.cnots},{self.ref:.6g}"
 
 
 def bench_ssp_row(
@@ -80,7 +80,7 @@ def bench_ssp(
 
 
 def summarize(rows: list[BenchRow]) -> dict[tuple[int, int], dict]:
-    """Mean, standard error of the mean and bound per (n, s) cell."""
+    """Mean, standard error of the mean and reference line per (n, s) cell."""
     cells: dict[tuple[int, int], list[BenchRow]] = {}
     for r in rows:
         cells.setdefault((r.n, r.s), []).append(r)
@@ -91,7 +91,7 @@ def summarize(rows: list[BenchRow]) -> dict[tuple[int, int], dict]:
         out[key] = {
             "mean": float(counts.mean()),
             "sem": sem,
-            "bound": group[0].bound,
+            "ref": group[0].ref,
             "trials": len(group),
         }
     return out

@@ -232,7 +232,7 @@ def cmd_bench(args) -> int:
     for (n, s), cell in B.summarize(rows).items():
         print(
             f"n={n} s={s}: mean={cell['mean']:.6g} sem={cell['sem']:.6g} "
-            f"bound={cell['bound']:.6g} trials={cell['trials']}",
+            f"ref={cell['ref']:.6g} trials={cell['trials']}",
             file=sys.stderr,
         )
     return 0

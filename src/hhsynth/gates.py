@@ -7,16 +7,18 @@ and the "subset value" of a basis index collects those bits in that order.
 A gate kind is one class here, which owns its qubits, inverse, text form,
 JSON tag and action, plus one cost rule in ``costs._gate_cost``.  The
 action is either an index map (a basis relabeling or a diagonal) or a
-2^k x 2^k ``subset_matrix`` on ``k`` qubits, applied where the gate's
-controls hold (:meth:`_Gate.mixing`).  An :class:`SPBlock`'s matrix is
-:func:`complete_state_prep`, the column-reduction reflection of its state
-onto |0..0> (the primitive the decompositions reduce columns with).
+``mix`` of the 2^k-row groups of ``k`` qubits, applied where the gate's
+controls hold (:meth:`_Gate.mixing`).  A controlled gate mixes with its 2x2
+matrix.  An :class:`SPBlock` mixes with the column-reduction reflection
+``H_u = I - 2|u><u|`` of its state onto |0..0> (the primitive the
+decompositions reduce columns with), after a phase on |0..0>; no 2^k x 2^k
+matrix is built.
 
 Simulation is exact linear algebra on the live rows of a state: an int64
 array of distinct basis indices and their amplitudes, one column per state
 of a batch (:func:`_simulate`).  An index map moves and rephases the live
-rows; a mixing gate adds the rows its matrix reaches and multiplies each
-group of them.  On at most :data:`SIM_CAP` qubits, once the live rows pass
+rows; a mixing gate adds the rows of every 2^k group it reaches and mixes
+each group.  On at most :data:`SIM_CAP` qubits, once the live rows pass
 ``1 / DENSE_SHARE`` of the basis, the rest of the circuit runs on the dense
 statevector (:func:`apply_gate`).  Above :data:`SIM_CAP` the live form runs
 on any register up to 62 qubits, and a gate that would hold more than
@@ -80,7 +82,7 @@ H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 class _Gate:
     """A gate kind: a frozen dataclass with a ``kind`` name, ``qubits``,
     ``dagger``, ``describe`` and an :meth:`index_map`, or else a
-    :meth:`mixing` with its ``subset_matrix()`` and a dense ``_act``.
+    :meth:`mixing` with its ``mix(block)`` and a dense ``_act``.
     Qubit fields are ``control``, ``target``, ``controls`` ((qubit,
     polarity) pairs) or ``qubits``; :data:`_JSON_FIELDS` gives each field's
     JSON form."""
@@ -128,8 +130,14 @@ class _Gate:
 
     def mixing(self, nq: int, idx: np.ndarray):
         """``(qubits, hit)`` for a gate without an index map: it applies
-        ``subset_matrix()`` to the subset ``qubits`` of every index ``idx[i]``
-        with ``hit[i]`` (``hit`` None: of every index)."""
+        ``mix`` to the subset ``qubits`` of every index ``idx[i]`` with
+        ``hit[i]`` (``hit`` None: of every index)."""
+        raise NotImplementedError
+
+    def mix(self, block: np.ndarray) -> np.ndarray:
+        """The gate's action on the subset of :meth:`mixing`: a complex
+        ``(2^k, X)`` block, one row per subset value, mixed column by
+        column.  It may overwrite ``block``, and returns the result."""
         raise NotImplementedError
 
     def apply(self, state: np.ndarray, nq: int) -> np.ndarray:
@@ -165,8 +173,8 @@ class _Controlled(_Gate):
         ctr = ",".join(f"{q}" if p else f"!{q}" for q, p in self.controls)
         return f"{self.kind}({ctr}->{self.target})"
 
-    def subset_matrix(self) -> np.ndarray:
-        return self.matrix
+    def mix(self, block):
+        return self.matrix @ block
 
     def mixing(self, nq, idx):
         return (self.target,), _controls_hit(idx, self.controls, nq) if self.controls else None
@@ -306,7 +314,14 @@ class SPBlock(_Gate):
     """Opaque state-preparation block: U|0..0> = state on the subset.
 
     ``inverted`` applies the inverse (un-preparation).  The simulated
-    unitary is the canonical completion from :func:`complete_state_prep`.
+    unitary is ``U = H_u D``: ``D`` puts the phase ``e^{i theta}`` on
+    |0..0>, and ``H_u = I - 2|u><u|`` is the column-reduction reflection
+    sending the state to ``e^{i theta}|0..0>``
+    (:func:`householder.reduction_vector`, target 0), so column 0 is the
+    state.  The normalization ``1 + |v_0|`` is at least 1, so this is
+    stable for every state, and for the state |0..0> it is exactly the
+    identity.  Any completion gives the same reflection ``U H0 U^dag`` and
+    the same prepare/unprepare pairs.
     """
 
     qubits: tuple[int, ...]
@@ -331,15 +346,28 @@ class SPBlock(_Gate):
         tag = "unprepare" if self.inverted else "prepare"
         return f"{tag}[{len(self.state)} amps](q{list(self.qubits)})"
 
-    def subset_matrix(self) -> np.ndarray:
-        u = complete_state_prep(dict(self.state), len(self.qubits))
-        return u.conj().T if self.inverted else u
+    def mix(self, block):
+        nrm = state_norm(dict(self.state))
+        # unit to rounding, so that H_u is unitary to rounding
+        v = {x: a / nrm for x, a in self.state}
+        sparse_u, _ = hh.reduction_vector(v, 0)
+        u = np.zeros(len(block), dtype=complex)
+        u[np.fromiter(sparse_u, dtype=np.int64, count=len(sparse_u))] = list(sparse_u.values())
+        _, eith = hh.target_phase(v.get(0, 0j))
+        # U = H_u D and U^dag = D^dag H_u factor by factor, not as H_u plus
+        # a correction of column 0: at the state |0..0> this is exactly I
+        if not self.inverted:
+            block[0] *= eith
+        block -= np.outer(u, 2.0 * (u.conj() @ block))
+        if self.inverted:
+            block[0] *= eith.conjugate()
+        return block
 
     def mixing(self, nq, idx):
         return self.qubits, None
 
     def _act(self, state, idx, nq):
-        return _apply_subset_unitary(state, self.subset_matrix(), self.qubits, nq)
+        return _apply_subset_unitary(state, self.mix, self.qubits, nq)
 
 
 @dataclass(frozen=True)
@@ -456,17 +484,19 @@ def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
     return g.apply(state, nq)
 
 
-def _apply_subset_unitary(state, u, qubits, nq):
+def _apply_subset_unitary(state, mix, qubits, nq):
+    """``mix`` (a gate's :meth:`_Gate.mix`) on every 2^k group of a dense
+    state or batch; a new array."""
     batch = state.ndim == 2
     shape = state.shape
     t = state.reshape([2] * nq + ([shape[1]] if batch else []))
     rest = [a for a in range(nq) if a not in qubits] + ([nq] if batch else [])
     order = list(qubits) + rest
-    t = np.transpose(t, order).reshape(1 << len(qubits), -1)
-    t = u @ t
+    # a contiguous copy, which ``mix`` may overwrite
+    t = np.transpose(t, order).astype(np.result_type(t, complex), order="C")
+    t = mix(t.reshape(1 << len(qubits), -1))
     t = t.reshape([2] * nq + ([shape[1]] if batch else []))
-    t = np.transpose(t, np.argsort(order))
-    return t.reshape(shape).copy()
+    return np.transpose(t, np.argsort(order)).reshape(shape)
 
 
 def _sorted_unique(idx: np.ndarray) -> np.ndarray:
@@ -500,18 +530,16 @@ def _live_gate(g: Gate, rows: np.ndarray, amps: np.ndarray, nq: int):
     mask = sum(1 << (nq - 1 - q) for q in qubits)
     bases = _sorted_unique((rows if hit is None else rows[hit]) & ~mask)
     kept = rows[:0] if hit is None else rows[~hit]  # untouched, and in no hit group
-    # the live rows after the gate, and the 2^k x 2^k matrix
-    _admit(nq, max((len(kept) + (len(bases) << k)) * amps.shape[1], 1 << 2 * k))
+    _admit(nq, (len(kept) + (len(bases) << k)) * amps.shape[1])  # the rows after the gate
     # group[v, b]: the row of base b whose subset value is v
     offsets = _scatter_subset(np.zeros(1 << k, dtype=np.int64), np.arange(1 << k), qubits, nq)
     group = offsets[:, None] | bases
     new_rows = np.sort(np.concatenate([kept, group.ravel()]))
-    u = g.subset_matrix()
-    out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, u))
+    out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, complex))
     out[np.searchsorted(new_rows, rows)] = amps
     pos = np.searchsorted(new_rows, group)
-    block = out[pos]
-    out[pos] = (u @ block.reshape(1 << k, -1)).reshape(block.shape)
+    block = out[pos]  # a copy, which ``mix`` may overwrite
+    out[pos] = g.mix(block.reshape(1 << k, -1)).reshape(block.shape)
     live = np.any(out != 0, axis=1)
     if live.all():
         return new_rows, out
@@ -542,7 +570,6 @@ def _simulate(circuit: StructuredCircuit, rows: np.ndarray, amps: np.ndarray):
     else:  # still live: sort once, at the end
         order = np.argsort(rows)
         rows, amps = rows[order], amps[order]
-    _LAST_COMPLETION[:] = None, None  # no completion outlives its simulation
     return rows, amps
 
 
@@ -566,48 +593,6 @@ def apply_circuit(state: np.ndarray, circuit: StructuredCircuit) -> np.ndarray:
 
 def gate_unitary(g: Gate, nq: int) -> np.ndarray:
     return apply_gate(np.eye(1 << nq, dtype=complex), g, nq)
-
-
-# ---------------------------------------------------------------------------
-# canonical state preparation (used to simulate SPBlock)
-
-
-_LAST_COMPLETION: list = [None, None]  # [(state items, k), matrix] of the last call
-
-
-def complete_state_prep(v: dict[int, complex], k: int) -> np.ndarray:
-    """A deterministic unitary U on k qubits with U|0..0> = v, read-only.
-
-    Canonical choice: the column-reduction reflection H that sends v to
-    e^{i theta}|0..0> (:func:`householder.reduction_vector` with target 0),
-    with the phase put back on |0..0>: column 0 is v itself, which
-    ``e^{i theta} H|0..0>`` equals up to rounding.  The normalization
-    ``1 + |v_0|`` is at least 1, so this is stable for every v, and at
-    v = |0..0> it is exactly the identity.  Any completion gives the same
-    reflection ``U H0 U^dag`` and the same prepare/unprepare pairs.
-
-    The last matrix is kept: a reflection's unprepare and prepare blocks
-    ask for the same one.
-    """
-    key = (tuple(v.items()), k)
-    if _LAST_COMPLETION[0] == key:
-        return _LAST_COMPLETION[1]
-    _LAST_COMPLETION[:] = None, None  # not held while the next one is built
-    nrm = state_norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state norm {nrm} is not 1")
-    # unit to rounding, so that H is unitary to rounding
-    v = {x: a / nrm for x, a in v.items()}
-    u, _ = hh.reduction_vector(v, 0)
-    keys = np.fromiter(u, dtype=np.int64, count=len(u))
-    a = np.fromiter(u.values(), dtype=complex, count=len(u))
-    h = np.eye(1 << k, dtype=complex)
-    h[keys[:, None], keys] -= 2.0 * a[:, None] * a.conj()
-    h[:, 0] = 0.0
-    h[list(v), 0] = list(v.values())
-    h.flags.writeable = False
-    _LAST_COMPLETION[:] = key, h
-    return h
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ One construction gives every reflection: the standard reflection
 :func:`reduction_vector` builds its ``u`` and :func:`target_phase` its
 phase; the normalization ``1 + |w_t|`` is at least 1, so the construction
 is stable for every column.  The decompositions reduce columns with it, and
-the simulator completes every state-preparation block with it
-(``gates.complete_state_prep``, target 0).
+the simulator applies every state-preparation block as it (target 0, after
+a phase on |0..0>; ``gates.SPBlock``), without a dense matrix.
 
 :func:`reduce_column` applies the reflection sending column ``j`` of a
 sparse isometry to basis row ``i`` directly on the dual-index storage via

@@ -3,6 +3,7 @@
 import numpy as np
 
 from hhsynth import gates as G
+from hhsynth import householder as hh
 from hhsynth.numerics import SparseIsometry
 
 
@@ -50,6 +51,35 @@ def dense_reflection(u_dict, n):
     for k, a in u_dict.items():
         u[k] = a
     return np.eye(1 << n, dtype=complex) - 2.0 * np.outer(u, u.conj())
+
+
+def complete_state_prep(v, k):
+    """The dense 2^k x 2^k unitary an ``SPBlock`` on k qubits with state
+    ``v`` applies: the reflection I - 2|u><u| sending ``v`` to
+    e^{i theta}|0..0> (``householder.reduction_vector``, target 0) with its
+    column 0 replaced by ``v`` itself, which equals H_u after the phase
+    e^{i theta} on |0..0>.  The oracle of the simulator's rank-two form."""
+    nrm = np.sqrt(sum(abs(a) ** 2 for a in v.values()))
+    v = {x: a / nrm for x, a in v.items()}
+    u, _ = hh.reduction_vector(v, 0)
+    h = dense_reflection(u, k)
+    h[:, 0] = 0.0
+    h[list(v), 0] = list(v.values())
+    return h
+
+
+def near_phased_zero(k, dist, alpha, rng):
+    """A unit state at distance about ``dist`` from e^{i alpha}|0..0>, on a
+    random support; every nonzero entry has modulus above 1e-10."""
+    d = 1 << k
+    support = np.flatnonzero(rng.random(d - 1) < 0.7) + 1
+    if len(support) == 0:
+        support = np.array([1 + rng.integers(d - 1)])
+    noise = rng.uniform(0.5, 1.0, len(support)) * np.exp(2j * np.pi * rng.random(len(support)))
+    v = np.zeros(d, dtype=complex)
+    v[0] = np.exp(1j * alpha)
+    v[support] = dist * noise / np.linalg.norm(noise)
+    return v / np.linalg.norm(v)
 
 
 def dense_reduction_steps(v, cols):

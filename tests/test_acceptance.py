@@ -229,7 +229,7 @@ def test_criterion_8_benchmark_trend_and_bound():
             rows = [B.bench_ssp_row(n, s, t, SEED, NONE) for t in range(200)]
             counts = np.array([r.cnots for r in rows], dtype=float)
             means.append(counts.mean())
-            bounds.append(rows[0].bound)
+            bounds.append(rows[0].ref)
         x = np.array(ns, dtype=float)
         y = np.array(means)
         a = np.vstack([x, np.ones_like(x)]).T

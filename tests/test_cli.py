@@ -145,7 +145,16 @@ def test_bench_deterministic(tmp_path):
     assert run(args + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
-    assert header == "n,s,trial,nnz,cnots,bound"
+    assert header == "n,s,trial,nnz,cnots,ref"
+
+
+def test_bench_names_its_reference_line_ref(capsys):
+    # (n + 6s - 7 + 23/24) 2^s is a reference, not a bound: at n = 3, s = 0
+    # it is negative while the count is 0
+    assert run(["bench", "ssp", "--n", "3", "--s", "0", "--trials", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["n,s,trial,nnz,cnots,ref", "3,0,0,1,0,-3.04167", "3,0,1,1,0,-3.04167"]
+    assert "ref=-3.04167" in err and "bound" not in err
 
 
 def test_compile_deterministic(tmp_path):
@@ -171,7 +180,7 @@ def test_bench_wide_registers_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == first
-    assert first.splitlines()[0] == "n,s,trial,nnz,cnots,bound"
+    assert first.splitlines()[0] == "n,s,trial,nnz,cnots,ref"
     assert len(first.splitlines()) == 3
 
 
@@ -242,6 +251,25 @@ def test_compile_and_verify_past_the_dense_cap(tmp_path):
     entries[17] = entries[17][:2] + [-entries[17][2], -entries[17][3]]
     changed = write_json(tmp_path / "changed.json", {"n": 40, "m": 0, "entries": entries})
     assert run(["verify", str(out), changed]) == cli.EXIT_VERIFY
+
+
+def test_verify_a_wide_spblock_without_its_matrix(tmp_path):
+    # n = 40: an X layer, then a 12-qubit block holding a 4096-entry state,
+    # whose 2^12 x 2^12 completion would pass the live cap
+    n, k, low = 40, 12, 40 - 5 - 12
+    rng = np.random.default_rng(79)
+    amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    amps /= np.linalg.norm(amps)
+    block = G.SPBlock(tuple(range(5, 5 + k)), tuple((x, complex(a)) for x, a in enumerate(amps)))
+    circuit = G.StructuredCircuit(n, (), [G.x_gate(0), G.x_gate(n - 1), block])
+    out = write_json(tmp_path / "c.json", G.circuit_to_dict(circuit))
+    base = (1 << (n - 1)) | 1
+    entries = [[base | x << low, 0, a.real, a.imag] for x, a in enumerate(amps)]
+    mat = write_json(tmp_path / "v.json", {"n": n, "m": 0, "entries": entries})
+    assert run(["verify", out, mat]) == 0
+    entries[17] = entries[17][:2] + [-entries[17][2], -entries[17][3]]
+    changed = write_json(tmp_path / "changed.json", {"n": n, "m": 0, "entries": entries})
+    assert run(["verify", out, changed]) == cli.EXIT_VERIFY
 
 
 def test_compile_rejects_more_than_62_qubits(tmp_path):

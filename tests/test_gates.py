@@ -8,7 +8,13 @@ from hhsynth import gates as G
 from hhsynth import methods as M
 from hhsynth.numerics import state_to_vector
 
-from helpers import full_identity_action, random_sparse_isometry, random_state_dict, random_u2
+from helpers import (
+    full_identity_action,
+    near_phased_zero,
+    random_sparse_isometry,
+    random_state_dict,
+    random_u2,
+)
 
 RNG = np.random.default_rng(20)
 
@@ -125,29 +131,20 @@ def test_spblock_prepares_target():
     np.testing.assert_allclose(G.apply_gate(state, g, 3), state_to_vector(v, 3), atol=1e-10)
 
 
+def _spblock_unitary(v, k):
+    """The unitary of an ``SPBlock`` on k qubits, through the dense kernel."""
+    return G.gate_unitary(G.SPBlock.from_dict(tuple(range(k)), v), k)
+
+
 def test_complete_state_prep_zero_is_identity():
-    np.testing.assert_array_equal(G.complete_state_prep({0: 1.0 + 0j}, 2), np.eye(4))
+    np.testing.assert_array_equal(_spblock_unitary({0: 1.0 + 0j}, 2), np.eye(4))
 
 
 def test_complete_state_prep_plus_state():
     v = {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)}
-    u = G.complete_state_prep(v, 1)
+    u = _spblock_unitary(v, 1)
     np.testing.assert_allclose(u[:, 0], [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-
-def _near_phased_zero(k, dist, alpha, rng):
-    """A unit state at distance about ``dist`` from e^{i alpha}|0..0>, on a
-    random support; every nonzero entry has modulus above 1e-10."""
-    d = 1 << k
-    support = np.flatnonzero(rng.random(d - 1) < 0.7) + 1
-    if len(support) == 0:
-        support = np.array([1 + rng.integers(d - 1)])
-    noise = rng.uniform(0.5, 1.0, len(support)) * np.exp(2j * np.pi * rng.random(len(support)))
-    v = np.zeros(d, dtype=complex)
-    v[0] = np.exp(1j * alpha)
-    v[support] = dist * noise / np.linalg.norm(noise)
-    return v / np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -158,14 +155,14 @@ def test_complete_state_prep_is_exact_near_a_phased_basis_state(k):
     # a small alpha is the hard case: the state is then close to |0..0> itself
     for _ in range(100):
         alpha = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, 0)
-        states.append(_near_phased_zero(k, 10.0 ** rng.uniform(-9, -2), alpha, rng))
+        states.append(near_phased_zero(k, 10.0 ** rng.uniform(-9, -2), alpha, rng))
     for v in states:
         vd = {int(x): complex(v[x]) for x in np.flatnonzero(v)}
         assert min(abs(a) for a in vd.values()) > 1e-10
-        u = G.complete_state_prep(vd, k)
+        u = _spblock_unitary(vd, k)
         assert np.max(np.abs(u.conj().T @ u - np.eye(1 << k))) <= 1e-14
         assert np.max(np.abs(u[:, 0] - v)) <= 1e-14
-    np.testing.assert_array_equal(G.complete_state_prep({0: 1.0 + 0j}, k), np.eye(1 << k))
+    np.testing.assert_array_equal(_spblock_unitary({0: 1.0 + 0j}, k), np.eye(1 << k))
 
 
 def test_completion_invariance_of_conjugated_reflection():
@@ -174,7 +171,7 @@ def test_completion_invariance_of_conjugated_reflection():
     for _ in range(10):
         v = random_state_dict(3, 8, rng)
         vv = state_to_vector(v, 3)
-        u1 = G.complete_state_prep(v, 3)
+        u1 = _spblock_unitary(v, 3)
         # Gram-Schmidt completion oracle
         basis = [vv]
         for k in range(8):

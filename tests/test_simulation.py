@@ -16,11 +16,17 @@ import numpy as np
 import pytest
 
 from hhsynth import gates as G
-from hhsynth import householder as hh
 from hhsynth import pivoting as P
 from hhsynth.numerics import SparseIsometry
 
-from helpers import dense_circuit_action, full_identity_action, random_state_dict, random_u2
+from helpers import (
+    complete_state_prep,
+    dense_circuit_action,
+    full_identity_action,
+    near_phased_zero,
+    random_state_dict,
+    random_u2,
+)
 
 KINDS = (
     "cnot", "single", "mcx", "mcu", "diagonal", "permutation", "decrement", "spblock", "h0phase"
@@ -323,21 +329,55 @@ def test_live_amplitude_cap_refuses_before_allocating(monkeypatch):
     c = G.StructuredCircuit(40, ("dirty",), _hadamards(40, 5).gates)
     with pytest.raises(G.SimulationCapExceeded, match="128 amplitudes"):
         G.simulate_on_state(c, {0: 1.0 + 0j})
+    # an spblock needs only its 2^k group of rows: 64 fit, 128 do not
+    assert len(G.simulate_on_state(_wide_spblock(40, 6), {0: 1.0 + 0j})) == 2
+    with pytest.raises(G.SimulationCapExceeded, match="128 amplitudes"):
+        G.simulate_on_state(_wide_spblock(40, 7), {0: 1.0 + 0j})
 
 
-@pytest.mark.parametrize("k", [12, 30])
-def test_wide_spblock_beyond_the_cap_is_refused_before_allocating(k):
-    # the 2^k group (k = 30) or the 2^k x 2^k completion (k = 12) would not fit
+def _wide_spblock(n, k):
+    """An n-qubit circuit of one k-qubit block preparing (|0..0> + |1..1>) / sqrt 2."""
     state = {0: 2 ** -0.5 + 0j, (1 << k) - 1: 2 ** -0.5 + 0j}
-    c = G.StructuredCircuit(40, (), [G.SPBlock.from_dict(tuple(range(5, 5 + k)), state)])
+    return G.StructuredCircuit(n, (), [G.SPBlock.from_dict(tuple(range(5, 5 + k)), state)])
+
+
+@pytest.mark.parametrize("k", [30])
+def test_wide_spblock_beyond_the_cap_is_refused_before_allocating(k):
+    # the 2^k group would not fit
     tracemalloc.start()
     try:
         with pytest.raises(G.SimulationCapExceeded):
-            G.simulate_on_state(c, {0: 1.0 + 0j})
+            G.simulate_on_state(_wide_spblock(40, k), {0: 1.0 + 0j})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_wide_spblock_simulates_exactly_without_its_matrix():
+    # a 12-qubit block on 40 qubits: its 2^12 group fits the live cap, and
+    # the 2^12 x 2^12 completion (256 MiB) is never built
+    n, k = 40, 12
+    c = _wide_spblock(n, k)
+    tracemalloc.start()
+    try:
+        out = G.simulate_on_state(c, {0: 1.0 + 0j})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    ones = ((1 << k) - 1) << (n - 5 - k)
+    assert out.keys() == {0, ones}
+    assert max(abs(out[0] - 2 ** -0.5), abs(out[ones] - 2 ** -0.5)) <= 1e-15
+    # a dense 4096-entry state after an X layer, through equivalent
+    rng = np.random.default_rng(62)
+    v = random_state_dict(k, 1 << k, rng)
+    xs = [G.x_gate(0), G.x_gate(n - 1)]
+    c = G.StructuredCircuit(n, (), xs + [G.SPBlock.from_dict(tuple(range(5, 5 + k)), v)])
+    base = (1 << (n - 1)) | 1
+    want = SparseIsometry(n, 0, [(base | x << (n - 5 - k), 0, a) for x, a in v.items()])
+    res = G.equivalent(c, want)
+    assert res.ok and res.residual <= 1e-14
 
 
 def test_dense_forms_keep_the_qubit_cap():
@@ -353,22 +393,65 @@ def test_dense_forms_keep_the_qubit_cap():
         G.simulate_on_state(wide, {1 << (G.SIM_CAP + 1): 1.0 + 0j})
 
 
-def test_reflection_builds_its_completion_once(monkeypatch):
-    rng = np.random.default_rng(51)
-    v = random_state_dict(3, 6, rng)
-    c = G.StructuredCircuit(4, (), [
-        G.SPBlock.from_dict((1, 2, 3), v, inverted=True),
-        G.H0Phase((1, 2, 3), math.pi),
-        G.SPBlock.from_dict((1, 2, 3), v),
-    ])
-    built = []
-    reduction_vector = hh.reduction_vector
-    monkeypatch.setattr(hh, "reduction_vector", lambda *a: built.append(1) or reduction_vector(*a))
-    u = G.circuit_unitary(c)
-    assert len(built) == 1
-    np.testing.assert_array_equal(u, full_identity_action(c))
-    first = G.complete_state_prep(v, 3)
-    assert G.complete_state_prep(dict(v), 3) is first and not first.flags.writeable
-    other = G.complete_state_prep(random_state_dict(3, 2, rng), 3)
-    assert other is not first
-    np.testing.assert_array_equal(G.complete_state_prep(v, 3), first)
+def _embedded_completion(g, nq):
+    """The block's dense completion (its inverse, when ``inverted``) as a
+    2^nq x 2^nq matrix: entry (i', i) is U[v(i'), v(i)] when i' and i agree
+    off the block's qubits, v being the subset value."""
+    u = complete_state_prep(dict(g.state), len(g.qubits))
+    if g.inverted:
+        u = u.conj().T
+    idx = np.arange(1 << nq)
+    sub = np.zeros_like(idx)
+    for q in g.qubits:
+        sub = (sub << 1) | ((idx >> (nq - 1 - q)) & 1)
+    rest = idx & ~sum(1 << (nq - 1 - q) for q in g.qubits)
+    return np.where(rest[:, None] == rest, u[sub[:, None], sub], 0)
+
+
+def _sparse_input(nq, count, rng):
+    x = np.zeros(1 << nq, dtype=complex)
+    x[rng.choice(1 << nq, size=count, replace=False)] = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return x
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_spblock_rank_two_form_matches_the_dense_completion(k, monkeypatch):
+    monkeypatch.setattr(G, "DENSE_SHARE", LIVE_ONLY)
+    rng = np.random.default_rng(400 + k)
+    nq = k + 1
+    states = [
+        random_state_dict(k, int(rng.integers(1, min(4, 1 << k) + 1)), rng),  # sparse
+        random_state_dict(k, 1 << k, rng),  # dense
+    ]
+    for _ in range(3):
+        # near e^{i alpha}|0..0>, |alpha| down to 1e-9 (a small alpha is the hard case)
+        alpha = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, 0)
+        v = near_phased_zero(k, 10.0 ** rng.uniform(-9, -2), alpha, rng)
+        states.append({int(x): complex(v[x]) for x in np.flatnonzero(v)})
+    worst = 0.0
+    for v in states:
+        qubits = tuple(int(q) for q in rng.permutation(nq)[:k])
+        for inverted in (False, True):
+            g = G.SPBlock.from_dict(qubits, v, inverted)
+            oracle = _embedded_completion(g, nq)
+            batch = rng.normal(size=(1 << nq, 3)) + 1j * rng.normal(size=(1 << nq, 3))
+            worst = max(worst, np.max(np.abs(G.apply_gate(batch, g, nq) - oracle @ batch)))
+            c = G.StructuredCircuit(nq, (), [g])
+            for x in (_sparse_input(nq, 1, rng), _sparse_input(nq, 3, rng)):
+                worst = max(worst, np.max(np.abs(G.apply_circuit(x, c) - oracle @ x)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_spblock_of_the_zero_state_leaves_every_input_unchanged(k, monkeypatch):
+    monkeypatch.setattr(G, "DENSE_SHARE", LIVE_ONLY)
+    rng = np.random.default_rng(420 + k)
+    nq = k + 1
+    batch = rng.normal(size=(1 << nq, 3)) + 1j * rng.normal(size=(1 << nq, 3))
+    for inverted in (False, True):
+        qubits = tuple(int(q) for q in rng.permutation(nq)[:k])
+        g = G.SPBlock(qubits, ((0, 1.0 + 0j),), inverted)
+        np.testing.assert_array_equal(G.apply_gate(batch, g, nq), batch)
+        c = G.StructuredCircuit(nq, (), [g])
+        for x in (_sparse_input(nq, 1, rng), _sparse_input(nq, 3, rng), batch):
+            np.testing.assert_array_equal(G.apply_circuit(x, c), x)
