@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -127,6 +128,12 @@ def cmd_compile(args) -> int:
                 circuit = P.sparse_state_prep_on(w.col(0), w.n, **kw)
                 result = M.DecompositionResult(circuit, C.audit_circuit(circuit, regime), [])
             elif args.method == "dense":
+                if 1 << (w.n + w.m) > G.LIVE_CAP:
+                    raise CliError(
+                        f"--method dense holds all 2^{w.n + w.m} amplitudes, "
+                        f"past the cap of {G.LIVE_CAP} (gates.LIVE_CAP)",
+                        EXIT_VALIDATE,
+                    )
                 result = M.dense_householder_iso(w.to_dense(), regime)
             elif args.method == "sparse":
                 result = M.sparse_householder_iso(
@@ -238,6 +245,13 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a finite value >= 0")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hhsynth", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -254,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("-o", "--output", default=None)
     pc.add_argument("--trace", default=None)
     pc.add_argument("--verify", action="store_true")
-    pc.add_argument("--tol", type=float, default=1e-9)
+    pc.add_argument("--tol", type=tolerance, default=1e-9)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--samples", type=int, default=100)
     pc.set_defaults(func=cmd_compile)
@@ -267,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         choices=["exact", "up_to_diagonal", "up_to_diag_and_row_perm"],
     )
-    pv.add_argument("--tol", type=float, default=1e-9)
+    pv.add_argument("--tol", type=tolerance, default=1e-9)
     pv.add_argument("--row-perm", default=None, help="JSON file with the witness")
     pv.set_defaults(func=cmd_verify)
 

@@ -5,33 +5,35 @@ basis index.  Multi-qubit subsets are tuples listed most-significant first,
 and the "subset value" of a basis index collects those bits in that order.
 
 A gate kind is one class here, which owns its qubits, inverse, text form,
-JSON tag and action, plus one cost rule in ``costs._gate_cost``.  The
-action is either an index map (a basis relabeling or a diagonal) or a
-``mix`` of the 2^k-row groups of ``k`` qubits, applied where the gate's
-controls hold (:meth:`_Gate.mixing`).  A controlled gate mixes with its 2x2
-matrix.  An :class:`SPBlock` mixes with the column-reduction reflection
-``H_u = I - 2|u><u|`` of its state onto |0..0> (the primitive the
-decompositions reduce columns with), after a phase on |0..0>; no 2^k x 2^k
-matrix is built.
+JSON tag and one action, plus one cost rule in ``costs._gate_cost``.  The
+action is either an :meth:`_Gate.index_map` (a basis relabeling or a
+diagonal) or a :meth:`_Gate.mixing` with its ``mix``: a mix of the
+2^k-row groups of ``k`` qubits, applied where the gate's controls hold.  A
+controlled gate mixes with its 2x2 matrix.  An :class:`SPBlock` mixes with
+the column-reduction reflection ``H_u = I - 2|u><u|`` of its state onto
+|0..0> (the primitive the decompositions reduce columns with), after a
+phase on |0..0>; no 2^k x 2^k matrix is built.
 
 Simulation is exact linear algebra on the live rows of a state: an int64
 array of distinct basis indices and their amplitudes, one column per state
-of a batch (:func:`_simulate`).  An index map moves and rephases the live
-rows; a mixing gate adds the rows of every 2^k group it reaches and mixes
-each group.  On at most :data:`SIM_CAP` qubits, once the live rows pass
-``1 / DENSE_SHARE`` of the basis, the rest of the circuit runs on the dense
-statevector (:func:`apply_gate`).  Above :data:`SIM_CAP` the live form runs
-on any register up to 62 qubits, and a gate that would hold more than
-:data:`LIVE_CAP` live amplitudes raises :class:`SimulationCapExceeded`
-before it allocates them.
+of a batch.  One kernel, :func:`_live_gate`, applies every gate: an index
+map moves and rephases the live rows; a mixing gate adds the rows of every
+2^k group it reaches and mixes each group.  A state holding all 2^nq rows
+is kept in basis order, so its rows are its positions and its groups are
+indexed directly.  On at most :data:`SIM_CAP` qubits, once the live rows
+pass ``1 / DENSE_SHARE`` of the basis, :func:`_simulate` fills them in to
+the full basis; :func:`apply_gate` is the kernel on the full basis.  Above
+:data:`SIM_CAP` the live form runs on any register up to 62 qubits, and a
+gate that would hold more than :data:`LIVE_CAP` live amplitudes raises
+:class:`SimulationCapExceeded` before it allocates them.
 
 Clean ancillas must start and end in |0>; dirty ancillas may start in any
 basis state and must be restored.  :func:`circuit_unitary`,
 :func:`simulate_on_state` and :func:`equivalent` check both disciplines by
 simulating only the data columns they are asked about, each embedded at
 every allowed ancilla basis state, in one batch.  What is ``2^n`` long by
-nature (:func:`circuit_unitary`, dense data states, row-permutation
-witnesses) stays capped at :data:`SIM_CAP` qubits.
+nature (:func:`circuit_unitary`, dense data states and matrices,
+row-permutation witnesses) stays capped at :data:`SIM_CAP` qubits.
 
 The module also provides :class:`PermPhase`, the classical form of
 operators of shape ``Diag(phases) . Perm``, which the decompositions use to
@@ -81,8 +83,8 @@ H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 class _Gate:
     """A gate kind: a frozen dataclass with a ``kind`` name, ``qubits``,
-    ``dagger``, ``describe`` and an :meth:`index_map`, or else a
-    :meth:`mixing` with its ``mix(block)`` and a dense ``_act``.
+    ``dagger``, ``describe`` and one action, an :meth:`index_map` or else a
+    :meth:`mixing` with its :meth:`mix`, which :func:`_live_gate` applies.
     Qubit fields are ``control``, ``target``, ``controls`` ((qubit,
     polarity) pairs) or ``qubits``; :data:`_JSON_FIELDS` gives each field's
     JSON form."""
@@ -140,21 +142,6 @@ class _Gate:
         column.  It may overwrite ``block``, and returns the result."""
         raise NotImplementedError
 
-    def apply(self, state: np.ndarray, nq: int) -> np.ndarray:
-        """Exact action on a (2^nq,) state or a (2^nq, k) batch of columns."""
-        idx = np.arange(1 << nq)
-        imap = self.index_map(nq, idx)
-        if imap is None:
-            return self._act(state, idx, nq)
-        dst, ph = imap
-        if ph is not None:
-            state = state * (ph if state.ndim == 1 else ph[:, None])
-        if dst is idx:
-            return state
-        out = np.empty_like(state)
-        out[dst] = state
-        return out
-
 
 class _Controlled(_Gate):
     """A 2x2 ``matrix`` on ``target``, applied where every (qubit, polarity)
@@ -190,18 +177,6 @@ class _Controlled(_Gate):
             hit = _controls_hit(idx, self.controls, nq)
             return idx, np.where(hit, np.diag(u)[(idx >> tpos) & 1], 1.0 + 0j)
         return None
-
-    def _act(self, state, idx, nq):
-        u = self.matrix
-        tpos = nq - 1 - self.target
-        mask = _controls_hit(idx, self.controls, nq)
-        i0 = idx[mask & (((idx >> tpos) & 1) == 0)]
-        i1 = i0 | (1 << tpos)
-        out = state.copy()
-        a0, a1 = state[i0], state[i1]
-        out[i0] = u[0, 0] * a0 + u[0, 1] * a1
-        out[i1] = u[1, 0] * a0 + u[1, 1] * a1
-        return out
 
 
 @dataclass(frozen=True)
@@ -366,9 +341,6 @@ class SPBlock(_Gate):
     def mixing(self, nq, idx):
         return self.qubits, None
 
-    def _act(self, state, idx, nq):
-        return _apply_subset_unitary(state, self.mix, self.qubits, nq)
-
 
 @dataclass(frozen=True)
 class H0Phase(_Gate):
@@ -442,8 +414,9 @@ class StructuredCircuit:
 
 
 # ---------------------------------------------------------------------------
-# simulation kernels: dense states are (2^N,) or (2^N, batch) arrays, live
-# states an int64 array of distinct basis rows and their (rows, batch) amplitudes
+# simulation kernel: a live state is an int64 array of distinct basis rows and
+# their (rows, batch) amplitudes; apply_gate's dense states are (2^N,) or
+# (2^N, batch) arrays
 
 
 def _subset_values(idx, qubits: tuple[int, ...], nq: int):
@@ -477,26 +450,15 @@ def _controls_hit(idx: np.ndarray, controls, nq: int) -> np.ndarray:
     return (idx & mask) == want
 
 
-def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
-    """Exact action of one gate on a statevector or a batch of columns."""
-    if state.shape[0] != 1 << nq:
-        raise ValueError(f"state dimension {state.shape[0]} != 2^{nq}")
-    return g.apply(state, nq)
-
-
 def _apply_subset_unitary(state, mix, qubits, nq):
-    """``mix`` (a gate's :meth:`_Gate.mix`) on every 2^k group of a dense
-    state or batch; a new array."""
-    batch = state.ndim == 2
-    shape = state.shape
-    t = state.reshape([2] * nq + ([shape[1]] if batch else []))
-    rest = [a for a in range(nq) if a not in qubits] + ([nq] if batch else [])
-    order = list(qubits) + rest
+    """``mix`` (a gate's :meth:`_Gate.mix`) on every 2^k group of a full
+    ``(2^nq, batch)`` state in basis order; a new array."""
+    t = state.reshape([2] * nq + [state.shape[1]])
+    order = list(qubits) + [a for a in range(nq + 1) if a not in qubits]
     # a contiguous copy, which ``mix`` may overwrite
     t = np.transpose(t, order).astype(np.result_type(t, complex), order="C")
-    t = mix(t.reshape(1 << len(qubits), -1))
-    t = t.reshape([2] * nq + ([shape[1]] if batch else []))
-    return np.transpose(t, np.argsort(order)).reshape(shape)
+    t = mix(t.reshape(1 << len(qubits), -1)).reshape(t.shape)
+    return np.transpose(t, np.argsort(order)).reshape(state.shape)
 
 
 def _sorted_unique(idx: np.ndarray) -> np.ndarray:
@@ -520,54 +482,73 @@ def _admit(nq: int, amplitudes: int) -> None:
 def _live_gate(g: Gate, rows: np.ndarray, amps: np.ndarray, nq: int):
     """One gate on a live state: ``(rows, amps)`` after the gate.  The rows
     are distinct but in no particular order; a mixing gate returns them
-    sorted, without those it leaves at exactly 0 in every column."""
+    sorted, without those it leaves at exactly 0 in every column.  A state
+    on all 2^nq rows is in basis order, so that its rows are its positions,
+    and it stays so and keeps every row."""
+    full = len(rows) == 1 << nq
     imap = g.index_map(nq, rows)
     if imap is not None:
         dst, ph = imap
-        return dst, amps if ph is None else amps * ph[:, None]
+        if ph is not None:
+            amps = amps * ph[:, None]
+        if not full or dst is rows:
+            return dst, amps
+        out = np.empty_like(amps)
+        out[dst] = amps
+        return rows, out
     qubits, hit = g.mixing(nq, rows)
+    if full and hit is None:
+        return rows, _apply_subset_unitary(amps, g.mix, qubits, nq)
     k = len(qubits)
     mask = sum(1 << (nq - 1 - q) for q in qubits)
-    bases = _sorted_unique((rows if hit is None else rows[hit]) & ~mask)
-    kept = rows[:0] if hit is None else rows[~hit]  # untouched, and in no hit group
-    _admit(nq, (len(kept) + (len(bases) << k)) * amps.shape[1])  # the rows after the gate
+    if full:  # the rows are the positions: index the hit groups directly
+        bases = rows[hit & ((rows & mask) == 0)]
+    else:
+        bases = _sorted_unique((rows if hit is None else rows[hit]) & ~mask)
+        kept = rows[:0] if hit is None else rows[~hit]  # untouched, and in no hit group
+        _admit(nq, (len(kept) + (len(bases) << k)) * amps.shape[1])  # the rows after the gate
     # group[v, b]: the row of base b whose subset value is v
     offsets = _scatter_subset(np.zeros(1 << k, dtype=np.int64), np.arange(1 << k), qubits, nq)
     group = offsets[:, None] | bases
-    new_rows = np.sort(np.concatenate([kept, group.ravel()]))
-    out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, complex))
-    out[np.searchsorted(new_rows, rows)] = amps
-    pos = np.searchsorted(new_rows, group)
+    if full:
+        new_rows, pos, out = rows, group, amps.astype(np.result_type(amps, complex))
+    else:
+        new_rows = np.sort(np.concatenate([kept, group.ravel()]))
+        out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, complex))
+        out[np.searchsorted(new_rows, rows)] = amps
+        pos = np.searchsorted(new_rows, group)
     block = out[pos]  # a copy, which ``mix`` may overwrite
     out[pos] = g.mix(block.reshape(1 << k, -1)).reshape(block.shape)
-    live = np.any(out != 0, axis=1)
-    if live.all():
-        return new_rows, out
-    return new_rows[live], out[live]
+    if not full:
+        live = np.any(out != 0, axis=1)
+        if not live.all():
+            return new_rows[live], out[live]
+    return new_rows, out
+
+
+def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
+    """Exact action of one gate on a statevector or a batch of columns:
+    :func:`_live_gate` on all 2^nq rows."""
+    if state.shape[0] != 1 << nq:
+        raise ValueError(f"state dimension {state.shape[0]} != 2^{nq}")
+    _, out = _live_gate(g, np.arange(1 << nq), state.reshape(len(state), -1), nq)
+    return out.reshape(state.shape)
 
 
 def _simulate(circuit: StructuredCircuit, rows: np.ndarray, amps: np.ndarray):
     """The circuit on the live state ``(rows, amps)``, ``rows`` sorted;
     returns the live state after it, also sorted.  On at most SIM_CAP
-    qubits, a state with more than ``2^nq / DENSE_SHARE`` rows is scattered
-    once into a dense batch, which the dense kernel finishes; the rows
-    returned are then all 2^nq."""
+    qubits, a state with more than ``2^nq / DENSE_SHARE`` rows is filled in
+    to all 2^nq rows, which the gates after it keep."""
     nq = circuit.total_qubits
-    dense_at = (1 << nq) // DENSE_SHARE if nq <= SIM_CAP else None
-    for i, g in enumerate(circuit.gates):
-        if dense_at is not None and len(rows) > dense_at:
-            # the rows passed the share at the start or at a mixing gate, so
-            # they are sorted; all 2^nq of them are then the dense order
-            state = amps
-            if len(rows) < 1 << nq:
-                state = np.zeros((1 << nq, amps.shape[1]), dtype=amps.dtype)
-                state[rows] = amps
-            for g in circuit.gates[i:]:
-                state = apply_gate(state, g, nq)
-            rows, amps = np.arange(1 << nq), state
-            break
+    dense_at = (1 << nq) // DENSE_SHARE if nq <= SIM_CAP else 1 << nq  # else never
+    for g in circuit.gates:
+        if dense_at < len(rows) < 1 << nq:
+            full = np.zeros((1 << nq, amps.shape[1]), dtype=amps.dtype)
+            full[rows] = amps
+            rows, amps = np.arange(1 << nq), full
         rows, amps = _live_gate(g, rows, amps, nq)
-    else:  # still live: sort once, at the end
+    if len(rows) < 1 << nq:  # still live: sort once, at the end
         order = np.argsort(rows)
         rows, amps = rows[order], amps[order]
     return rows, amps
@@ -811,20 +792,24 @@ def simulate_on_state(circuit: StructuredCircuit, data_state, restore_tol: float
     up to SIM_CAP qubits.
     """
     dim = 1 << circuit.n
-    if isinstance(data_state, dict):
+    sparse = isinstance(data_state, dict)
+    if sparse:
         _check_simulable(circuit, MAX_QUBITS)
         keys = sorted(data_state)
         if keys and not (0 <= keys[0] and keys[-1] < dim):
             raise ValueError(f"state index out of range for {circuit.n} qubits")
-        cols = np.array([data_state[k] for k in keys], dtype=complex)[:, None]
-        rows, action = _data_action(circuit, np.array(keys, dtype=np.int64), cols, restore_tol)
+        rows = np.array(keys, dtype=np.int64)
+        amps = np.array([data_state[k] for k in keys], dtype=complex)
+    else:
+        _check_simulable(circuit)
+        data_state = np.asarray(data_state)
+        if data_state.shape != (dim,):
+            raise ValueError(f"state shape {data_state.shape} != ({dim},)")
+        rows = np.flatnonzero(data_state)
+        amps = data_state[rows]
+    rows, action = _data_action(circuit, rows, amps[:, None], restore_tol)
+    if sparse:
         return {int(r): complex(x) for r, x in zip(rows, action[:, 0]) if x != 0}
-    _check_simulable(circuit)
-    data_state = np.asarray(data_state)
-    if data_state.shape != (dim,):
-        raise ValueError(f"state shape {data_state.shape} != ({dim},)")
-    rows = np.flatnonzero(data_state)
-    rows, action = _data_action(circuit, rows, data_state[rows][:, None], restore_tol)
     out = np.zeros(dim, dtype=complex)
     out[rows] = action[:, 0]
     return out
@@ -838,25 +823,6 @@ class EquivalenceResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _sparse_columns(circuit: StructuredCircuit, mat: SparseIsometry, restore_tol: float):
-    """The circuit's action on the columns of ``mat`` and ``mat`` itself, both
-    on the union of their supports: two (rows, 2^m) arrays."""
-    _check_simulable(circuit, MAX_QUBITS)
-    ncols = 1 << mat.m
-    rows, action = _data_action(
-        circuit, np.arange(ncols), np.eye(ncols, dtype=complex), restore_tol
-    )
-    every = _sorted_unique(
-        np.concatenate([rows, np.fromiter(mat.rows, dtype=np.int64, count=len(mat.rows))])
-    )
-    a = np.zeros((len(every), ncols), dtype=complex)
-    a[np.searchsorted(every, rows)] = action
-    m = np.zeros_like(a)
-    for i, j, amp in mat.entries():
-        m[np.searchsorted(every, i), j] = amp
-    return a, m
 
 
 def equivalent(
@@ -875,47 +841,58 @@ def equivalent(
       * ``up_to_diag_and_row_perm`` -- additionally applies the caller's
         row-permutation witness to the circuit action first.
 
-    A :class:`SparseIsometry` in the first two modes is compared on the
-    union of the supports, on any register up to 62 qubits; a dense matrix
-    and a row-permutation witness are 2^n long, so up to SIM_CAP qubits.
+    The action and ``mat`` are compared on the union of their rows: a
+    :class:`SparseIsometry`'s occupied rows, on any register up to 62
+    qubits, or every row of a dense matrix.  A dense matrix and a
+    row-permutation witness are 2^n long, so they need at most SIM_CAP
+    qubits.  An unknown mode or a missing or malformed witness raises
+    ValueError before anything is simulated.
     """
-    restore_tol = max(tol, 1e-10)
-    if isinstance(mat, SparseIsometry) and mode != "up_to_diag_and_row_perm":
+    if mode not in ("exact", "up_to_diagonal", "up_to_diag_and_row_perm"):
+        raise ValueError(f"unknown mode {mode!r}")
+    permuted = mode == "up_to_diag_and_row_perm"
+    if permuted and row_perm is None:
+        raise ValueError("mode up_to_diag_and_row_perm needs a row_perm witness")
+    if isinstance(mat, SparseIsometry):
         if mat.n != circuit.n:
             return EquivalenceResult(False, math.inf)
-        a, m_dense = _sparse_columns(circuit, mat, restore_tol)
-        ncols = a.shape[1]
+        ncols, cap = 1 << mat.m, SIM_CAP if permuted else MAX_QUBITS
+        m_rows = np.fromiter(mat.rows, dtype=np.int64, count=len(mat.rows))
+        m_vals = np.zeros((len(m_rows), ncols), dtype=complex)
+        for r, row in enumerate(mat.rows.values()):
+            m_vals[r, list(row)] = list(row.values())
     else:
-        if isinstance(mat, SparseIsometry):
-            _check_simulable(circuit)  # before the 2^n dense form
-            m_dense = mat.to_dense()
-        else:
-            m_dense = np.asarray(mat, dtype=complex)
-            if m_dense.ndim == 1:
-                m_dense = m_dense[:, None]
-        ncols = m_dense.shape[1]
-        if m_dense.shape[0] != (1 << circuit.n) or ncols > m_dense.shape[0]:
+        m_vals = np.asarray(mat, dtype=complex)
+        if m_vals.ndim == 1:
+            m_vals = m_vals[:, None]
+        ncols, cap = m_vals.shape[1], SIM_CAP
+        if m_vals.shape[0] != (1 << circuit.n) or ncols > m_vals.shape[0]:
             return EquivalenceResult(False, math.inf)
-        a = circuit_unitary(circuit, restore_tol=restore_tol, in_dim=ncols)
-    if mode == "up_to_diag_and_row_perm":
-        if row_perm is None:
-            raise ValueError("mode up_to_diag_and_row_perm needs a row_perm witness")
-        rp = check_permutation(row_perm, a.shape[0])
-        moved = np.empty_like(a)
-        moved[rp] = a
-        a = moved
+        m_rows = np.arange(1 << circuit.n)
+    _check_simulable(circuit, cap)
+    if permuted:
+        row_perm = check_permutation(row_perm, 1 << circuit.n)
+    restore_tol = max(tol, 1e-10)
+    rows, action = _data_action(
+        circuit, np.arange(ncols), np.eye(ncols, dtype=complex), restore_tol
+    )
+    if permuted:
+        rows = row_perm[rows]
+    every = _sorted_unique(np.concatenate([rows, m_rows]))
+    a = np.zeros((len(every), ncols), dtype=complex)
+    a[np.searchsorted(every, rows)] = action
+    m = np.zeros_like(a)
+    m[np.searchsorted(every, m_rows)] = m_vals
     diag = None
-    if mode in ("up_to_diagonal", "up_to_diag_and_row_perm"):
+    if mode == "exact":
+        residual = float(np.linalg.norm(a - m))
+    else:
         diag = np.ones(ncols, dtype=complex)
         for j in range(ncols):
-            ip = np.vdot(m_dense[:, j], a[:, j])
+            ip = np.vdot(m[:, j], a[:, j])
             if abs(ip) > EPS0:
                 diag[j] = ip / abs(ip)
-        residual = float(np.linalg.norm(a - m_dense * diag[None, :]))
-    elif mode == "exact":
-        residual = float(np.linalg.norm(a - m_dense))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        residual = float(np.linalg.norm(a - m * diag[None, :]))
     return EquivalenceResult(residual <= tol, residual, diag)
 
 

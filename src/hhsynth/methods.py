@@ -428,14 +428,8 @@ def dense_householder_unitary(
             raise AssertionError("halving step left cross-block residue")
         if k == n - 1:
             # deepest level: the leftover 1x1 block is a phase on |1..1>,
-            # folded into this level's diagonal (full width, not halved)
-            fix: list[G.Gate] = []
-            gamma = complex(red[1, 1] / abs(red[1, 1]))
-            if abs(delta[0] - 1.0) > EPS0 or abs(gamma - 1.0) > EPS0:
-                phases = np.ones(1 << n, dtype=complex)
-                phases[(1 << n) - 2] = delta[0]
-                phases[(1 << n) - 1] = gamma
-                fix.append(G.Diagonal(tuple(range(n)), tuple(phases)))
+            # folded into this level's diagonal as one more reduced phase
+            fix = _phase_fix(np.append(delta, red[1, 1] / abs(red[1, 1])), k, n)
         else:
             fix = _phase_fix(delta, k, n)
             work = red[half:, half:] * delta.conj()[:, None]

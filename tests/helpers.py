@@ -68,6 +68,26 @@ def complete_state_prep(v, k):
     return h
 
 
+def controlled_matrix(controls, target, u, nq):
+    """The 2^nq x 2^nq matrix of the 2x2 ``u`` on ``target`` where every
+    (qubit, polarity) pair of ``controls`` holds, built entry by entry."""
+
+    def bit(x, q):
+        return (x >> (nq - 1 - q)) & 1
+
+    out = np.zeros((1 << nq, 1 << nq), dtype=complex)
+    for col in range(1 << nq):
+        on = all(bit(col, q) == p for q, p in controls)
+        for row in range(1 << nq):
+            if any(bit(row, q) != bit(col, q) for q in range(nq) if q != target):
+                continue
+            if on:
+                out[row, col] = u[bit(row, target), bit(col, target)]
+            elif row == col:
+                out[row, col] = 1.0
+    return out
+
+
 def near_phased_zero(k, dist, alpha, rng):
     """A unit state at distance about ``dist`` from e^{i alpha}|0..0>, on a
     random support; every nonzero entry has modulus above 1e-10."""
@@ -119,8 +139,10 @@ def dense_unitary_levels(u):
 
 
 def dense_circuit_action(state, circuit):
-    """The circuit gate by gate through the dense kernel (``apply_gate`` on
-    the whole 2^nq state or batch): the oracle of the live-row simulator."""
+    """The circuit gate by gate on the full basis (``apply_gate``: the
+    kernel on all 2^nq rows, with no live rows dropped or added): the
+    oracle of the live-row simulator.  ``controlled_matrix`` and the block
+    oracles check ``apply_gate`` itself."""
     nq = circuit.total_qubits
     for g in circuit.gates:
         state = G.apply_gate(state, g, nq)

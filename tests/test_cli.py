@@ -230,6 +230,37 @@ def test_compile_wide_state_costs_no_2n_memory(tmp_path):
     assert G.circuit_from_dict(json.loads(out.read_text())).n == 40
 
 
+README_MATRIX = {"n": 3, "m": 1, "entries": [[0, 0, 1.0, 0.0], [5, 1, 0.0, 1.0]]}
+
+
+def test_compile_dense_past_the_live_cap_exit_3(tmp_path):
+    mat = write_json(tmp_path / "v.json", {"n": 40, "m": 0, "entries": [[5, 0, 1.0, 0]]})
+    proc = _run_capped(["compile", mat, "--method", "dense"])
+    assert proc.returncode == cli.EXIT_VALIDATE, proc.stderr
+    assert "Traceback" not in proc.stderr and f"cap of {G.LIVE_CAP}" in proc.stderr
+    # README's example is far below the cap
+    mat = write_json(tmp_path / "readme.json", README_MATRIX)
+    assert run(["compile", mat, "--method", "dense", "--verify", "-o", str(tmp_path / "c.json")]) == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, command, tol):
+    mat = write_json(tmp_path / "readme.json", README_MATRIX)
+    circuit = str(tmp_path / "c.json")
+    assert run(["compile", mat, "--method", "dense", "-o", circuit]) == 0
+    # a different isometry, which only an infinite tolerance would accept
+    wrong = dict(README_MATRIX, entries=[[0, 0, 1.0, 0.0], [6, 1, 0.0, 1.0]])
+    wrong = write_json(tmp_path / "wrong.json", wrong)
+    assert run(["verify", circuit, wrong]) == cli.EXIT_VERIFY
+    argv = ["compile", mat, "--verify"] if command == "compile" else ["verify", circuit, wrong]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        run(argv + [f"--tol={tol}"])
+    assert exit_.value.code == cli.EXIT_PARSE
+    assert "argument --tol" in capsys.readouterr().err
+
+
 def _wide_state_file(path, n, nnz, seed):
     rng = np.random.default_rng(seed)
     rows = set()

@@ -9,6 +9,7 @@ from hhsynth import methods as M
 from hhsynth.numerics import state_to_vector
 
 from helpers import (
+    controlled_matrix,
     full_identity_action,
     near_phased_zero,
     random_sparse_isometry,
@@ -115,6 +116,28 @@ def test_near_x_mcu_is_not_simulated_as_mcx():
     res = G.equivalent(G.StructuredCircuit(2, (), [near_x]), G.gate_unitary(G.MCX(((0, 1),), 1), 2))
     assert not res.ok
     assert res.residual == pytest.approx(math.sqrt(2.0) * 1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("nq", range(1, 5))
+def test_controlled_gates_match_their_entrywise_matrix(nq):
+    rng = np.random.default_rng(60 + nq)
+    for target in range(nq):
+        others = [q for q in range(nq) if q != target]
+        u = random_u2(rng)
+        gates = [(G.SingleQubit(target, m), ()) for m in (u, G.H_MATRIX, np.diag([1j, -1]))]
+        for size in range(len(others) + 1):
+            qs = [int(q) for q in rng.permutation(others)[:size]]
+            controls = tuple((q, int(rng.integers(2))) for q in qs)  # mixed polarities
+            gates += [
+                (G.MCX(controls, target), controls),
+                (G.MCU(controls, target, random_u2(rng)), controls),
+                (G.MCU(controls, target, np.diag(np.exp(2j * np.pi * rng.random(2)))), controls),
+            ]
+            if size == 1:
+                gates.append((G.CNOT(qs[0], target), ((qs[0], 1),)))
+        for g, controls in gates:
+            want = controlled_matrix(controls, target, g.matrix, nq)
+            assert np.max(np.abs(G.gate_unitary(g, nq) - want)) <= 1e-15, g.describe()
 
 
 def test_perm_phase_word_rejects_a_dense_gate():
@@ -248,6 +271,19 @@ def test_equivalent_row_perm_witness():
     c = G.StructuredCircuit(1, (), [G.x_gate(0)])
     res = G.equivalent(c, np.eye(2), "up_to_diag_and_row_perm", 1e-9, row_perm=[1, 0])
     assert res.ok
+
+
+def test_equivalent_refuses_a_bad_mode_before_it_simulates(monkeypatch):
+    calls = []
+    monkeypatch.setattr(G, "_data_action", lambda *a: calls.append(a))
+    c = G.StructuredCircuit(1, (), [G.x_gate(0)])
+    with pytest.raises(ValueError, match="unknown mode 'exactly'"):
+        G.equivalent(c, np.eye(2), "exactly")
+    with pytest.raises(ValueError, match="needs a row_perm witness"):
+        G.equivalent(c, np.eye(2), "up_to_diag_and_row_perm")
+    with pytest.raises(ValueError, match="not a bijection"):
+        G.equivalent(c, np.eye(2), "up_to_diag_and_row_perm", row_perm=[0, 0])
+    assert calls == []
 
 
 def test_clean_ancilla_restoration_enforced():

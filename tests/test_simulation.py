@@ -2,8 +2,10 @@
 the dense simulator's SIM_CAP qubits.
 
 Every generator is a seeded numpy one, so two versions of the source see
-the same circuits and inputs.  The oracle is the dense kernel gate by gate
-(``helpers.dense_circuit_action``), on registers the dense kernel can hold;
+the same circuits and inputs.  The oracle is the kernel on the full basis
+gate by gate (``helpers.dense_circuit_action``, itself checked gate by gate
+against matrices built entry by entry in ``test_gates``), on registers
+that fit it;
 wider registers are checked against it through circuits embedded on a few
 of their qubits, and through sparse state preparation, whose target is
 known.
@@ -99,9 +101,14 @@ def hadamard_spread(rng, nq, gates):
 def test_live_form_matches_the_dense_kernel(nq, monkeypatch):
     rng = np.random.default_rng(700 + nq)
     default_share = G.DENSE_SHARE
-    dense_calls = []
-    apply_gate = G.apply_gate
-    monkeypatch.setattr(G, "apply_gate", lambda *a: dense_calls.append(1) or apply_gate(*a))
+    full_calls = []  # one per kernel call: did the state hold all 2^nq rows
+    live_gate = G._live_gate
+
+    def traced(g, rows, *args):
+        full_calls.append(len(rows) == 1 << nq)
+        return live_gate(g, rows, *args)
+
+    monkeypatch.setattr(G, "_live_gate", traced)
     crossed = 0
     for trial in range(6):
         gates = random_gates(rng, nq, 30)
@@ -112,12 +119,12 @@ def test_live_form_matches_the_dense_kernel(nq, monkeypatch):
             want = dense_circuit_action(state, c)
             for share in (LIVE_ONLY, default_share):
                 monkeypatch.setattr(G, "DENSE_SHARE", share)
-                dense_calls.clear()
+                full_calls.clear()
                 got = G.apply_circuit(state, c)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12
-                crossed += 0 < len(dense_calls) < len(c.gates)
-    # one-hot and sparse inputs hand over to the dense kernel mid-circuit;
+                crossed += 0 < sum(full_calls) < len(c.gates)
+    # one-hot and sparse inputs are filled in to the full basis mid-circuit;
     # on one qubit any live row is past the share already
     assert crossed > 0 or nq == 1
 
