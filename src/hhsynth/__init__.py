@@ -32,7 +32,6 @@ from .gates import (
     Decrement,
     Diagonal,
     H0Phase,
-    PermPhase,
     PermutationGate,
     SIM_CAP,
     SPBlock,

@@ -35,10 +35,10 @@ every allowed ancilla basis state, in one batch.  What is ``2^n`` long by
 nature (:func:`circuit_unitary`, dense data states and matrices,
 row-permutation witnesses) stays capped at :data:`SIM_CAP` qubits.
 
-The module also provides :class:`PermPhase`, the classical form of
-operators of shape ``Diag(phases) . Perm``, which the decompositions use to
-carry "up to diagonal and permutation" residuals without emitting gates.
-A residual is a word of index-map gates, evaluated only on the basis
+The decompositions carry "up to diagonal and permutation" residuals,
+operators of shape ``Diag(phases) . Perm``, without emitting gates.  A
+residual is a plain list of index-map gates (a word: composition is ``+``,
+the identity ``[]``), and :func:`relabel` evaluates it only on the basis
 indices in play, so it never needs a 2^n array.
 """
 
@@ -580,59 +580,26 @@ def gate_unitary(g: Gate, nq: int) -> np.ndarray:
 # classical diag x perm residuals
 
 
-class PermPhase:
-    """The operator Diag . Perm on ``dim`` basis states, as a word:
-    ``factors`` applied in order, each a basis-relabeling or diagonal gate
-    (its :meth:`_Gate.index_map`) or a nested PermPhase.
+def relabel(word: list, nq: int, idx) -> tuple[np.ndarray, np.ndarray]:
+    """``(dst, phase)`` with ``word |idx[i]> = phase[i] |dst[i]>`` on ``nq``
+    qubits, where ``word`` is a list of basis-relabeling or diagonal gates
+    (each with an :meth:`_Gate.index_map`), first applied first.
 
-    A word is evaluated only on the basis indices asked about
-    (:meth:`index_map`, the gate protocol, so a word can be a factor of
-    another), so a residual on n qubits costs O(n) per index rather than
-    2^n; :meth:`dense` is the one 2^n form.
-
-    A word's phase starts at 1 and is multiplied by each factor's phase in
+    The phase starts at 1 and is multiplied by each gate's phase in
     application order, so it is bit-identical to multiplying out the full
-    tables factor by factor.
+    tables gate by gate.
     """
-
-    def __init__(self, dim: int, factors):
-        self.dim, self._factors = dim, tuple(factors)
-
-    def index_map(self, nq: int, idx) -> tuple[np.ndarray, np.ndarray]:
-        """``(dst, phase)`` with ``self |idx[i]> = phase[i] |dst[i]>`` on
-        ``nq`` qubits (``dim == 2^nq``)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        ph = np.ones(len(idx), dtype=complex)
-        for f in self._factors:
-            imap = f.index_map(nq, idx)
-            if imap is None:
-                raise TypeError(f"{f!r} is not a permutation/diagonal gate")
-            idx, p = imap
-            # a relabeling multiplies by ones too: that fixes the signs of zero
-            # parts exactly as the product of full tables does
-            ph = (np.ones(len(idx), dtype=complex) if p is None else p) * ph
-        return idx, ph
-
-    def compose(self, other: "PermPhase") -> "PermPhase":
-        """self after other (operator product self . other)."""
-        return PermPhase(self.dim, (other, self))
-
-    def dense(self) -> np.ndarray:
-        idx = np.arange(self.dim)
-        dst, ph = self.index_map(self.dim.bit_length() - 1, idx)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[dst, idx] = ph
-        return out
-
-    def apply_to_state(self, v: dict[int, complex]) -> dict[int, complex]:
-        nq = self.dim.bit_length() - 1
-        dst, ph = self.index_map(nq, np.fromiter(v, dtype=np.int64, count=len(v)))
-        return {int(k): a * complex(p) for k, p, a in zip(dst, ph, v.values())}
-
-
-def sequence_perm_phase(gates: list, nq: int) -> PermPhase:
-    """Product of a gate sequence (gates or PermPhases, first applied first)."""
-    return PermPhase(1 << nq, gates)
+    idx = np.asarray(idx, dtype=np.int64)
+    ph = np.ones(len(idx), dtype=complex)
+    for g in word:
+        imap = g.index_map(nq, idx)
+        if imap is None:
+            raise TypeError(f"{g!r} is not a permutation/diagonal gate")
+        idx, p = imap
+        # a relabeling multiplies by ones too: that fixes the signs of zero
+        # parts exactly as the product of full tables does
+        ph = (np.ones(len(idx), dtype=complex) if p is None else p) * ph
+    return idx, ph
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +644,11 @@ def _margolus_diag() -> np.ndarray:
 _MARGOLUS_DIAG = _margolus_diag()
 
 
-def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int, nq: int):
+def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int):
     """Doubly-controlled NOT up to a known diagonal, using 3 CNOTs.
 
-    Returns ``(gates, op)`` where ``op`` is the exact PermPhase form of the
-    emitted network, equal to (known diagonal) . MCX.  Negative-polarity
+    Returns ``(gates, word)`` where ``word`` is the exact index-map form of
+    the emitted network, ``[MCX, known diagonal]``.  Negative-polarity
     controls are handled by free X conjugation.
     """
     (q1, p1), (q2, p2) = controls
@@ -692,12 +659,19 @@ def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int,
     gates.extend(dress)
     xmask = (4 if p1 == 0 else 0) | (2 if p2 == 0 else 0)
     diag = Diagonal((q1, q2, target), tuple(_MARGOLUS_DIAG[np.arange(8) ^ xmask]))
-    residual = PermPhase(1 << nq, (MCX(controls, target), diag))
-    return gates, residual
+    return gates, [MCX(controls, target), diag]
 
 
 # ---------------------------------------------------------------------------
 # circuit-level unitary extraction and equivalence
+
+
+def _check_tol(name: str, tol: float) -> None:
+    """Refuse a tolerance that is NaN, infinite or negative: a NaN one
+    would pass every comparison, an infinite one every circuit, and a
+    negative one none."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} {tol!r} is not a finite value >= 0")
 
 
 def _check_simulable(circuit: StructuredCircuit, cap: int = SIM_CAP) -> None:
@@ -770,6 +744,7 @@ def circuit_unitary(
     ancilla contract only holds on the isometry's input subspace, so pass
     the input dimension.
     """
+    _check_tol("restore_tol", restore_tol)
     _check_simulable(circuit)
     if in_dim is None:
         in_dim = 1 << circuit.n
@@ -791,6 +766,7 @@ def simulate_on_state(circuit: StructuredCircuit, data_state, restore_tol: float
     on any register up to 62 qubits; a dense vector gives a dense vector,
     up to SIM_CAP qubits.
     """
+    _check_tol("restore_tol", restore_tol)
     dim = 1 << circuit.n
     sparse = isinstance(data_state, dict)
     if sparse:
@@ -845,9 +821,11 @@ def equivalent(
     :class:`SparseIsometry`'s occupied rows, on any register up to 62
     qubits, or every row of a dense matrix.  A dense matrix and a
     row-permutation witness are 2^n long, so they need at most SIM_CAP
-    qubits.  An unknown mode or a missing or malformed witness raises
-    ValueError before anything is simulated.
+    qubits.  An unknown mode, a missing or malformed witness, or a ``tol``
+    that is NaN, infinite or negative raises ValueError before anything is
+    simulated.
     """
+    _check_tol("tol", tol)
     if mode not in ("exact", "up_to_diagonal", "up_to_diag_and_row_perm"):
         raise ValueError(f"unknown mode {mode!r}")
     permuted = mode == "up_to_diag_and_row_perm"

@@ -4,12 +4,12 @@ All methods reduce the input column by column to a (possibly permuted)
 diagonal isometry and return the inverse gate sequence.  Reflections are
 emitted "up to diagonal and permutation": each reflection's pivoting stage
 yields an operator that is exactly ``Diag . Perm . H`` for a classically
-known diagonal and permutation (:class:`~hhsynth.gates.PermPhase`, a word
-of index-map gates), which is applied to the working matrix instead of
-being emitted as gates.  The residual is evaluated only on the matrix's
-nonzero rows and on the 2^m target rows, which it carries to their
-current positions; the closing permuted-diagonal stage emits one small
-permutation plus one diagonal gate that absorb everything.
+known diagonal and permutation.  That factor, the residual, is a plain
+list of index-map gates; it is applied to the working matrix instead of
+being emitted as gates, evaluated (:func:`~hhsynth.gates.relabel`) only on
+the matrix's nonzero rows and on the 2^m target rows, which it carries to
+their current positions.  The closing permuted-diagonal stage emits one
+small permutation plus one diagonal gate that absorb everything.
 
 The gate order convention: ``StructuredCircuit.gates`` lists gates in
 application order, so a reduction sequence with operator product
@@ -105,13 +105,13 @@ def _reflection(
 
 
 def _apply_residual(
-    residual: G.PermPhase, work: SparseIsometry, targets: np.ndarray
+    residual: list[G.Gate], work: SparseIsometry, targets: np.ndarray
 ) -> tuple[SparseIsometry, np.ndarray]:
     """The working matrix and the current target rows after a pivot
     residual, with the residual evaluated once on both."""
     entries = list(work.entries())
     rows = np.array([i for i, _, _ in entries] + targets.tolist(), dtype=np.int64)
-    dst, ph = residual.index_map(work.n, rows)
+    dst, ph = G.relabel(residual, work.n, rows)
     out = SparseIsometry(work.n, work.m)
     for (_, j, a), i2, p in zip(entries, dst, ph):
         out.set(int(i2), j, a * complex(p))
@@ -127,7 +127,7 @@ def householder_up_to(
     n: int,
     samples: int = 100,
     seed=0,
-) -> tuple[list[G.Gate], G.PermPhase, int]:
+) -> tuple[list[G.Gate], list[G.Gate], int]:
     """Gates implementing the reflection about ``v`` up to diag x perm.
 
     Returns ``(gates, residual, s)`` with
@@ -145,12 +145,11 @@ def householder_up_to(
         idx = next(iter(v))
         z = np.diag([-1.0, 1.0] if idx & 1 == 0 else [1.0, -1.0])
         controls = tuple((q, (idx >> (n - 1 - q)) & 1) for q in range(n - 1))
-        residual = G.sequence_perm_phase([G.MCU(controls, n - 1, z)], n)
-        return [], residual, 0
+        return [], [G.MCU(controls, n - 1, z)], 0
     s = (nnz - 1).bit_length()
     splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
     plan = P.pivot_plan(v, splitting, blk)
-    residual = G.sequence_perm_phase(plan.x_layer, n).compose(plan.residual)
+    residual = plan.residual + plan.x_layer
     # register factor of the pivoted vector, after the X layer (block -> 0)
     unprep = G.SPBlock.from_dict(splitting.register_qubits, plan.register_state, inverted=True)
     gates = _reflection(plan.gates + plan.x_layer + [unprep], [], n, unprep.dagger())
@@ -195,10 +194,9 @@ def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.nd
         blk = splitting.split(inside)[0]
     plan = P.pivot_plan(colsum, splitting, blk)
     f_gates = plan.gates + plan.x_layer
-    f_pp = G.sequence_perm_phase(plan.x_layer, n).compose(plan.residual)
 
     # grouped matrix: column j's entry sits at plain index perm_m[j]
-    perm_m, phase_m = f_pp.index_map(n, rows_of)
+    perm_m, phase_m = G.relabel(plan.residual + plan.x_layer, n, rows_of)
     if np.any(perm_m >= (1 << m)):
         raise AssertionError("grouping failed to land in the top block")
     delta = amp_of * phase_m
@@ -227,7 +225,7 @@ def _reduce_columns(
 
     ``reflect(i, u)`` builds step ``i`` as ``(gates, residual, s)`` with
     ``product(gates) == residual . H_u`` (``u`` is None on a skipped step,
-    and a residual of None is the identity).  The residual is applied to
+    and a residual of ``[]`` is the identity).  The residual is applied to
     the matrix instead of being emitted; it moves the matrix rows and the
     remaining target rows together, so ``targets`` always holds current
     positions.  Ends with :func:`perm_diag_reduce` and returns
@@ -257,7 +255,7 @@ def _reduce_columns(
                     eliminated=tuple(rec.eliminated),
                 )
             )
-        if residual is not None:
+        if residual:
             work, targets = _apply_residual(residual, work, targets)
         committed.extend(gates)
     pd_gates, _, _ = perm_diag_reduce(work)
@@ -272,7 +270,7 @@ def _pivoted_reflections(n: int, samples: int, seed):
 
     def reflect(i, u):
         if u is None:
-            return [], None, 0
+            return [], [], 0
         return householder_up_to(u, n, samples=samples, seed=rng)
 
     return reflect
@@ -471,19 +469,18 @@ def fixed_envelope_iso(
     n, m = w.n, w.m
     env = O.envelope(apply_permutations(w, strategy.rho, strategy.sigma)).env
     dec_gate = G.Decrement(tuple(range(n)))
-    dec_pp = G.sequence_perm_phase([dec_gate], n)
 
     def reflect(i, u):
         s_i = (int(env[i]) - i).bit_length()  # ceil(log2(1 + height above the diagonal))
         if u is None:
-            return [dec_gate], dec_pp, s_i
+            return [dec_gate], [dec_gate], s_i
         # u's support is the column's support plus row 0
         if max(u) >= (1 << s_i):
             raise G.CircuitVerificationError(
                 f"column support escaped the envelope at step {i}"
             )
         unprep = G.SPBlock.from_dict(tuple(range(n - s_i, n)), u, inverted=True)
-        return _reflection([unprep], [], n, unprep.dagger() + [dec_gate]), dec_pp, s_i
+        return _reflection([unprep], [], n, unprep.dagger() + [dec_gate]), [dec_gate], s_i
 
     gates, trace = _reduce_columns(
         apply_permutations(w, strategy.rho, np.arange(1 << m)),

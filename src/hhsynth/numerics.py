@@ -39,10 +39,6 @@ def qubit_count(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def hamming(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
-
-
 def check_permutation(perm, size: int) -> np.ndarray:
     p = np.asarray(perm)
     if p.size and not np.issubdtype(p.dtype, np.integer):

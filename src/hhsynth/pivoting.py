@@ -17,14 +17,16 @@ with d_r for all rows obtained in one multi-source breadth-first search on
 the s-dimensional hypercube started from the free slots.
 
 Doubly-controlled NOTs are emitted as the 3-CNOT relative-phase network;
-the known diagonal residual is part of the plan's PermPhase, so replaying
-the plan on a state is exact.  Sparse state preparation inverts the plan
-and folds those phases into the dense block's target state.
+the plan's residual, a list of index-map gates, names each one as the
+doubly-controlled NOT and its known diagonal, so replaying the plan on a
+state is exact.  Sparse state preparation inverts the plan and folds those
+phases into the dense block's target state.
 
-The plan works on the state's support only: splittings are scored with
-bit masks over the nonzero indices, and each step's residual (a word of
-index-map gates) is evaluated on the nonzeros alone, so planning costs
-polynomial time in n and nnz, with no 2^n array.
+The plan works on the state's support only, kept as an array of basis
+indices and one of amplitudes: splittings are scored with bit masks over
+the nonzero indices, and each step's residual moves the two arrays
+(:func:`~hhsynth.gates.relabel`), so planning costs polynomial time in n
+and nnz, with no 2^n array.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates as G
-from .numerics import EPS0, hamming, prune_state, state_norm
+from .numerics import EPS0, prune_state, state_norm
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -143,34 +145,33 @@ def _sampled_register_subsets(n: int, s: int, samples: int, rng):
 
 
 def hypercube_multisource_bfs(s: int, sources) -> tuple[np.ndarray, np.ndarray]:
-    """Distances on the s-cube from a set of source vertices.
+    """Distances on the s-cube from the source vertices (an int array or list).
 
     Returns ``(dist, src)``: for every vertex, the Hamming distance to the
-    nearest source and that source's index (smallest source on ties).
+    nearest source and that source's index (smallest source on ties).  The
+    search is level-synchronous: each level's vertices are the frontier's
+    unvisited neighbours, and each keeps the smallest source among the
+    frontier vertices that reach it.
     """
     size = 1 << s
     dist = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-    src = np.full(size, -1, dtype=np.int64)
-    frontier = sorted(int(x) for x in sources)
-    for v in frontier:
-        dist[v] = 0
-        src[v] = v
+    src = np.full(size, size, dtype=np.int64)  # past every vertex: unreached
+    sources = np.asarray(sources, dtype=np.int64)
+    dist[sources] = 0
+    src[sources] = sources
+    bits = 1 << np.arange(s, dtype=np.int64)
     d = 0
-    while frontier:
-        reached: dict[int, int] = {}
-        for v in frontier:
-            for b in range(s):
-                w = v ^ (1 << b)
-                if dist[w] > d + 1:
-                    cand = int(src[v])
-                    if w not in reached or cand < reached[w]:
-                        reached[w] = cand
+    frontier = np.flatnonzero(dist == 0)
+    while frontier.size:
+        reached = (frontier[:, None] ^ bits).ravel()
+        via = np.repeat(src[frontier], s)
+        new = dist[reached] > d
+        reached, via = reached[new], via[new]
+        np.minimum.at(src, reached, via)
         d += 1
-        frontier = []
-        for w in sorted(reached):
-            dist[w] = d
-            src[w] = reached[w]
-            frontier.append(w)
+        dist[reached] = d
+        frontier = np.flatnonzero(dist == d)
+    src[src == size] = -1
     return dist, src
 
 
@@ -184,17 +185,17 @@ class PivotStep:
 class PivotPlan:
     steps: list[PivotStep]
     gates: list[G.Gate]
-    residual: G.PermPhase  # product of the emitted gates, exactly
+    residual: list[G.Gate]  # index-map word equal to the emitted gates, exactly
     final_state: dict[int, complex]  # the input state after the plan
     register_state: dict[int, complex]  # its register factor (phases folded)
     x_layer: list[G.Gate]  # free X gates taking the target block to block 0
 
 
 def _insertion_gates(
-    splitting: QubitSplitting, source: int, dest: int, nq: int
-) -> tuple[list[G.Gate], G.PermPhase, int]:
+    splitting: QubitSplitting, source: int, dest: int
+) -> tuple[list[G.Gate], list[G.Gate], int]:
     """Gates moving ``source`` into block slot ``dest`` without disturbing
-    the target block; returns (gates, residual, cnot count)."""
+    the target block; returns (gates, residual word, cnot count)."""
     n = splitting.n
     _, dst_reg = splitting.split(dest)
     diff_block = [
@@ -222,10 +223,10 @@ def _insertion_gates(
         (q, (dst_reg >> (s - 1 - k)) & 1) for k, q in enumerate(splitting.register_qubits)
     )
     if s == 2:
-        mgates, tail = G.relaxed_mcx2(controls, ctrl, nq)
-        return gates + mgates, tail.compose(G.sequence_perm_phase(gates, nq)), len(targets)
+        mgates, tail = G.relaxed_mcx2(controls, ctrl)
+        return gates + mgates, gates + tail, len(targets)
     gates.append(G.x_gate(ctrl) if s == 0 else G.MCX(controls, ctrl))
-    return gates, G.sequence_perm_phase(gates, nq), len(targets)
+    return gates, gates, len(targets)
 
 
 def pivot_plan(
@@ -241,11 +242,12 @@ def pivot_plan(
         raise ValueError("zero state")
     if len(work) > (1 << s):
         raise ValueError("more nonzeros than the target block holds")
+    keys = np.fromiter(work, dtype=np.int64, count=len(work))
+    amps = np.fromiter(work.values(), dtype=complex, count=len(work))
     steps: list[PivotStep] = []
     gates: list[G.Gate] = []
-    step_residuals: list[G.PermPhase] = []
+    residual: list[G.Gate] = []
     while True:
-        keys = np.fromiter(work, dtype=np.int64, count=len(work))
         blk, reg = splitting.split(keys)
         outside = blk != target_block
         if not outside.any():
@@ -254,20 +256,22 @@ def pivot_plan(
         occupied[reg[~outside]] = True
         dist, src = hypercube_multisource_bfs(s, np.flatnonzero(~occupied))
         # cheapest outside entry, the smallest index among equals
-        keys, blk, reg = keys[outside], blk[outside], reg[outside]
-        cost = np.array([hamming(int(b), target_block) for b in blk]) + dist[reg]
-        k = np.lexsort((keys, cost))[0]
-        source = int(keys[k])
-        dest = splitting.join(target_block, int(src[reg[k]]))
-        sgates, pp, ncnots = _insertion_gates(splitting, source, dest, n)
+        out_keys, out_reg = keys[outside], reg[outside]
+        cost = np.bitwise_count(blk[outside] ^ target_block) + dist[out_reg]
+        k = np.lexsort((out_keys, cost))[0]
+        dest = splitting.join(target_block, int(src[out_reg[k]]))
+        sgates, word, ncnots = _insertion_gates(splitting, int(out_keys[k]), dest)
         steps.append(PivotStep(ncnots, sgates))
         gates.extend(sgates)
-        work = pp.apply_to_state(work)
-        step_residuals.append(pp)
-    register_state = {int(r): amp for r, amp in zip(reg, work.values())}
-    total = G.sequence_perm_phase(step_residuals, n)
+        residual.extend(word)
+        keys, ph = G.relabel(word, n, keys)
+        amps = amps * ph
+    amps = amps.tolist()
     x_layer = G.x_layer(splitting.join(target_block, 0), splitting.block_qubits, n)
-    return PivotPlan(steps, gates, total, work, register_state, x_layer)
+    return PivotPlan(
+        steps, gates, residual, dict(zip(keys.tolist(), amps)),
+        dict(zip(reg.tolist(), amps)), x_layer,
+    )
 
 
 def sparse_state_prep_on(
@@ -290,7 +294,7 @@ def sparse_state_prep_on(
     nrm = state_norm(v)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state norm {nrm} is not 1")
-    if max(v) >= (1 << n):
+    if min(v) < 0 or max(v) >= (1 << n):
         raise ValueError("state index out of range")
     nnz = len(v)
     s = (nnz - 1).bit_length()

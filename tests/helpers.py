@@ -45,6 +45,16 @@ def random_state_dict(n, nnz, rng):
     return {int(p): complex(a) for p, a in zip(pos, amps)}
 
 
+def word_dense(word, n):
+    """The 2^n x 2^n matrix of a word of index-map gates, evaluated by
+    ``gates.relabel`` on every basis index: the oracle of a residual."""
+    idx = np.arange(1 << n)
+    dst, ph = G.relabel(word, n, idx)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[dst, idx] = ph
+    return out
+
+
 def dense_reflection(u_dict, n):
     """I - 2|u><u| from a sparse unit vector."""
     u = np.zeros(1 << n, dtype=complex)

@@ -15,6 +15,7 @@ from helpers import (
     random_sparse_isometry,
     random_state_dict,
     random_u2,
+    word_dense,
 )
 
 RNG = np.random.default_rng(20)
@@ -141,9 +142,9 @@ def test_controlled_gates_match_their_entrywise_matrix(nq):
 
 
 def test_perm_phase_word_rejects_a_dense_gate():
-    word = G.sequence_perm_phase([G.MCU(((0, 1),), 1, G.H_MATRIX)], 2)
+    word = [G.MCU(((0, 1),), 1, G.H_MATRIX)]
     with pytest.raises(TypeError, match="(?s)MCU.*not a permutation/diagonal gate"):
-        word.index_map(2, [0, 1])
+        G.relabel(word, 2, [0, 1])
 
 
 def test_spblock_prepares_target():
@@ -286,6 +287,30 @@ def test_equivalent_refuses_a_bad_mode_before_it_simulates(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_bad_tolerance_is_refused_before_anything_is_simulated(tol, monkeypatch):
+    # a circuit that leaks into its clean ancilla, and a correct one
+    leaky = G.StructuredCircuit(1, ("clean",), [G.CNOT(0, 1)])
+    good = G.StructuredCircuit(1, (), [])
+    calls = []
+    monkeypatch.setattr(G, "_data_action", lambda *a: calls.append(a))
+    for c in (leaky, good):
+        with pytest.raises(ValueError, match="tol .* is not a finite value >= 0"):
+            G.equivalent(c, np.eye(2), tol=tol)
+        with pytest.raises(ValueError, match="restore_tol .* is not a finite value >= 0"):
+            G.circuit_unitary(c, restore_tol=tol)
+        with pytest.raises(ValueError, match="restore_tol .* is not a finite value >= 0"):
+            G.simulate_on_state(c, {0: 1.0}, restore_tol=tol)
+    assert calls == []
+
+
+def test_a_zero_tolerance_is_accepted():
+    good = G.StructuredCircuit(1, (), [])
+    assert G.equivalent(good, np.eye(2), tol=0.0).residual == 0.0
+    np.testing.assert_array_equal(G.circuit_unitary(good, restore_tol=0.0), np.eye(2))
+    assert G.simulate_on_state(good, {1: 1.0}, restore_tol=0.0) == {1: 1.0}
+
+
 def test_clean_ancilla_restoration_enforced():
     good = G.StructuredCircuit(1, ("clean",), [G.CNOT(0, 1), G.CNOT(0, 1)])
     np.testing.assert_allclose(G.circuit_unitary(good), np.eye(2), atol=1e-12)
@@ -371,32 +396,33 @@ def test_perm_phase_matches_dense_products():
     rng = np.random.default_rng(23)
     for _ in range(20):
         p1, p2 = (
-            G.PermPhase(8, (
+            [
                 G.PermutationGate((0, 1, 2), tuple(int(x) for x in rng.permutation(8))),
                 G.Diagonal((0, 1, 2), tuple(np.exp(1j * rng.uniform(0, 2 * math.pi, 8)))),
-            ))
+            ]
             for _ in range(2)
         )
-        np.testing.assert_allclose(p2.compose(p1).dense(), p2.dense() @ p1.dense(), atol=1e-12)
+        np.testing.assert_allclose(
+            word_dense(p1 + p2, 3), word_dense(p2, 3) @ word_dense(p1, 3), atol=1e-12
+        )
 
 
 def test_sequence_perm_phase_matches_simulation():
     gates = [G.CNOT(0, 2), G.MCX(((1, 0),), 0), G.Decrement((0, 1, 2)), G.Diagonal((1,), (1, -1j))]
-    pp = G.sequence_perm_phase(gates, 3)
     u = np.eye(8, dtype=complex)
     for g in gates:
         u = G.apply_gate(u, g, 3)
-    np.testing.assert_allclose(pp.dense(), u, atol=1e-12)
+    np.testing.assert_allclose(word_dense(gates, 3), u, atol=1e-12)
 
 
 def test_relaxed_mcx2_three_cnots_up_to_diagonal():
     for controls in [((0, 1), (1, 1)), ((0, 0), (1, 1)), ((2, 0), (0, 0))]:
-        gates, op = G.relaxed_mcx2(controls, {0, 1, 2}.difference(q for q, _ in controls).pop(), 3)
+        gates, op = G.relaxed_mcx2(controls, {0, 1, 2}.difference(q for q, _ in controls).pop())
         assert sum(isinstance(g, G.CNOT) for g in gates) == 3
         u = np.eye(8, dtype=complex)
         for g in gates:
             u = G.apply_gate(u, g, 3)
-        np.testing.assert_allclose(u, op.dense(), atol=1e-12)
+        np.testing.assert_allclose(u, word_dense(op, 3), atol=1e-12)
         target = {0, 1, 2}.difference(q for q, _ in controls).pop()
         d = u @ G.gate_unitary(G.MCX(controls, target), 3).conj().T
         np.testing.assert_allclose(d, np.diag(np.diag(d)), atol=1e-12)
@@ -493,11 +519,11 @@ def test_index_map_residual_matches_dense_product():
         word = []
         for _ in range(int(rng.integers(1, 10))):
             g = _random_index_map_gate(n, rng)
-            word.append((g, _reference_unitary(g, n)))
+            word.append(([g], _reference_unitary(g, n)))
         # the relaxed Toffoli's residual, against its own emitted gates
         q1, q2, t = (int(q) for q in rng.permutation(n)[:3])
         p1, p2 = polarities[trial % 4]
-        gates, residual = G.relaxed_mcx2(((q1, p1), (q2, p2)), t, n)
+        gates, residual = G.relaxed_mcx2(((q1, p1), (q2, p2)), t)
         u = np.eye(1 << n, dtype=complex)
         for g in gates:
             u = _reference_unitary(g, n) @ u
@@ -505,17 +531,17 @@ def test_index_map_residual_matches_dense_product():
         # the reflection about one basis state is its own residual
         idx = int(rng.integers(1 << n))
         _, flip, _ = householder_up_to({idx: 1.0 + 0j}, n)
-        dst, ph = flip.index_map(n, [idx])
+        dst, ph = G.relabel(flip, n, [idx])
         assert dst[0] == idx and ph[0] == -1.0
         reflection = np.eye(1 << n, dtype=complex)
         reflection[idx, idx] = -1.0
         word.insert(int(rng.integers(len(word) + 1)), (flip, reflection))
 
-        pp = G.sequence_perm_phase([f for f, _ in word], n)
+        pp = [g for f, _ in word for g in f]
         dense = np.eye(1 << n, dtype=complex)
         for _, oracle in word:
             dense = oracle @ dense
-        np.testing.assert_allclose(pp.dense(), dense, atol=1e-12)
+        np.testing.assert_allclose(word_dense(pp, n), dense, atol=1e-12)
         probe = rng.choice(1 << n, size=5, replace=False)
-        dst, ph = G.sequence_perm_phase([f for f, _ in word], n).index_map(n, probe)
+        dst, ph = G.relabel(pp, n, probe)
         np.testing.assert_allclose(dense[dst, probe], ph, atol=1e-12)

@@ -21,6 +21,7 @@ from helpers import (
     random_state_dict,
     random_u2,
     random_unitary,
+    word_dense,
 )
 
 NONE = C.AncillaRegime.none()
@@ -39,7 +40,7 @@ def test_hr_up_to_basis_vector_emits_nothing():
     gates, residual, _ = M.householder_up_to({0: 1.0 + 0j}, 3)
     assert gates == []
     # the reflection about |0> is itself the diagonal residual
-    np.testing.assert_allclose(residual.dense(), np.diag([-1, 1, 1, 1, 1, 1, 1, 1]), atol=1e-12)
+    np.testing.assert_allclose(word_dense(residual, 3), np.diag([-1, 1, 1, 1, 1, 1, 1, 1]), atol=1e-12)
 
 
 def test_hr_up_to_matches_reflection_oracle():
@@ -51,7 +52,7 @@ def test_hr_up_to_matches_reflection_oracle():
         u = np.eye(1 << n, dtype=complex)
         for g in gates:
             u = G.apply_gate(u, g, n)
-        np.testing.assert_allclose(u, residual.dense() @ dense_reflection(v, n), atol=1e-10)
+        np.testing.assert_allclose(u, word_dense(residual, n) @ dense_reflection(v, n), atol=1e-10)
 
 
 def test_hr_up_to_audit_bound_example():

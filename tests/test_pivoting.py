@@ -6,7 +6,7 @@ import pytest
 
 from hhsynth import costs as C
 from hhsynth import gates as G
-from hhsynth.numerics import hamming, state_to_vector
+from hhsynth.numerics import state_to_vector
 from hhsynth.pivoting import (
     QubitSplitting,
     choose_splitting,
@@ -15,7 +15,7 @@ from hhsynth.pivoting import (
     sparse_state_prep_on,
 )
 
-from helpers import random_state_dict
+from helpers import random_state_dict, word_dense
 
 
 def test_splitting_split_join_round_trip():
@@ -49,16 +49,21 @@ def test_choose_splitting_deterministic_sampling():
 
 
 def test_bfs_matches_brute_force():
+    def check(s, sources):
+        dist, src = hypercube_multisource_bfs(s, sources)
+        for v in range(1 << s):
+            best = min(((v ^ f).bit_count(), f) for f in sources)
+            assert dist[v] == best[0]
+            assert src[v] == best[1]  # smallest source among nearest
+
     rng = np.random.default_rng(1)
     for _ in range(20):
         s = int(rng.integers(1, 5))
         k = int(rng.integers(1, 1 << s))
-        sources = sorted(int(x) for x in rng.choice(1 << s, size=k, replace=False))
-        dist, src = hypercube_multisource_bfs(s, sources)
-        for v in range(1 << s):
-            best = min((hamming(v, f), f) for f in sources)
-            assert dist[v] == best[0]
-            assert src[v] == best[1]  # smallest source among nearest
+        check(s, sorted(int(x) for x in rng.choice(1 << s, size=k, replace=False)))
+    for s in range(9):
+        check(s, [int(rng.integers(1 << s))])  # one source
+        check(s, list(range(1 << s)))  # every vertex is a source
 
 
 def test_single_insertion_at_distance_one():
@@ -69,7 +74,7 @@ def test_single_insertion_at_distance_one():
     plan = pivot_plan(v, sp, 0)
     assert len(plan.steps) == 1
     assert plan.steps[0].cnots == 0
-    relaxed, _ = G.relaxed_mcx2(((1, 0), (2, 1)), 0, 3)
+    relaxed, _ = G.relaxed_mcx2(((1, 0), (2, 1)), 0)
     assert [g.to_json() for g in plan.steps[0].gates] == [g.to_json() for g in relaxed]
 
 
@@ -85,7 +90,7 @@ def test_plan_simulates_to_block_product_state():
         vec = state_to_vector(v, n)
         for g in plan.gates:
             vec = G.apply_gate(vec, g, n)
-        np.testing.assert_allclose(vec, plan.residual.dense() @ state_to_vector(v, n), atol=1e-12)
+        np.testing.assert_allclose(vec, word_dense(plan.residual, n) @ state_to_vector(v, n), atol=1e-12)
         for idx in plan.final_state:
             assert sp.split(idx)[0] == blk
         # step count equals the initially-outside entries; never grows
@@ -115,6 +120,12 @@ def test_sparse_state_prep_zero_qubits_is_a_global_phase():
     c = sparse_state_prep_on({0: 1j}, 0)
     assert [g.to_json() for g in c.gates] == [G.Diagonal((), (1j,)).to_json()]
     np.testing.assert_allclose(G.simulate_on_state(c, np.ones(1, dtype=complex)), [1j])
+
+
+@pytest.mark.parametrize("v", [{-1: 1.0}, {-3: 0.6, 5: 0.8}])
+def test_sparse_state_prep_refuses_a_negative_index(v):
+    with pytest.raises(ValueError, match="state index out of range"):
+        sparse_state_prep_on(v, 3)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -166,6 +177,6 @@ def test_sparse_state_prep_scales_past_dense_arrays():
     assert json.dumps(G.circuit_to_dict(c), sort_keys=True) == json.dumps(again, sort_keys=True)
     # the reflection's residual moves the support onto distinct rows, phases exact units
     _, residual, s = householder_up_to(v, n)
-    dst, ph = residual.index_map(n, list(v))
+    dst, ph = G.relabel(residual, n, list(v))
     assert len(set(dst.tolist())) == nnz and s == 3
     np.testing.assert_allclose(np.abs(ph), 1.0, atol=1e-15)
