@@ -33,7 +33,6 @@ from .gates import (
     Diagonal,
     H0Phase,
     PermutationGate,
-    SIM_CAP,
     SPBlock,
     SingleQubit,
     StructuredCircuit,

@@ -1,8 +1,8 @@
 """Batch front-end: compile, verify, audit, order and bench subcommands.
 
-Exit codes: 0 success, 2 input parse failure, 3 input validation failure,
-4 verification failure.  Identical arguments and seed produce byte-identical
-outputs.
+Exit codes: 0 success, 2 input parse failure, 3 input validation failure
+(a simulation past ``gates.LIVE_CAP`` included), 4 verification failure.
+Identical arguments and seed produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except G.SimulationCapExceeded as e:  # a ValueError, but not a parse failure
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

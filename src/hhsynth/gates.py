@@ -20,20 +20,18 @@ of a batch.  One kernel, :func:`_live_gate`, applies every gate: an index
 map moves and rephases the live rows; a mixing gate adds the rows of every
 2^k group it reaches and mixes each group.  A state holding all 2^nq rows
 is kept in basis order, so its rows are its positions and its groups are
-indexed directly.  On at most :data:`SIM_CAP` qubits, once the live rows
-pass ``1 / DENSE_SHARE`` of the basis, :func:`_simulate` fills them in to
-the full basis; :func:`apply_gate` is the kernel on the full basis.  Above
-:data:`SIM_CAP` the live form runs on any register up to 62 qubits, and a
-gate that would hold more than :data:`LIVE_CAP` live amplitudes raises
-:class:`SimulationCapExceeded` before it allocates them.
+indexed directly.  Once the live rows pass ``1 / DENSE_SHARE`` of the
+basis, :func:`_simulate` fills them in to the full basis if that fits;
+:func:`apply_gate` is the kernel on the full basis.  One memory rule holds
+on any register up to 62 qubits: an array the verifier would build with
+more than :data:`LIVE_CAP` amplitudes (rows x columns) raises
+:class:`SimulationCapExceeded` before it is allocated.
 
 Clean ancillas must start and end in |0>; dirty ancillas may start in any
 basis state and must be restored.  :func:`circuit_unitary`,
 :func:`simulate_on_state` and :func:`equivalent` check both disciplines by
-simulating only the data columns they are asked about, each embedded at
-every allowed ancilla basis state, in one batch.  What is ``2^n`` long by
-nature (:func:`circuit_unitary`, dense data states and matrices,
-row-permutation witnesses) stays capped at :data:`SIM_CAP` qubits.
+simulating only the data columns they are asked about, once per allowed
+ancilla basis state, each state as its own batch.
 
 The decompositions carry "up to diagonal and permutation" residuals,
 operators of shape ``Diag(phases) . Perm``, without emitting gates.  A
@@ -61,9 +59,8 @@ from .numerics import (
     state_norm,
 )
 
-SIM_CAP = 14  # qubits of a dense simulation
-LIVE_CAP = 1 << 22  # live amplitudes (rows x columns) above SIM_CAP: 64 MiB
-DENSE_SHARE = 4  # at most SIM_CAP qubits, go dense past 2^nq / DENSE_SHARE rows
+LIVE_CAP = 1 << 22  # amplitudes (rows x columns) of any simulated array: 64 MiB
+DENSE_SHARE = 4  # go dense past 2^nq / DENSE_SHARE rows, if the full basis fits
 
 
 class SimulationCapExceeded(ValueError):
@@ -471,9 +468,9 @@ def _sorted_unique(idx: np.ndarray) -> np.ndarray:
 
 
 def _admit(nq: int, amplitudes: int) -> None:
-    """Refuse an array of ``amplitudes`` on more than SIM_CAP qubits beyond
-    LIVE_CAP, before it is allocated."""
-    if nq > SIM_CAP and amplitudes > LIVE_CAP:
+    """Refuse an array of ``amplitudes`` beyond LIVE_CAP, before it is
+    allocated."""
+    if amplitudes > LIVE_CAP:
         raise SimulationCapExceeded(
             f"{amplitudes} amplitudes on {nq} qubits exceed the live cap of {LIVE_CAP}"
         )
@@ -537,13 +534,13 @@ def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
 
 def _simulate(circuit: StructuredCircuit, rows: np.ndarray, amps: np.ndarray):
     """The circuit on the live state ``(rows, amps)``, ``rows`` sorted;
-    returns the live state after it, also sorted.  On at most SIM_CAP
-    qubits, a state with more than ``2^nq / DENSE_SHARE`` rows is filled in
-    to all 2^nq rows, which the gates after it keep."""
+    returns the live state after it, also sorted.  A state with more than
+    ``2^nq / DENSE_SHARE`` rows is filled in to all 2^nq rows, which the
+    gates after it keep, once those fit LIVE_CAP."""
     nq = circuit.total_qubits
-    dense_at = (1 << nq) // DENSE_SHARE if nq <= SIM_CAP else 1 << nq  # else never
+    dense = (1 << nq) * amps.shape[1] <= LIVE_CAP
     for g in circuit.gates:
-        if dense_at < len(rows) < 1 << nq:
+        if dense and (1 << nq) // DENSE_SHARE < len(rows) < 1 << nq:
             full = np.zeros((1 << nq, amps.shape[1]), dtype=amps.dtype)
             full[rows] = amps
             rows, amps = np.arange(1 << nq), full
@@ -573,6 +570,7 @@ def apply_circuit(state: np.ndarray, circuit: StructuredCircuit) -> np.ndarray:
 
 
 def gate_unitary(g: Gate, nq: int) -> np.ndarray:
+    _admit(nq, 1 << (2 * nq))
     return apply_gate(np.eye(1 << nq, dtype=complex), g, nq)
 
 
@@ -674,11 +672,11 @@ def _check_tol(name: str, tol: float) -> None:
         raise ValueError(f"{name} {tol!r} is not a finite value >= 0")
 
 
-def _check_simulable(circuit: StructuredCircuit, cap: int = SIM_CAP) -> None:
+def _check_simulable(circuit: StructuredCircuit) -> None:
     circuit.validate()
     nq = circuit.total_qubits
-    if nq > cap:
-        raise SimulationCapExceeded(f"{nq} qubits exceeds the {cap}-qubit cap")
+    if nq > MAX_QUBITS:
+        raise SimulationCapExceeded(f"{nq} qubits exceeds the {MAX_QUBITS}-qubit cap")
 
 
 def _data_action(
@@ -688,48 +686,42 @@ def _data_action(
     rows are the data basis indices ``rows``: ``(rows, action)``, the
     sorted live data rows of the result and their amplitudes.
 
-    Every column is embedded at every allowed ancilla basis state and the
-    batch is simulated at once.  An output column farther than
-    ``restore_tol`` (2-norm of the difference, which unlike a difference of
-    squared norms does not cancel) from the returned action, embedded at
-    the same ancilla state, raises :class:`CircuitVerificationError`.  The
+    The columns are simulated once per allowed ancilla basis state (clean
+    bits 0, dirty bits free), state 0 first, each as its own batch.  An
+    output column farther than ``restore_tol`` (2-norm of the difference,
+    which unlike a difference of squared norms does not cancel) from the
+    action embedded at the same ancilla state raises
+    :class:`CircuitVerificationError`, naming the first such state.  The
     circuit must have passed :func:`_check_simulable`.
     """
-    n, a = circuit.n, len(circuit.ancillas)
+    nq, a = circuit.total_qubits, len(circuit.ancillas)
     clean = sum(1 << (a - 1 - k) for k, kind in enumerate(circuit.ancillas) if kind == "clean")
-    ys = np.arange(1 << a, dtype=np.int64)
-    ys = ys[(ys & clean) == 0]  # clean bits 0, dirty bits free
-    nd, ncols = len(ys), cols.shape[1]
-    _admit(circuit.total_qubits, len(rows) * nd * nd * ncols)
-    # row (x, ancilla state d), column (d, j): data column j embedded at ys[d]
-    batch = np.zeros((len(rows), nd, nd, ncols), dtype=complex)
-    for d in range(nd):
-        batch[:, d, d] = cols
-    out_rows, out = _simulate(
-        circuit, ((rows[:, None] << a) | ys).ravel(), batch.reshape(len(rows) * nd, -1)
-    )
-    del batch  # not held through the checks below
-    at0 = (out_rows & ((1 << a) - 1)) == 0
-    rows, action = out_rows[at0] >> a, out[at0, :ncols]
-    # every output column minus the action embedded at its own ancilla state
-    want = ((rows[:, None] << a) | ys).ravel()
-    every = _sorted_unique(np.concatenate([out_rows, want]))
-    if len(every) > len(out_rows):
-        grown = np.zeros((len(every), out.shape[1]), dtype=out.dtype)
-        grown[np.searchsorted(every, out_rows)] = out
-        out = grown
-    out = out.reshape(len(every), nd, ncols)
-    pos = np.searchsorted(every, want).reshape(len(rows), nd)
-    for d in range(nd):
-        out[pos[:, d], d] -= action
-    err = np.linalg.norm(out, axis=0)
-    d, j = np.unravel_index(np.argmax(err), err.shape)
-    if err[d, j] > restore_tol:
-        raise CircuitVerificationError(
-            f"ancilla discipline violated for ancilla state {ys[d]:0{max(a, 1)}b}: "
-            f"deviation {err[d, j]:.3e} on column {j}"
-        )
-    return rows, action
+    _admit(nq, len(rows) * cols.shape[1])
+    action = None
+    for y in range(1 << a):
+        if y & clean:
+            continue
+        out_rows, out = _simulate(circuit, (rows << a) | y, cols)
+        if action is None:
+            at0 = (out_rows & ((1 << a) - 1)) == 0
+            data_rows, action = out_rows[at0] >> a, out[at0]
+        # the output minus the action embedded at its own ancilla state
+        want = (data_rows << a) | y
+        every = _sorted_unique(np.concatenate([out_rows, want]))
+        if len(every) > len(out_rows):
+            _admit(nq, len(every) * out.shape[1])
+            grown = np.zeros((len(every), out.shape[1]), dtype=out.dtype)
+            grown[np.searchsorted(every, out_rows)] = out
+            out = grown
+        out[np.searchsorted(every, want)] -= action
+        err = np.linalg.norm(out, axis=0)
+        j = int(np.argmax(err))
+        if err[j] > restore_tol:
+            raise CircuitVerificationError(
+                f"ancilla discipline violated for ancilla state {y:0{max(a, 1)}b}: "
+                f"deviation {err[j]:.3e} on column {j}"
+            )
+    return data_rows, action
 
 
 def circuit_unitary(
@@ -748,6 +740,7 @@ def circuit_unitary(
     _check_simulable(circuit)
     if in_dim is None:
         in_dim = 1 << circuit.n
+    _admit(circuit.total_qubits, (1 << circuit.n) * in_dim)
     rows, action = _data_action(
         circuit, np.arange(in_dim), np.eye(in_dim, dtype=complex), restore_tol
     )
@@ -762,22 +755,21 @@ def simulate_on_state(circuit: StructuredCircuit, data_state, restore_tol: float
     """Apply the circuit to a data state (clean ancillas |0>, dirty checked
     on all their basis states) and return the resulting data state.
 
-    A ``{index: amplitude}`` dict gives a dict of the nonzero amplitudes,
-    on any register up to 62 qubits; a dense vector gives a dense vector,
-    up to SIM_CAP qubits.
+    A ``{index: amplitude}`` dict gives a dict of the nonzero amplitudes; a
+    dense vector gives a dense vector.
     """
     _check_tol("restore_tol", restore_tol)
+    _check_simulable(circuit)
     dim = 1 << circuit.n
     sparse = isinstance(data_state, dict)
     if sparse:
-        _check_simulable(circuit, MAX_QUBITS)
         keys = sorted(data_state)
         if keys and not (0 <= keys[0] and keys[-1] < dim):
             raise ValueError(f"state index out of range for {circuit.n} qubits")
         rows = np.array(keys, dtype=np.int64)
         amps = np.array([data_state[k] for k in keys], dtype=complex)
     else:
-        _check_simulable(circuit)
+        _admit(circuit.total_qubits, dim)
         data_state = np.asarray(data_state)
         if data_state.shape != (dim,):
             raise ValueError(f"state shape {data_state.shape} != ({dim},)")
@@ -818,12 +810,11 @@ def equivalent(
         row-permutation witness to the circuit action first.
 
     The action and ``mat`` are compared on the union of their rows: a
-    :class:`SparseIsometry`'s occupied rows, on any register up to 62
-    qubits, or every row of a dense matrix.  A dense matrix and a
-    row-permutation witness are 2^n long, so they need at most SIM_CAP
-    qubits.  An unknown mode, a missing or malformed witness, or a ``tol``
-    that is NaN, infinite or negative raises ValueError before anything is
-    simulated.
+    :class:`SparseIsometry`'s occupied rows, or every row of a dense
+    matrix.  Every array this builds, the comparison arrays and a
+    row-permutation witness included, is admitted by :data:`LIVE_CAP`.  An
+    unknown mode, a missing or malformed witness, or a ``tol`` that is NaN,
+    infinite or negative raises ValueError before anything is simulated.
     """
     _check_tol("tol", tol)
     if mode not in ("exact", "up_to_diagonal", "up_to_diag_and_row_perm"):
@@ -831,11 +822,13 @@ def equivalent(
     permuted = mode == "up_to_diag_and_row_perm"
     if permuted and row_perm is None:
         raise ValueError("mode up_to_diag_and_row_perm needs a row_perm witness")
+    nq = circuit.total_qubits
     if isinstance(mat, SparseIsometry):
         if mat.n != circuit.n:
             return EquivalenceResult(False, math.inf)
-        ncols, cap = 1 << mat.m, SIM_CAP if permuted else MAX_QUBITS
+        ncols = 1 << mat.m
         m_rows = np.fromiter(mat.rows, dtype=np.int64, count=len(mat.rows))
+        _admit(nq, len(m_rows) * ncols)
         m_vals = np.zeros((len(m_rows), ncols), dtype=complex)
         for r, row in enumerate(mat.rows.values()):
             m_vals[r, list(row)] = list(row.values())
@@ -843,20 +836,23 @@ def equivalent(
         m_vals = np.asarray(mat, dtype=complex)
         if m_vals.ndim == 1:
             m_vals = m_vals[:, None]
-        ncols, cap = m_vals.shape[1], SIM_CAP
+        ncols = m_vals.shape[1]
         if m_vals.shape[0] != (1 << circuit.n) or ncols > m_vals.shape[0]:
             return EquivalenceResult(False, math.inf)
         m_rows = np.arange(1 << circuit.n)
-    _check_simulable(circuit, cap)
+    _check_simulable(circuit)
     if permuted:
+        _admit(nq, 1 << circuit.n)
         row_perm = check_permutation(row_perm, 1 << circuit.n)
     restore_tol = max(tol, 1e-10)
+    _admit(nq, ncols * ncols)
     rows, action = _data_action(
         circuit, np.arange(ncols), np.eye(ncols, dtype=complex), restore_tol
     )
     if permuted:
         rows = row_perm[rows]
     every = _sorted_unique(np.concatenate([rows, m_rows]))
+    _admit(nq, len(every) * ncols)
     a = np.zeros((len(every), ncols), dtype=complex)
     a[np.searchsorted(every, rows)] = action
     m = np.zeros_like(a)

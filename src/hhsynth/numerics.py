@@ -257,14 +257,20 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
     the diagonal Gram entry of its first such column.
     """
     if isinstance(mat, SparseIsometry):
-        ncols = 1 << mat.m
-        gram = np.zeros((ncols, ncols), dtype=complex)
+        # V^dag V is zero off the column pairs that share a row: accumulate
+        # only those, row by row as a dense product does, and the diagonal
+        gram = {(j, j): 0j for j in range(1 << mat.m)}
         for _, row in sorted(mat.rows.items()):
             items = sorted(row.items())
             for j, aj in items:
                 cj = aj.conjugate()
                 for k, ak in items:
-                    gram[j, k] += cj * ak
+                    gram[j, k] = gram.get((j, k), 0j) + cj * ak
+        pairs = sorted(gram)  # row-major, as a dense Gram is searched
+        jk = np.array(pairs, dtype=np.int64)
+        dev = np.abs(np.array([gram[p] for p in pairs]) - (jk[:, 0] == jk[:, 1]))
+        at = int(np.argmax(dev))  # the first NaN, if any
+        worst = (int(jk[at, 0]), int(jk[at, 1]))
     else:
         a = np.asarray(mat, dtype=complex)
         if a.ndim == 1:
@@ -278,12 +284,11 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
             # refused before the product, which an infinity turns into NaN
             bad = int(np.argmin(finite))  # the first column with a non-finite entry
             return ValidationReport(False, math.inf, (bad, bad))
-        gram = a.conj().T @ a
         ncols = a.shape[1]
-    dev = np.abs(gram - np.eye(ncols))
-    worst_flat = int(np.argmax(dev))  # the first NaN, if any
-    worst = (worst_flat // ncols, worst_flat % ncols)
-    max_dev = float(dev[worst])
+        dev = np.abs(a.conj().T @ a - np.eye(ncols)).ravel()
+        at = int(np.argmax(dev))  # the first NaN, if any
+        worst = (at // ncols, at % ncols)
+    max_dev = float(dev[at])
     ok = max_dev <= tol
     return ValidationReport(ok, max_dev, None if ok else worst)
 
@@ -319,6 +324,12 @@ def matrix_from_dict(d: dict) -> SparseIsometry:
     n, m = int_field(d["n"], "n"), int_field(d["m"], "m")
     if n > MAX_QUBITS:
         raise ValueError(f"n = {n} exceeds {MAX_QUBITS} qubits (int64 basis indices)")
+    if "entries" in d and 0 <= m <= n and len(d["entries"]) < 1 << m:
+        # an isometry has a nonzero in every column: refused before the
+        # 2^m column index is built
+        raise ValueError(
+            f"{len(d['entries'])} entries cannot fill the 2^{m} columns of an isometry"
+        )
     out = SparseIsometry(n, m)
     if "entries" in d:
         seen = set()

@@ -4,7 +4,7 @@ import numpy as np
 
 from hhsynth import gates as G
 from hhsynth import householder as hh
-from hhsynth.numerics import SparseIsometry
+from hhsynth.numerics import SparseIsometry, ValidationReport
 
 
 def random_u2(rng):
@@ -183,6 +183,25 @@ def full_identity_action(circuit, restore_tol=1e-10, in_dim=None):
         if np.max(np.abs(full[:, in_cols] - expected)) > restore_tol:
             raise G.CircuitVerificationError(f"ancilla state {y} not restored")
     return u_data
+
+
+def dense_gram_report(w, tol):
+    """``numerics.validate_isometry`` of a SparseIsometry through its dense
+    2^m x 2^m Gram matrix, accumulated row by row: the oracle of the
+    validator's sparse Gram."""
+    ncols = 1 << w.m
+    gram = np.zeros((ncols, ncols), dtype=complex)
+    for _, row in sorted(w.rows.items()):
+        items = sorted(row.items())
+        for j, aj in items:
+            for k, ak in items:
+                gram[j, k] += aj.conjugate() * ak
+    dev = np.abs(gram - np.eye(ncols))
+    flat = int(np.argmax(dev))  # the first NaN, if any
+    worst = (flat // ncols, flat % ncols)
+    max_dev = float(dev[worst])
+    ok = max_dev <= tol
+    return ValidationReport(ok, max_dev, None if ok else worst)
 
 
 # The worked 4x4 sparsity pattern used across the envelope examples, as

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,44 @@ def test_verify_a_wide_spblock_without_its_matrix(tmp_path):
     entries[17] = entries[17][:2] + [-entries[17][2], -entries[17][3]]
     changed = write_json(tmp_path / "changed.json", {"n": n, "m": 0, "entries": entries})
     assert run(["verify", out, changed]) == cli.EXIT_VERIFY
+
+
+def test_verify_past_the_live_cap_exit_3(tmp_path, capsys):
+    # a 30-qubit block on 40 qubits would hold 2^30 amplitudes: refused as
+    # invalid input (3), not as a parse failure (2)
+    n = 40
+    state = {0: 2 ** -0.5 + 0j, (1 << 30) - 1: 2 ** -0.5 + 0j}
+    circuit = G.StructuredCircuit(n, (), [G.SPBlock.from_dict(tuple(range(5, 35)), state)])
+    out = write_json(tmp_path / "c.json", G.circuit_to_dict(circuit))
+    mat = write_json(tmp_path / "v.json", {"n": n, "m": 0, "entries": [[0, 0, 1.0, 0]]})
+    capsys.readouterr()
+    assert run(["verify", out, mat]) == cli.EXIT_VALIDATE
+    assert f"exceed the live cap of {G.LIVE_CAP}" in capsys.readouterr().err
+
+
+def test_verify_with_dirty_ancillas_in_bounded_memory(tmp_path):
+    # 12 data qubits and 2 dirty ones against 2048 columns: one 2048 x 2048
+    # batch per ancilla state (64 MiB), not one 8192 x 8192 batch (1 GiB)
+    circuit = {"n": 12, "ancillas": ["dirty", "dirty"], "gates": []}
+    circuit = write_json(tmp_path / "c.json", circuit)
+    entries = [[j, j, 1.0, 0] for j in range(2048)]
+    mat = write_json(tmp_path / "w.json", {"n": 12, "m": 11, "entries": entries})
+    proc = _run_capped(["verify", circuit, mat], cap_bytes=1_500_000 << 10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"ok": True, "residual": 0.0}
+
+
+def test_too_few_entries_for_an_isometry_exit_2(tmp_path, capsys):
+    # one entry cannot fill 2^20 columns: refused before a column index is built
+    mat = write_json(tmp_path / "v.json", {"n": 20, "m": 20, "entries": [[0, 0, 1.0, 0]]})
+    tracemalloc.start()
+    try:
+        code = run(["compile", mat, "--method", "ssp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_PARSE and peak < 1 << 20
+    assert "1 entries cannot fill the 2^20 columns" in capsys.readouterr().err
 
 
 def test_compile_rejects_more_than_62_qubits(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,9 +377,24 @@ def test_simulate_on_state_sees_small_clean_ancilla_leak():
         G.simulate_on_state(c, np.full(256, 1 / 16, dtype=complex))
 
 
-def test_simulation_cap():
-    with pytest.raises(G.SimulationCapExceeded):
-        G.circuit_unitary(G.StructuredCircuit(G.SIM_CAP + 1))
+def _peak_of_refusal(fn, *args):
+    """``fn(*args)`` must raise SimulationCapExceeded; its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(G.SimulationCapExceeded):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_cap(monkeypatch):
+    # 2^13 x 2^13 amplitudes (1 GiB) are refused before any is allocated
+    assert _peak_of_refusal(G.circuit_unitary, G.StructuredCircuit(13)) < 1 << 20
+    assert _peak_of_refusal(G.gate_unitary, G.CNOT(0, 1), 13) < 1 << 20
+    monkeypatch.setattr(G, "LIVE_CAP", 64)
+    np.testing.assert_array_equal(G.circuit_unitary(G.StructuredCircuit(3)), np.eye(8))
+    assert _peak_of_refusal(G.circuit_unitary, G.StructuredCircuit(4)) < 64 * 1024
 
 
 def test_batch_and_vector_agree():

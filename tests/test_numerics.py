@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from hhsynth.numerics import (
     validate_isometry,
 )
 
-from helpers import random_sparse_isometry
+from helpers import dense_gram_report, random_sparse_isometry
 
 
 def test_validate_identity_ok():
@@ -34,6 +37,55 @@ def test_validate_dense_non_finite_fails_before_the_product(bad):
     assert not rep.ok
     assert rep.worst == (1, 1)
     assert rep.max_deviation == np.inf
+
+
+def _variants(w, rng):
+    """``w`` and four seeded non-isometries made from it: an entry scaled
+    by 1 + 1e-6, an entry added, a column emptied and an entry set to NaN."""
+    out = [w]
+    i, j, a = list(w.entries())[int(rng.integers(w.nnz))]
+    for change in ("scale", "add", "empty", "nan"):
+        v = w.copy()
+        if change == "scale":
+            v.set(i, j, a * (1 + 1e-6))
+        elif change == "add":
+            v.set(int(rng.integers(1 << w.n)), int(rng.integers(1 << w.m)), complex(rng.normal()))
+        elif change == "empty":
+            for r in list(v.col(j)):
+                v.set(r, j, 0.0)
+        else:
+            v.set(i, j, complex(math.nan, 0.0))
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_sparse_gram_matches_the_dense_gram(seed):
+    rng = np.random.default_rng(3000 + seed)
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(0, n + 1))
+    w = random_sparse_isometry(n, m, int(rng.integers(0, 6)), rng)
+    for v in _variants(w, rng):
+        for tol in (0.0, 1e-10, 1e-3):
+            got, want = validate_isometry(v, tol), dense_gram_report(v, tol)
+            assert (got.ok, got.worst) == (want.ok, want.worst)
+            dev = got.max_deviation, want.max_deviation
+            assert all(map(math.isnan, dev)) or dev[0].hex() == dev[1].hex()
+
+
+def test_sparse_validation_builds_no_dense_gram():
+    # m = 12: the dense Gram alone would be 2^24 amplitudes (256 MiB)
+    rng = np.random.default_rng(12)
+    rows = rng.choice(1 << 13, size=1 << 12, replace=False)
+    phases = np.exp(2j * np.pi * rng.uniform(size=1 << 12))
+    w = SparseIsometry(13, 12, [(int(r), j, p) for j, (r, p) in enumerate(zip(rows, phases))])
+    tracemalloc.start()
+    try:
+        rep = validate_isometry(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak < 16 << 20
 
 
 def test_validate_rejects_bad_dimensions():

@@ -1,5 +1,7 @@
-"""The live-row simulator against the dense kernel, and verification past
-the dense simulator's SIM_CAP qubits.
+"""The live-row simulator against the dense kernel, verification on wide
+registers, and the one memory rule: every simulated array is at most
+``gates.LIVE_CAP`` amplitudes (rows x columns), one batch per allowed
+ancilla basis state.
 
 Every generator is a seeded numpy one, so two versions of the source see
 the same circuits and inputs.  The oracle is the kernel on the full basis
@@ -176,7 +178,9 @@ def _verdict(fn, *args):
 
 ANCILLA_SHAPES = [
     (n, ancillas)
-    for ancillas in (("clean",), ("dirty",), ("clean", "dirty"), ("dirty", "dirty"))
+    for ancillas in (
+        ("clean",), ("dirty",), ("clean", "dirty"), ("dirty", "dirty"), ("dirty", "clean", "dirty")
+    )
     for n in range(2, 13 - len(ancillas))
 ]
 
@@ -330,10 +334,11 @@ def test_live_amplitude_cap_refuses_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # a batch counts every column: a dirty ancilla doubles the rows and the
-    # columns, so 5 Hadamards make 2 x 32 rows x 2 columns
-    assert len(G.simulate_on_state(_hadamards(40, 5), {0: 1.0 + 0j})) == 32
-    c = G.StructuredCircuit(40, ("dirty",), _hadamards(40, 5).gates)
+    # each allowed ancilla state is its own batch, so a dirty ancilla adds
+    # no amplitudes: 6 Hadamards still make 64 rows x 1 column
+    c = G.StructuredCircuit(40, ("dirty",), _hadamards(40, 6).gates)
+    assert len(G.simulate_on_state(c, {0: 1.0 + 0j})) == 64
+    c = G.StructuredCircuit(40, ("dirty",), _hadamards(40, 7).gates)
     with pytest.raises(G.SimulationCapExceeded, match="128 amplitudes"):
         G.simulate_on_state(c, {0: 1.0 + 0j})
     # an spblock needs only its 2^k group of rows: 64 fit, 128 do not
@@ -387,17 +392,48 @@ def test_wide_spblock_simulates_exactly_without_its_matrix():
     assert res.ok and res.residual <= 1e-14
 
 
-def test_dense_forms_keep_the_qubit_cap():
-    wide = G.StructuredCircuit(G.SIM_CAP + 1)
+def test_dense_forms_are_admitted_by_their_amplitudes(monkeypatch):
+    # 2^15-long forms verify exactly past 14 qubits, and are refused once
+    # the cap is below their size; the sparse forms are not
+    n = 15
+    wide = G.StructuredCircuit(n, (), [G.x_gate(0), G.x_gate(n - 1)])
+    moved = (1 << (n - 1)) | 1  # where the X layer sends |0>
+    v, want = np.zeros((2, 1 << n), dtype=complex)
+    v[0] = want[moved] = 1.0
+    at_zero = SparseIsometry(n, 0, [(0, 0, 1.0)])
+    perm = np.arange(1 << n)
+    perm[[moved, 0]] = [0, moved]  # the witness moves the action's row back
+    np.testing.assert_array_equal(G.simulate_on_state(wide, v), want)
+    for res in (
+        G.equivalent(wide, want, "exact", 1e-9),
+        G.equivalent(wide, at_zero, "up_to_diag_and_row_perm", 1e-9, row_perm=perm),
+    ):
+        assert res.ok and res.residual == 0.0
+    monkeypatch.setattr(G, "LIVE_CAP", (1 << n) - 1)
     with pytest.raises(G.SimulationCapExceeded):
-        G.simulate_on_state(wide, np.zeros(4, dtype=complex))
-    w = SparseIsometry(G.SIM_CAP + 1, 0, [(0, 0, 1.0)])
+        G.simulate_on_state(wide, v)
     with pytest.raises(G.SimulationCapExceeded):
-        G.equivalent(wide, w, "up_to_diag_and_row_perm", 1e-9, row_perm=[0])
-    assert G.equivalent(wide, w, "exact", 1e-9).ok
-    assert G.simulate_on_state(wide, {3: 1.0 + 0j}) == {3: 1.0 + 0j}
+        G.equivalent(wide, want, "exact", 1e-9)
+    with pytest.raises(G.SimulationCapExceeded):
+        G.equivalent(wide, at_zero, "up_to_diag_and_row_perm", 1e-9, row_perm=perm)
+    assert G.equivalent(wide, SparseIsometry(n, 0, [(moved, 0, 1.0)]), "exact", 1e-9).ok
+    assert G.simulate_on_state(wide, {0: 1.0 + 0j}) == {moved: 1.0 + 0j}
     with pytest.raises(ValueError, match="out of range"):
-        G.simulate_on_state(wide, {1 << (G.SIM_CAP + 1): 1.0 + 0j})
+        G.simulate_on_state(wide, {1 << n: 1.0 + 0j})
+
+
+def test_dirty_ancillas_cost_one_batch_per_state(monkeypatch):
+    # 13 data qubits and 2 dirty ones: each of the 4 ancilla states is a
+    # 4 x 4 batch, under a cap of 64 that one 16 x 16 batch would pass
+    monkeypatch.setattr(G, "LIVE_CAP", 64)
+    n = 13
+    toggle = G.MCX(((n + 1, 1), (1, 0)), 7)  # flips qubit 7 by a dirty bit
+    gates = [G.x_gate(0), G.CNOT(n, 5), toggle, G.CNOT(n, 5), toggle]
+    w = SparseIsometry(n, 2, [((1 << (n - 1)) | j, j, 1.0) for j in range(4)])
+    res = G.equivalent(G.StructuredCircuit(n, ("dirty", "dirty"), gates), w, "exact", 1e-9)
+    assert res.ok and res.residual == 0.0
+    with pytest.raises(G.CircuitVerificationError, match="ancilla state 01"):
+        G.equivalent(G.StructuredCircuit(n, ("dirty", "dirty"), gates[:-1]), w, "exact", 1e-9)
 
 
 def _embedded_completion(g, nq):
