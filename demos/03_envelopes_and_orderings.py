@@ -30,7 +30,7 @@ prof2 = hh.envelope(reordered)
 print(f"after optimal row packing: env = {prof2.env.tolist()}, ed = {prof2.ed}")
 
 strategy = hh.greedy_order(w)
-print(f"greedy order: first column {strategy.step_column(0)}, "
+print(f"greedy order: first column {int(np.argsort(strategy.sigma)[0])}, "
       f"elim = {hh.elim_count(w, strategy)}\n")
 
 # random comparison of the strategies

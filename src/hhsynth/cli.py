@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bench as B
 from . import costs as C
 from . import gates as G
@@ -152,8 +150,9 @@ def cmd_compile(args) -> int:
     circuit = result.circuit
     if args.verify:
         if args.method == "perm":
-            pm = np.zeros((len(perm), len(perm)), dtype=complex)
-            pm[perm, np.arange(len(perm))] = 1.0
+            # sparse, so that the live cap refuses it before it is built
+            n = circuit.n
+            pm = SparseIsometry(n, n, [(int(p), j, 1.0) for j, p in enumerate(perm)])
             eq = G.equivalent(circuit, pm, "up_to_diagonal", args.tol)
         else:
             eq = G.equivalent(circuit, w, "exact", args.tol)

@@ -49,16 +49,6 @@ class AncillaRegime:
     def with_clean(cls, k: int) -> "AncillaRegime":
         return cls(k, 0)
 
-    def describe(self) -> str:
-        if self.clean == 0 and self.dirty == 0:
-            return "none"
-        parts = []
-        if self.clean:
-            parts.append(f"clean:{self.clean}")
-        if self.dirty:
-            parts.append(f"dirty:{self.dirty}")
-        return "+".join(parts)
-
 
 def parse_regime(text: str) -> AncillaRegime:
     """Parse 'none', 'dirty:K', 'clean:K' or 'clean:K+dirty:K'."""

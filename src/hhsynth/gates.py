@@ -3,6 +3,9 @@
 Gates address qubits by index; qubit 0 is the most significant bit of a
 basis index.  Multi-qubit subsets are tuples listed most-significant first,
 and the "subset value" of a basis index collects those bits in that order.
+The other modules apply that convention (``numerics`` defines it) only
+through :func:`qubit_mask`, :func:`controls_on`, :func:`x_layer` and
+:func:`fold`, the CNOT fan of pivoting insertions and transpositions.
 
 A gate kind is one class here, which owns its qubits, inverse, text form,
 JSON tag and one action, plus one cost rule in ``costs._gate_cost``.  The
@@ -366,9 +369,31 @@ def x_gate(q: int) -> SingleQubit:
     return SingleQubit(q, X_MATRIX, label="x")
 
 
+def qubit_mask(qubits, nq: int) -> int:
+    """The bits of the listed qubits in an ``nq``-qubit basis index."""
+    return sum(1 << (nq - 1 - q) for q in qubits)
+
+
+def controls_on(index: int, qubits, nq: int) -> tuple[tuple[int, int], ...]:
+    """(qubit, polarity) controls on the listed qubits that hold exactly
+    where those qubits carry the bits of basis ``index``."""
+    return tuple((q, (index >> (nq - 1 - q)) & 1) for q in qubits)
+
+
 def x_layer(index: int, qubits, nq: int) -> list[Gate]:
     """Free X gates mapping basis ``index`` to 0 on the listed qubits."""
-    return [x_gate(q) for q in qubits if (index >> (nq - 1 - q)) & 1]
+    return [x_gate(q) for q, bit in controls_on(index, qubits, nq) if bit]
+
+
+def fold(moving: int, other: int, qubits, nq: int) -> tuple[int, list[Gate]]:
+    """``(ctrl, fan)``: the first listed qubit where basis states ``moving``
+    and ``other`` differ (ValueError if none), and a NOT on each later one,
+    fired where ``ctrl`` carries ``moving``'s bit: the fan maps ``moving``
+    to ``other`` except on ``ctrl`` and leaves ``other`` alone."""
+    ctrl, *rest = (q for q in qubits if ((moving ^ other) >> (nq - 1 - q)) & 1)
+    if (moving >> (nq - 1 - ctrl)) & 1:
+        return ctrl, [CNOT(ctrl, t) for t in rest]
+    return ctrl, [MCX(((ctrl, 0),), t) for t in rest]
 
 
 def dagger_sequence(gates: list[Gate]) -> list[Gate]:
@@ -497,7 +522,7 @@ def _live_gate(g: Gate, rows: np.ndarray, amps: np.ndarray, nq: int):
     if full and hit is None:
         return rows, _apply_subset_unitary(amps, g.mix, qubits, nq)
     k = len(qubits)
-    mask = sum(1 << (nq - 1 - q) for q in qubits)
+    mask = qubit_mask(qubits, nq)
     if full:  # the rows are the positions: index the hit groups directly
         bases = rows[hit & ((rows & mask) == 0)]
     else:
@@ -622,24 +647,8 @@ def _margolus_gates(c1: int, c2: int, t: int) -> list[Gate]:
     ]
 
 
-def _margolus_diag() -> np.ndarray:
-    """Diagonal D with (margolus network) = D . Toffoli on 3 qubits."""
-    u = np.eye(8, dtype=complex)
-    for g in _margolus_gates(0, 1, 2):
-        u = apply_gate(u, g, 3)
-    toff = gate_unitary(MCX(((0, 1), (1, 1)), 2), 3)
-    d = u @ toff.conj().T
-    off = d - np.diag(np.diag(d))
-    if np.max(np.abs(off)) > 1e-12:
-        raise AssertionError("margolus network is not Toffoli-up-to-diagonal")
-    phases = np.diag(d)
-    snapped = np.round(phases.real).astype(complex) + 1j * np.round(phases.imag)
-    if np.max(np.abs(phases - snapped)) > 1e-9:
-        raise AssertionError("margolus residual phases are not exact units")
-    return snapped
-
-
-_MARGOLUS_DIAG = _margolus_diag()
+# (the network) = Diag(_MARGOLUS_DIAG) . Toffoli on qubits (0, 1, 2)
+_MARGOLUS_DIAG = np.array([1, 1, 1, 1, 1, -1, 1, 1], dtype=complex)
 
 
 def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int):

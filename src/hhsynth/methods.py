@@ -90,6 +90,14 @@ class DecompositionResult:
     trace: list[StepTrace]
 
 
+def _result(
+    circuit: G.StructuredCircuit, regime: C.AncillaRegime, trace: list[StepTrace]
+) -> DecompositionResult:
+    """The validated circuit with its audit under ``regime`` and its trace."""
+    circuit.validate()
+    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
+
+
 def _require_isometry(w, tol: float = 1e-9):
     rep = validate_isometry(w, tol)
     if not rep.ok:
@@ -144,8 +152,7 @@ def householder_up_to(
         # I - 2|idx><idx|: a Z on the last qubit controlled by the others
         idx = next(iter(v))
         z = np.diag([-1.0, 1.0] if idx & 1 == 0 else [1.0, -1.0])
-        controls = tuple((q, (idx >> (n - 1 - q)) & 1) for q in range(n - 1))
-        return [], [G.MCU(controls, n - 1, z)], 0
+        return [], [G.MCU(G.controls_on(idx, range(n - 1), n), n - 1, z)], 0
     s = (nnz - 1).bit_length()
     splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
     plan = P.pivot_plan(v, splitting, blk)
@@ -266,7 +273,7 @@ def _pivoted_reflections(n: int, samples: int, seed):
     """The ``reflect`` of sparse basic and no fill-in: each step pivots
     with :func:`householder_up_to`, drawing splittings from one seeded rng
     for the whole run."""
-    rng = P.as_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def reflect(i, u):
         if u is None:
@@ -298,9 +305,7 @@ def sparse_householder_iso(
         invert_permutation(strategy.rho)[: 1 << w.m],
         _pivoted_reflections(w.n, samples, seed),
     )
-    circuit = G.StructuredCircuit(w.n, (), gates)
-    circuit.validate()
-    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
+    return _result(G.StructuredCircuit(w.n, (), gates), regime, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +397,7 @@ def dense_householder_iso(
     _require_isometry(v)
     n = qubit_count(v.shape[0])
     level, delta, trace, _ = _reduce_dense_level(v, v.shape[1], 0, n)
-    circuit = G.StructuredCircuit(n, (), _phase_fix(delta, 0, n) + level)
-    circuit.validate()
-    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
+    return _result(G.StructuredCircuit(n, (), _phase_fix(delta, 0, n) + level), regime, trace)
 
 
 def dense_householder_unitary(
@@ -433,9 +436,7 @@ def dense_householder_unitary(
             work = red[half:, half:] * delta.conj()[:, None]
         gates[:0] = fix + level
         trace.extend(tr)
-    circuit = G.StructuredCircuit(n, (), gates)
-    circuit.validate()
-    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
+    return _result(G.StructuredCircuit(n, (), gates), regime, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +492,7 @@ def fixed_envelope_iso(
     if not np.array_equal(strategy.rho, np.arange(1 << n)):
         rho_gate = G.PermutationGate(tuple(range(n)), tuple(int(x) for x in strategy.rho))
         gates.extend(rho_gate.dagger())
-    circuit = G.StructuredCircuit(n, (), gates)
-    circuit.validate()
-    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
+    return _result(G.StructuredCircuit(n, (), gates), regime, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +527,7 @@ def no_fill_in_iso(
     table = {0: n}
     table.update({q + 1: q for q in range(n)})
     gates = [g.remap(table) for g in virtual_gates]
-    circuit = G.StructuredCircuit(n, ("clean",), gates)
-    circuit.validate()
-    return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
+    return _result(G.StructuredCircuit(n, ("clean",), gates), regime, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +545,9 @@ def _transposition_gates(i: int, j: int, n: int) -> list[G.Gate]:
     rotation maps the fold to |i>, and the dressed reflection about |i>
     costs one (n-1)-controlled NOT.
     """
-    diffs = [q for q in range(n) if ((i >> (n - 1 - q)) & 1) != ((j >> (n - 1 - q)) & 1)]
-    k = diffs[0]
-    pol = (j >> (n - 1 - k)) & 1
-    adj: list[G.Gate] = []
-    for q in diffs[1:]:
-        adj.append(G.CNOT(k, q) if pol == 1 else G.MCX(((k, 0),), q))
-    bk = (i >> (n - 1 - k)) & 1
-    rot = G.SingleQubit(k, _R0 if bk == 0 else _R1, label="fold")
-    return _reflection(adj + [rot], G.x_layer(i, tuple(range(n)), n), n, rot.dagger() + adj[::-1])
+    k, adj = G.fold(j, i, range(n), n)
+    rot = G.SingleQubit(k, _R1 if i & G.qubit_mask((k,), n) else _R0, label="fold")
+    return _reflection(adj + [rot], G.x_layer(i, range(n), n), n, rot.dagger() + adj[::-1])
 
 
 def perm_via_householder(perm) -> G.StructuredCircuit:

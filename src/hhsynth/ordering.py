@@ -40,10 +40,6 @@ class EliminationStrategy:
     def checked(cls, rho, sigma, n: int, m: int) -> "EliminationStrategy":
         return cls(check_permutation(rho, 1 << n), check_permutation(sigma, 1 << m))
 
-    def step_column(self, i: int) -> int:
-        """Original column reduced at step i."""
-        return int(invert_permutation(self.sigma)[i])
-
 
 @dataclass(frozen=True)
 class EnvelopeProfile:
@@ -110,11 +106,10 @@ def greedy_order(w: SparseIsometry) -> EliminationStrategy:
     order: list[int] = []
     done = set()
     while heap:
-        count, j = heapq.heappop(heap)
+        # every count change pushes a fresh entry, the column's smallest, so
+        # a column's first entry popped is exact and later ones are stale
+        _, j = heapq.heappop(heap)
         if j in done:
-            continue
-        if count != len(live_cols[j]):
-            heapq.heappush(heap, (len(live_cols[j]), j))
             continue
         done.add(j)
         order.append(j)

@@ -41,12 +41,6 @@ from . import gates as G
 from .numerics import EPS0, prune_state, state_norm
 
 
-def as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class QubitSplitting:
     """Disjoint ordered block/register qubit sets covering 0..n-1."""
@@ -82,7 +76,7 @@ class QubitSplitting:
 
 def _block_mask(n: int, register_qubits) -> int:
     """The bits of a full n-qubit basis index outside the register."""
-    return ((1 << n) - 1) ^ sum(1 << (n - 1 - q) for q in register_qubits)
+    return ((1 << n) - 1) ^ G.qubit_mask(register_qubits, n)
 
 
 def _score(block_mask: int, pattern: np.ndarray) -> tuple[int, int]:
@@ -116,7 +110,7 @@ def choose_splitting(
     if math.comb(n, s) <= samples:
         candidates = _all_register_subsets(n, s)
     else:
-        candidates = _sampled_register_subsets(n, s, samples, as_rng(seed))
+        candidates = _sampled_register_subsets(n, s, samples, np.random.default_rng(seed))
     best = None
     for reg in candidates:
         occ, inside = _score(_block_mask(n, reg), pattern)
@@ -197,36 +191,17 @@ def _insertion_gates(
     """Gates moving ``source`` into block slot ``dest`` without disturbing
     the target block; returns (gates, residual word, cnot count)."""
     n = splitting.n
-    _, dst_reg = splitting.split(dest)
-    diff_block = [
-        q
-        for q in splitting.block_qubits
-        if ((source >> (n - 1 - q)) & 1) != ((dest >> (n - 1 - q)) & 1)
-    ]
-    if not diff_block:
+    if not (source ^ dest) & splitting.block_mask:
         raise ValueError("source already inside the target block")
-    ctrl = diff_block[0]
-    pol = (source >> (n - 1 - ctrl)) & 1
-    targets = diff_block[1:] + [
-        q
-        for q in splitting.register_qubits
-        if ((source >> (n - 1 - q)) & 1) != ((dest >> (n - 1 - q)) & 1)
-    ]
-    gates: list[G.Gate] = []
-    for t in targets:
-        if pol == 1:
-            gates.append(G.CNOT(ctrl, t))
-        else:
-            gates.append(G.MCX(((ctrl, 0),), t))
-    s = splitting.s
-    controls = tuple(
-        (q, (dst_reg >> (s - 1 - k)) & 1) for k, q in enumerate(splitting.register_qubits)
-    )
-    if s == 2:
+    # the control is a block qubit: the first one where source and dest differ
+    ctrl, gates = G.fold(source, dest, splitting.block_qubits + splitting.register_qubits, n)
+    ncnots = len(gates)
+    controls = G.controls_on(dest, splitting.register_qubits, n)
+    if splitting.s == 2:
         mgates, tail = G.relaxed_mcx2(controls, ctrl)
-        return gates + mgates, gates + tail, len(targets)
-    gates.append(G.x_gate(ctrl) if s == 0 else G.MCX(controls, ctrl))
-    return gates, gates, len(targets)
+        return gates + mgates, gates + tail, ncnots
+    gates.append(G.x_gate(ctrl) if splitting.s == 0 else G.MCX(controls, ctrl))
+    return gates, gates, ncnots
 
 
 def pivot_plan(

@@ -11,6 +11,7 @@ import pytest
 
 import hhsynth
 from hhsynth import cli
+from hhsynth import costs as C
 from hhsynth import gates as G
 from hhsynth.numerics import matrix_to_dict
 
@@ -97,9 +98,39 @@ def test_compile_perm(tmp_path):
     assert rc == 0
 
 
+def test_compile_perm_verify_past_the_live_cap_exit_3(tmp_path, capsys):
+    # 2^12 columns on 2^12 rows pass the live cap: refused before the
+    # 2^12 x 2^12 permutation matrix (256 MiB) is built
+    perm = list(range(1 << 12))
+    perm[0], perm[-1] = perm[-1], perm[0]
+    path = write_json(tmp_path / "p.json", {"perm": perm})
+    tracemalloc.start()
+    try:
+        code = run(["compile", path, "--method", "perm", "--verify", "-o", str(tmp_path / "c.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_VALIDATE and peak < 16 << 20
+    assert f"exceed the live cap of {G.LIVE_CAP}" in capsys.readouterr().err
+
+
 def test_compile_non_isometry_exit_3(tmp_path):
     mat = write_json(tmp_path / "bad.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 0, 1, 0]]})
     assert run(["compile", mat]) == cli.EXIT_VALIDATE
+
+
+def test_compile_ssp_of_an_isometry_exit_3(tmp_path, capsys):
+    mat = write_json(tmp_path / "w.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
+    assert run(["compile", mat, "--method", "ssp"]) == cli.EXIT_VALIDATE
+    assert "ssp expects a state (m = 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["sparse", "fixed-env"])
+def test_compile_identity_strategy_verifies(tmp_path, method):
+    w = random_sparse_isometry(3, 2, 3, np.random.default_rng(65))
+    mat = write_json(tmp_path / "w.json", matrix_to_dict(w))
+    argv = ["compile", mat, "--method", method, "--strategy", "identity", "--verify"]
+    assert run(argv + ["-o", str(tmp_path / "c.json")]) == 0
 
 
 def test_compile_parse_error_exit_2(tmp_path):
@@ -127,6 +158,18 @@ def test_audit_subcommand(tmp_path, capsys):
     assert run(["audit", circ, "--regime", "dirty:1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["total"] == 1
+
+
+def test_audit_prices_an_mcu(tmp_path, capsys):
+    # the library emits mcu gates only inside residuals, never in a circuit
+    u = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    gate = {"kind": "mcu", "controls": [[0, 1], [1, 0]], "target": 2, "matrix": u}
+    circ = write_json(tmp_path / "c.json", {"n": 3, "ancillas": [], "gates": [gate]})
+    assert run(["audit", circ]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cnots, rule = C.cost_mcu_detail(2, C.AncillaRegime.none())
+    assert report["breakdown"] == [{"gate": "mcu[k=2]", "formula": rule, "cnots": cnots}]
+    assert report["total"] == cnots > 0
 
 
 def test_order_subcommand(tmp_path, capsys):
@@ -166,6 +209,14 @@ def test_compile_deterministic(tmp_path):
     for out in (a, b):
         assert run(["compile", mat, "--method", "sparse", "--seed", "9", "-o", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_bench_range_syntax(capsys):
+    assert run(["bench", "ssp", "--n", "2-3", "--s", "1", "--trials", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [
+        ["2", "1", "0"], ["2", "1", "1"], ["3", "1", "0"], ["3", "1", "1"]
+    ]
 
 
 def test_bench_basis_state_needs_no_cnots(tmp_path):
@@ -239,6 +290,7 @@ def test_compile_dense_past_the_live_cap_exit_3(tmp_path):
     proc = _run_capped(["compile", mat, "--method", "dense"])
     assert proc.returncode == cli.EXIT_VALIDATE, proc.stderr
     assert "Traceback" not in proc.stderr and f"cap of {G.LIVE_CAP}" in proc.stderr
+    assert run(["compile", mat, "--method", "dense"]) == cli.EXIT_VALIDATE  # and in process
     # README's example is far below the cap
     mat = write_json(tmp_path / "readme.json", README_MATRIX)
     assert run(["compile", mat, "--method", "dense", "--verify", "-o", str(tmp_path / "c.json")]) == 0
@@ -481,8 +533,15 @@ def test_compile_malformed_strategy_exit_2(tmp_path, name, method):
         {"n": True, "m": 0, "entries": [[0, 0, 1.0, 0]]},
         {"n": 2, "m": 0, "entries": [[0.7, 0, 1.0, 0]]},
         {"n": 2, "m": 1, "entries": [[0, 0, 1.0, 0], [1, 1.0, 1.0, 0]]},
+        # and the other malformed fields of a matrix file
+        {"n": 63, "m": 0, "entries": [[5, 0, 1.0, 0]]},
+        {"n": 1, "m": 0, "dense": [[1.0], [0.0, 0.0]]},
+        {"n": 1, "m": 0, "dense": [["x"], [0.0]]},
     ],
-    ids=["float_n", "float_m", "boolean_n", "float_row", "float_column"],
+    ids=[
+        "float_n", "float_m", "boolean_n", "float_row", "float_column",
+        "n_63", "dense_row_of_the_wrong_width", "dense_element_not_a_number",
+    ],
 )
 def test_compile_non_integer_matrix_field_exit_2(tmp_path, data):
     mat = write_json(tmp_path / "m.json", data)

@@ -7,7 +7,7 @@ import pytest
 from hhsynth import costs as C
 from hhsynth import gates as G
 from hhsynth import methods as M
-from hhsynth.numerics import state_to_vector
+from hhsynth.numerics import SparseIsometry, state_to_vector
 
 from helpers import (
     controlled_matrix,
@@ -258,6 +258,16 @@ def test_h0_equals_dressed_multicontrolled_not():
 def test_equivalent_exact_identity_isometry():
     c = G.StructuredCircuit(2)
     assert G.equivalent(c, np.eye(4)[:, :2], "exact", 1e-9).ok
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [SparseIsometry(3, 1, [(0, 0, 1.0), (1, 1, 1.0)]), np.eye(8)[:, :2], np.ones((4, 8))],
+    ids=["sparse_of_another_n", "dense_of_another_n", "dense_wider_than_tall"],
+)
+def test_equivalent_of_another_shape_is_false_with_infinite_residual(mat):
+    res = G.equivalent(G.StructuredCircuit(2), mat, "exact", 1e-9)
+    assert not res.ok and res.residual == math.inf
 
 
 def test_equivalent_up_to_diagonal():

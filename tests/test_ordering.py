@@ -85,7 +85,7 @@ def test_greedy_rows_are_optimal_for_its_column_order():
 def test_greedy_order_worked_pattern_first_pick():
     st = greedy_order(pattern_iso(PATTERN_4X4, 2, 2))
     # columns 0, 1, 3 tie at two nonzeros; smallest index wins
-    assert st.step_column(0) == 0
+    assert st.sigma[0] == 0
 
 
 def test_greedy_order_tends_to_shrink_ed(capsys):

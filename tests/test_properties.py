@@ -5,28 +5,21 @@ dense and ssp paths.
 
 Every isometry shape n = 1..5, m = 0..n is run (m = n and n = 1 included),
 and every state shape n = 1..7, s = 0..n (s = n included) with three kinds
-of amplitudes; for each one, hypothesis draws the entries and the compile
+of amplitudes; for each one, a few cases draw the entries and the compile
 seed.  Each compile is audited against its dirty-ancilla bound and its
 clean-ancilla bound, the latter where its closed form is valid.
 
-It runs derandomized, so a failure replays on the same source tree.  The
-draws are not stable across changes to the source, though: hypothesis
-(6.155) mixes constants mined from the local source files into its draws
-(``providers._maybe_draw_constant``, with probability 0.05 per integer
-draw), and no setting turns that off.  A check that two versions of the
-code give the same output must therefore use seeded numpy generators, not
-these tests.
+Every draw comes from a numpy generator seeded by the shape and the case
+number (:func:`_draws`), and case 0 takes the smallest value of every
+range.  The inputs therefore depend on nothing but this file, so a failure
+replays anywhere, and two versions of the library see the same inputs.
 """
 
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hhsynth import cli
 from hhsynth import costs as C
@@ -43,9 +36,20 @@ D1 = C.AncillaRegime.with_dirty(1)
 CLEAN1_DIRTY1 = C.AncillaRegime(clean=1, dirty=1)
 
 SHAPES = pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(n + 1)])
-SETTINGS = settings(derandomize=True, max_examples=4, deadline=None)
-DRAWS = given(rotations=st.integers(0, 10), data_seed=st.integers(0, 2**32 - 1),
-              seed=st.integers(0, 1000))
+ISOMETRY_CASES = 4
+# rotations, data seed, compile seed
+ISOMETRY_DRAWS = ((0, 10), (0, 2**32 - 1), (0, 1000))
+
+
+def _draws(key, cases, *ranges):
+    """``cases`` tuples of ints, one from each inclusive ``(lo, hi)`` range,
+    drawn from ``np.random.default_rng([*key, case])``; case 0 takes every
+    range's minimum."""
+    for case in range(cases):
+        rng = np.random.default_rng([*key, case])
+        yield tuple(
+            lo if case == 0 else int(rng.integers(lo, hi, endpoint=True)) for lo, hi in ranges
+        )
 
 
 def _check_common(compile_, w, regime):
@@ -61,59 +65,57 @@ def _check_common(compile_, w, regime):
 
 
 @SHAPES
-@SETTINGS
-@DRAWS
-def test_sparse_householder_properties(n, m, rotations, data_seed, seed):
-    w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
-    strategy = O.greedy_order(w)
-    elim = O.elim_count(w, strategy)
-    res = _check_common(lambda: M.sparse_householder_iso(w, strategy, D1, seed=seed), w, D1)
-    assert res.audit.total <= C.bound_sparse_basic_dirty(n, m, elim)
-    if n >= 2:
-        clean = C.AncillaRegime.with_clean(math.ceil((n - 3) / 2))
-        assert C.audit_circuit(res.circuit, clean).total <= C.bound_sparse_basic_clean(n, m, elim)
+def test_sparse_householder_properties(n, m):
+    for rotations, data_seed, seed in _draws((n, m), ISOMETRY_CASES, *ISOMETRY_DRAWS):
+        w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
+        strategy = O.greedy_order(w)
+        elim = O.elim_count(w, strategy)
+        res = _check_common(lambda: M.sparse_householder_iso(w, strategy, D1, seed=seed), w, D1)
+        assert res.audit.total <= C.bound_sparse_basic_dirty(n, m, elim)
+        if n >= 2:
+            clean = C.AncillaRegime.with_clean(math.ceil((n - 3) / 2))
+            total = C.audit_circuit(res.circuit, clean).total
+            assert total <= C.bound_sparse_basic_clean(n, m, elim)
 
 
 @SHAPES
-@SETTINGS
-@DRAWS
-def test_fixed_envelope_properties(n, m, rotations, data_seed, seed):
-    w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
-    _check_common(lambda: M.fixed_envelope_iso(w, None, D1, seed=seed), w, D1)
+def test_fixed_envelope_properties(n, m):
+    for rotations, data_seed, seed in _draws((n, m), ISOMETRY_CASES, *ISOMETRY_DRAWS):
+        w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
+        _check_common(lambda: M.fixed_envelope_iso(w, None, D1, seed=seed), w, D1)
 
 
 @SHAPES
-@SETTINGS
-@DRAWS
-def test_no_fill_in_properties(n, m, rotations, data_seed, seed):
-    w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
-    res = _check_common(lambda: M.no_fill_in_iso(w, CLEAN1_DIRTY1, seed=seed), w, CLEAN1_DIRTY1)
-    assert res.audit.total <= C.bound_no_fill_in_dirty(n, m, w.nnz)
-    clean = C.AncillaRegime.with_clean(math.ceil(n / 2))
-    assert C.audit_circuit(res.circuit, clean).total <= C.bound_no_fill_in_clean(n, m, w.nnz)
-    assert not any(t.fill_in for t in res.trace)
+def test_no_fill_in_properties(n, m):
+    for rotations, data_seed, seed in _draws((n, m), ISOMETRY_CASES, *ISOMETRY_DRAWS):
+        w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
+        res = _check_common(
+            lambda: M.no_fill_in_iso(w, CLEAN1_DIRTY1, seed=seed), w, CLEAN1_DIRTY1
+        )
+        assert res.audit.total <= C.bound_no_fill_in_dirty(n, m, w.nnz)
+        clean = C.AncillaRegime.with_clean(math.ceil(n / 2))
+        assert C.audit_circuit(res.circuit, clean).total <= C.bound_no_fill_in_clean(n, m, w.nnz)
+        assert not any(t.fill_in for t in res.trace)
 
 
 @SHAPES
-@SETTINGS
-@given(rotations=st.integers(0, 10), data_seed=st.integers(0, 2**32 - 1),
-       value=st.sampled_from(["same", "zero", "other"]), where=st.integers(0, 2**16))
-def test_duplicate_entry_exits_2_for_every_method(n, m, rotations, data_seed, value, where):
-    rng = np.random.default_rng(data_seed)
-    d = matrix_to_dict(random_sparse_isometry(n, m, rotations, rng))
-    entries = d["entries"]
-    i, j, re, im = entries[where % len(entries)]
-    if value == "zero":
-        re, im = 0.0, 0.0
-    elif value == "other":
-        re, im = float(rng.normal()), float(rng.normal())
-    entries.insert(where % (len(entries) + 1), [i, j, re, im])
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "dup.json")
-        with open(path, "w") as f:
-            json.dump(d, f)
+def test_duplicate_entry_exits_2_for_every_method(n, m, tmp_path):
+    # rotations, data seed, duplicated value (same, zero, other), position
+    draws = _draws((n, m), ISOMETRY_CASES, (0, 10), (0, 2**32 - 1), (0, 2), (0, 2**16))
+    for rotations, data_seed, value, where in draws:
+        rng = np.random.default_rng(data_seed)
+        d = matrix_to_dict(random_sparse_isometry(n, m, rotations, rng))
+        entries = d["entries"]
+        i, j, re, im = entries[where % len(entries)]
+        if value == 1:
+            re, im = 0.0, 0.0
+        elif value == 2:
+            re, im = float(rng.normal()), float(rng.normal())
+        entries.insert(where % (len(entries) + 1), [i, j, re, im])
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(d))
         for method in ("ssp", "dense", "sparse", "fixed-env", "no-fill-in"):
-            assert cli.main(["compile", path, "--method", method]) == cli.EXIT_PARSE, method
+            assert cli.main(["compile", str(path), "--method", method]) == cli.EXIT_PARSE, method
 
 
 def _state(n, s, kind, rng):
@@ -139,30 +141,33 @@ def _state(n, s, kind, rng):
     return {int(p): complex(a) for p, a in zip(pos, amps)}
 
 
+STATE_KINDS = ["generic", "near_basis", "eps0"]
+
+
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 8) for s in range(n + 1)])
-@pytest.mark.parametrize("kind", ["generic", "near_basis", "eps0"])
-@settings(derandomize=True, max_examples=3, deadline=None)
-@given(data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000))
-def test_sparse_state_prep_properties(n, s, kind, data_seed, seed):
-    v = _state(n, s, kind, np.random.default_rng(data_seed))
-    circuit = P.sparse_state_prep_on(v, n, seed=seed)
-    zero = np.zeros(1 << n, dtype=complex)
-    zero[0] = 1.0
-    out = G.simulate_on_state(circuit, zero)
-    assert np.max(np.abs(out - state_to_vector(v, n))) <= 1e-9
-    text = json.dumps(G.circuit_to_dict(circuit), sort_keys=True)
-    again = P.sparse_state_prep_on(v, n, seed=seed)
-    assert json.dumps(G.circuit_to_dict(again), sort_keys=True) == text
-    nnz = len(prune_state(v))
-    assert nnz == len(v) and (nnz - 1).bit_length() == s
-    if s == 0:
-        assert C.audit_circuit(circuit, NONE).total <= (n - 1) * nnz
-    else:
-        # the bound's dirty helper qubit is found in the register for s <= n - 2
-        regime = NONE if s <= n - 2 else D1
-        assert C.audit_circuit(circuit, regime).total <= C.bound_ssp(n, s, nnz)
-        clean = C.AncillaRegime.with_clean(math.ceil(s / 2 - 1))
-        assert C.audit_circuit(circuit, clean).total <= C.bound_ssp_clean(n, s, nnz)
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_sparse_state_prep_properties(n, s, kind):
+    key = (n, s, STATE_KINDS.index(kind))
+    for data_seed, seed in _draws(key, 3, (0, 2**32 - 1), (0, 1000)):
+        v = _state(n, s, kind, np.random.default_rng(data_seed))
+        circuit = P.sparse_state_prep_on(v, n, seed=seed)
+        zero = np.zeros(1 << n, dtype=complex)
+        zero[0] = 1.0
+        out = G.simulate_on_state(circuit, zero)
+        assert np.max(np.abs(out - state_to_vector(v, n))) <= 1e-9
+        text = json.dumps(G.circuit_to_dict(circuit), sort_keys=True)
+        again = P.sparse_state_prep_on(v, n, seed=seed)
+        assert json.dumps(G.circuit_to_dict(again), sort_keys=True) == text
+        nnz = len(prune_state(v))
+        assert nnz == len(v) and (nnz - 1).bit_length() == s
+        if s == 0:
+            assert C.audit_circuit(circuit, NONE).total <= (n - 1) * nnz
+        else:
+            # the bound's dirty helper qubit is found in the register for s <= n - 2
+            regime = NONE if s <= n - 2 else D1
+            assert C.audit_circuit(circuit, regime).total <= C.bound_ssp(n, s, nnz)
+            clean = C.AncillaRegime.with_clean(math.ceil(s / 2 - 1))
+            assert C.audit_circuit(circuit, clean).total <= C.bound_ssp_clean(n, s, nnz)
 
 
 def _near_zero_states(count, alphas, epsilons, rng):
@@ -223,14 +228,13 @@ def _random_gate(nq, rng):
     return G.H0Phase(sub, float(rng.uniform(-np.pi, np.pi)))
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(nq=st.integers(2, 4), length=st.integers(0, 12), data_seed=st.integers(0, 2**32 - 1))
-def test_double_dagger_acts_as_the_sequence(nq, length, data_seed):
-    rng = np.random.default_rng(data_seed)
-    gs = [_random_gate(nq, rng) for _ in range(length)]
-    twice = G.dagger_sequence(G.dagger_sequence(gs))
-    np.testing.assert_allclose(
-        G.circuit_unitary(G.StructuredCircuit(nq, (), twice)),
-        G.circuit_unitary(G.StructuredCircuit(nq, (), gs)),
-        rtol=0, atol=1e-12,
-    )
+def test_double_dagger_acts_as_the_sequence():
+    for nq, length, data_seed in _draws((), 30, (2, 4), (0, 12), (0, 2**32 - 1)):
+        rng = np.random.default_rng(data_seed)
+        gs = [_random_gate(nq, rng) for _ in range(length)]
+        twice = G.dagger_sequence(G.dagger_sequence(gs))
+        np.testing.assert_allclose(
+            G.circuit_unitary(G.StructuredCircuit(nq, (), twice)),
+            G.circuit_unitary(G.StructuredCircuit(nq, (), gs)),
+            rtol=0, atol=1e-12,
+        )
