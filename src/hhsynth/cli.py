@@ -141,10 +141,8 @@ def cmd_compile(args) -> int:
                 result = M.fixed_envelope_iso(
                     w, _load_strategy(args.strategy, w), regime, **kw
                 )
-            elif args.method == "no-fill-in":
+            else:  # no-fill-in: argparse's choices refuse any other method
                 result = M.no_fill_in_iso(w, regime, **kw)
-            else:
-                raise CliError(f"unknown method {args.method!r}", EXIT_PARSE)
         except NotAnIsometryError as e:
             raise CliError(str(e), EXIT_VALIDATE)
     circuit = result.circuit
@@ -218,8 +216,6 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    if args.what != "ssp":
-        raise CliError(f"unknown benchmark {args.what!r}", EXIT_PARSE)
     regime = C.parse_regime(args.regime)
     ns = _parse_range(args.n)
     ss = _parse_range(args.s)

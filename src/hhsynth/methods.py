@@ -197,8 +197,8 @@ def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.nd
     if m == n:
         blk = 0
     else:
-        _, inside = P._score(splitting.block_mask, rows_of)
-        blk = splitting.split(inside)[0]
+        _, inside = P.block_scores(rows_of, np.array([splitting.block_mask]))
+        blk = splitting.split(int(inside[0]))[0]
     plan = P.pivot_plan(colsum, splitting, blk)
     f_gates = plan.gates + plan.x_layer
 

@@ -24,13 +24,19 @@ phases into the dense block's target state.
 
 The plan works on the state's support only, kept as an array of basis
 indices and one of amplitudes: splittings are scored with bit masks over
-the nonzero indices, and each step's residual moves the two arrays
+the nonzero indices, all candidates by one row-wise sort of the
+candidates x nnz masked indices (:func:`block_scores`, in chunks under
+:data:`~hhsynth.gates.LIVE_CAP`), and each step tests block membership
+with the target's mask and moves the two arrays by its residual
 (:func:`~hhsynth.gates.relabel`), so planning costs polynomial time in n
-and nnz, with no 2^n array.
+and nnz, with no 2^n array.  The exhaustive candidates of an ``(n, s)``
+and their masks are memoized, since one compile searches the same
+``(n, s)`` again and again; sampled candidates are drawn on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -79,14 +85,34 @@ def _block_mask(n: int, register_qubits) -> int:
     return ((1 << n) - 1) ^ G.qubit_mask(register_qubits, n)
 
 
-def _score(block_mask: int, pattern: np.ndarray) -> tuple[int, int]:
-    """(occupancy of the fullest block, a pattern index inside it).
+def block_scores(pattern: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each block mask, (occupancy of the fullest block, the masked
+    pattern index of that block).
 
-    Ties go to the smallest block: with the block qubits in ascending
-    order, block values order like the masked indices."""
-    masked, counts = np.unique(pattern & block_mask, return_counts=True)
-    k = int(np.argmax(counts))
-    return int(counts[k]), int(masked[k])
+    One row per mask: the masked pattern is sorted, and each position's
+    run length is its distance from the start of its run of equal values.
+    The first position holding the longest run is the smallest block value
+    with that count, so ties go to the smallest block: with the block
+    qubits in ascending order, block values order like the masked indices.
+    At most ``LIVE_CAP // len(pattern)`` rows are held at a time.
+    """
+    occ = np.empty(len(masks), dtype=np.int64)
+    inside = np.empty(len(masks), dtype=np.int64)
+    width = len(pattern)
+    pos = np.arange(width)
+    step = max(1, G.LIVE_CAP // width)
+    for lo in range(0, len(masks), step):
+        masked = pattern & masks[lo : lo + step, None]
+        masked.sort(axis=1)
+        run = np.zeros(masked.shape, dtype=pos.dtype)
+        np.multiply(masked[:, 1:] != masked[:, :-1], pos[1:], out=run[:, 1:])
+        np.maximum.accumulate(run, axis=1, out=run)  # start of each run
+        np.subtract(pos + 1, run, out=run)
+        rows = np.arange(len(masked))
+        best = run.argmax(axis=1)
+        occ[lo : lo + step] = run[rows, best]
+        inside[lo : lo + step] = masked[rows, best]
+    return occ, inside
 
 
 def choose_splitting(
@@ -102,23 +128,37 @@ def choose_splitting(
         raise ValueError(f"register size {s} exceeds {n} qubits")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    pattern = np.array(sorted(set(pattern)), dtype=np.int64)
+    pattern = np.unique(np.fromiter(pattern, dtype=np.int64))
     if len(pattern) > (1 << s):
         raise ValueError("pattern does not fit in a 2^s block")
     if s == n:
         return QubitSplitting((), tuple(range(n))), 0
+    if not len(pattern):
+        raise ValueError("empty pattern")
     if math.comb(n, s) <= samples:
-        candidates = _all_register_subsets(n, s)
+        registers, masks = _every_candidate(n, s)
     else:
-        candidates = _sampled_register_subsets(n, s, samples, np.random.default_rng(seed))
-    best = None
-    for reg in candidates:
-        occ, inside = _score(_block_mask(n, reg), pattern)
-        if best is None or occ > best[0]:
-            best = (occ, reg, inside)
-    _, reg, inside = best
+        registers = _sampled_register_subsets(n, s, samples, np.random.default_rng(seed))
+        masks = _block_masks(n, registers)
+    occ, inside = block_scores(pattern, masks)
+    k = int(np.argmax(occ))
+    reg = registers[k]
     sp = QubitSplitting(tuple(q for q in range(n) if q not in reg), reg)
-    return sp, sp.split(inside)[0]
+    return sp, sp.split(int(inside[k]))[0]
+
+
+def _block_masks(n: int, registers) -> np.ndarray:
+    """The block mask of each register choice."""
+    return np.fromiter((_block_mask(n, r) for r in registers), dtype=np.int64, count=len(registers))
+
+
+@functools.lru_cache(maxsize=32)
+def _every_candidate(n: int, s: int) -> tuple[tuple, np.ndarray]:
+    """Every register choice of ``(n, s)`` and its read-only block mask."""
+    registers = tuple(_all_register_subsets(n, s))
+    masks = _block_masks(n, registers)
+    masks.flags.writeable = False
+    return registers, masks
 
 
 def _all_register_subsets(n: int, s: int):
@@ -219,20 +259,23 @@ def pivot_plan(
         raise ValueError("more nonzeros than the target block holds")
     keys = np.fromiter(work, dtype=np.int64, count=len(work))
     amps = np.fromiter(work.values(), dtype=complex, count=len(work))
+    block_mask = splitting.block_mask
+    target_key = splitting.join(target_block, 0)
     steps: list[PivotStep] = []
     gates: list[G.Gate] = []
     residual: list[G.Gate] = []
     while True:
-        blk, reg = splitting.split(keys)
-        outside = blk != target_block
+        reg = G._subset_values(keys, splitting.register_qubits, n)
+        outside = (keys & block_mask) != target_key
         if not outside.any():
             break
         occupied = np.zeros(1 << s, dtype=bool)
         occupied[reg[~outside]] = True
         dist, src = hypercube_multisource_bfs(s, np.flatnonzero(~occupied))
-        # cheapest outside entry, the smallest index among equals
+        # cheapest outside entry, the smallest index among equals; d_c
+        # counts the differing block bits where they sit in the index
         out_keys, out_reg = keys[outside], reg[outside]
-        cost = np.bitwise_count(blk[outside] ^ target_block) + dist[out_reg]
+        cost = np.bitwise_count((out_keys ^ target_key) & block_mask) + dist[out_reg]
         k = np.lexsort((out_keys, cost))[0]
         dest = splitting.join(target_block, int(src[out_reg[k]]))
         sgates, word, ncnots = _insertion_gates(splitting, int(out_keys[k]), dest)
@@ -242,7 +285,7 @@ def pivot_plan(
         keys, ph = G.relabel(word, n, keys)
         amps = amps * ph
     amps = amps.tolist()
-    x_layer = G.x_layer(splitting.join(target_block, 0), splitting.block_qubits, n)
+    x_layer = G.x_layer(target_key, splitting.block_qubits, n)
     return PivotPlan(
         steps, gates, residual, dict(zip(keys.tolist(), amps)),
         dict(zip(reg.tolist(), amps)), x_layer,

@@ -45,6 +45,15 @@ def random_state_dict(n, nnz, rng):
     return {int(p): complex(a) for p, a in zip(pos, amps)}
 
 
+def unique_block_score(block_mask, pattern):
+    """(occupancy of the fullest block, its masked index) of one block mask,
+    ties to the smallest block, by ``np.unique``: the per-candidate scorer
+    that ``pivoting.block_scores`` batches, kept as its oracle."""
+    masked, counts = np.unique(np.asarray(pattern, dtype=np.int64) & block_mask, return_counts=True)
+    k = int(np.argmax(counts))
+    return int(counts[k]), int(masked[k])
+
+
 def word_dense(word, n):
     """The 2^n x 2^n matrix of a word of index-map gates, evaluated by
     ``gates.relabel`` on every basis index: the oracle of a residual."""

@@ -139,6 +139,19 @@ def test_compile_parse_error_exit_2(tmp_path):
     assert run(["compile", str(bad)]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compile", "m.json", "--method", "qr"], ["bench", "dense", "--n", "3", "--s", "1"]],
+    ids=["method", "bench_target"],
+)
+def test_unknown_choice_exit_2(argv, capsys):
+    # argparse's choices are the only check: cmd_compile and cmd_bench never see one
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == cli.EXIT_PARSE
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_subcommand(tmp_path):
     mat = write_json(tmp_path / "m.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 1, 1, 0]]})
     good = write_json(tmp_path / "c.json", {"n": 1, "ancillas": [], "gates": []})

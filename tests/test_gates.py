@@ -156,6 +156,26 @@ def test_spblock_prepares_target():
     np.testing.assert_allclose(G.apply_gate(state, g, 3), state_to_vector(v, 3), atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "state, ok",
+    [
+        (((0, 0.6 + 0j), (1, 0.8 + 0j)), True),
+        (((0, 1 + 5e-9j),), True),
+        (((0, 1 + 2e-8 + 0j),), False),
+        (((0, complex("nan")),), False),
+        # a repeated index: the last amplitude is the one checked
+        (((0, 1.0 + 0j), (1, 0.8 + 0j), (0, 0.6 + 0j)), True),
+        (((0, 0.6 + 0j), (1, 0.8 + 0j), (0, 1.0 + 0j)), False),
+    ],
+)
+def test_spblock_norm_check_reads_the_state_as_a_dict(state, ok):
+    if ok:
+        assert G.SPBlock((0,), state).dagger()[0].state is state
+    else:
+        with pytest.raises(ValueError, match="SPBlock target has norm"):
+            G.SPBlock((0,), state)
+
+
 def _spblock_unitary(v, k):
     """The unitary of an ``SPBlock`` on k qubits, through the dense kernel."""
     return G.gate_unitary(G.SPBlock.from_dict(tuple(range(k)), v), k)

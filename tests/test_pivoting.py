@@ -1,21 +1,24 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hhsynth import costs as C
 from hhsynth import gates as G
+from hhsynth import pivoting as P
 from hhsynth.numerics import state_to_vector
 from hhsynth.pivoting import (
     QubitSplitting,
+    block_scores,
     choose_splitting,
     hypercube_multisource_bfs,
     pivot_plan,
     sparse_state_prep_on,
 )
 
-from helpers import random_state_dict, word_dense
+from helpers import random_state_dict, unique_block_score, word_dense
 
 
 def test_splitting_split_join_round_trip():
@@ -46,6 +49,114 @@ def test_choose_splitting_deterministic_sampling():
     a = choose_splitting(pattern, 12, 2, samples=100, seed=7)
     b = choose_splitting(pattern, 12, 2, samples=100, seed=7)
     assert a == b
+
+
+def _oracle_splitting(pattern, n, s, samples, seed):
+    """choose_splitting by the per-candidate oracle: the first candidate
+    whose best block is strictly the fullest."""
+    if math.comb(n, s) <= samples:
+        candidates = P._all_register_subsets(n, s)
+    else:
+        candidates = P._sampled_register_subsets(n, s, samples, np.random.default_rng(seed))
+    best = None
+    for reg in candidates:
+        occ, inside = unique_block_score(P._block_mask(n, reg), list(pattern))
+        if best is None or occ > best[0]:
+            best = (occ, reg, inside)
+    _, reg, inside = best
+    sp = QubitSplitting(tuple(q for q in range(n) if q not in reg), reg)
+    return sp, sp.split(inside)[0]
+
+
+def _scoring_cases():
+    """(pattern, masks) pairs: random registers, ties between blocks and
+    between candidates, duplicate entries, one element, s = n - 1, and
+    indices near 2^62."""
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        s = int(rng.integers(0, n))
+        pattern = rng.choice(1 << n, size=int(rng.integers(1, (1 << s) + 1)), replace=False)
+        yield pattern, np.array([P._block_mask(n, r) for r in P._all_register_subsets(n, s)])
+    # two blocks of two under the top-qubit mask, and every mask ties at 2
+    yield np.array([0b000, 0b001, 0b110, 0b111]), np.array([0b100, 0b010, 0b100, 0b110])
+    yield np.array([0b001, 0b010, 0b100, 0b111]), np.array([0b100, 0b010, 0b001])
+    # a duplicated entry counts once per copy, as in np.unique's counts
+    yield np.array([5, 5, 5, 1, 1, 3, 3, 3, 3]), np.array([0b100, 0b010, 0b001, 0, 0b111])
+    yield np.array([6]), np.array([0b110, 0b001, 0])
+    n = 9
+    pattern = rng.choice(1 << n, size=1 << (n - 1), replace=False)
+    yield pattern, np.array([P._block_mask(n, r) for r in P._all_register_subsets(n, n - 1)])
+    n = 62
+    pattern = (1 << 61) + rng.choice(1 << 20, size=64, replace=False) * (1 << 41)
+    pattern = np.concatenate([pattern, [(1 << 62) - 1, (1 << 62) - 2]])
+    regs = P._sampled_register_subsets(n, 7, 40, rng)
+    yield pattern, np.array([P._block_mask(n, r) for r in regs])
+
+
+def _assert_scores_match_oracle(pattern, masks):
+    occ, inside = block_scores(np.asarray(pattern, dtype=np.int64), np.asarray(masks, dtype=np.int64))
+    oracle = [unique_block_score(int(m), pattern) for m in masks]
+    assert list(zip(occ.tolist(), inside.tolist())) == oracle
+
+
+@pytest.mark.parametrize("case", list(_scoring_cases()))
+def test_block_scores_match_the_unique_oracle(case):
+    _assert_scores_match_oracle(*case)
+
+
+def test_block_scores_match_the_oracle_across_chunks(monkeypatch):
+    # a cap of 40 amplitudes holds 40 // nnz candidates per chunk
+    monkeypatch.setattr(G, "LIVE_CAP", 40)
+    for pattern, masks in _scoring_cases():
+        _assert_scores_match_oracle(pattern, masks)
+
+
+def test_choose_splitting_matches_the_per_candidate_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 16))
+        s = int(rng.integers(0, n))
+        pattern = {int(x) for x in rng.choice(1 << n, size=int(rng.integers(1, (1 << s) + 1)), replace=False)}
+        samples, seed = int(rng.integers(1, 60)), int(rng.integers(1 << 30))
+        assert choose_splitting(pattern, n, s, samples, seed) == _oracle_splitting(pattern, n, s, samples, seed)
+
+
+def test_int_seed_draws_as_a_fresh_generator():
+    rng = np.random.default_rng(13)
+    for n, s in [(12, 3), (20, 5), (40, 10), (9, 8)]:
+        pattern = {int(x) for x in rng.choice(1 << n, size=1 << (s - 1), replace=False)}
+        for seed in (0, 7, 123456789):
+            fresh = np.random.default_rng(seed)
+            assert choose_splitting(pattern, n, s, 30, seed) == choose_splitting(pattern, n, s, 30, fresh)
+
+
+def test_shared_generator_advances_as_the_draws_do():
+    pattern = {3, 900, 4097, 70000}
+    shared, replay = np.random.default_rng(14), np.random.default_rng(14)
+    for samples in (5, 50, 5):
+        choose_splitting(pattern, 20, 2, samples, shared)
+        P._sampled_register_subsets(20, 2, samples, replay)
+        assert shared.bit_generator.state == replay.bit_generator.state
+
+
+def test_memoized_masks_refuse_writes():
+    _, masks = P._every_candidate(12, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        masks[0] = 0
+
+
+def test_splitting_search_memory_is_chunked():
+    # unchunked, 20000 candidates x 1024 entries is 164 MB per int64 array
+    rng = np.random.default_rng(15)
+    pattern = rng.choice(1 << 40, size=1024, replace=False)
+    tracemalloc.start()
+    try:
+        choose_splitting(pattern, 40, 10, samples=20000, seed=rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * G.LIVE_CAP * 8
 
 
 def test_bfs_matches_brute_force():
