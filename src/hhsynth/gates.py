@@ -15,7 +15,11 @@ diagonal) or a :meth:`_Gate.mixing` with its ``mix``: a mix of the
 controlled gate mixes with its 2x2 matrix.  An :class:`SPBlock` mixes with
 the column-reduction reflection ``H_u = I - 2|u><u|`` of its state onto
 |0..0> (the primitive the decompositions reduce columns with), after a
-phase on |0..0>; no 2^k x 2^k matrix is built.
+phase on |0..0>; no 2^k x 2^k matrix is built.  The block holds that
+reflection as arrays (:class:`BlockReflection`: the rows of ``u``, ``u``
+and the phase), built with numpy once per state and shared by its
+dagger; its ``state`` stays the tuple of pairs that JSON and equality
+read.
 
 Simulation is exact linear algebra on the live rows of a state: an int64
 array of distinct basis indices and their amplitudes, one column per state
@@ -48,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import get_args
+from typing import NamedTuple, get_args
 
 import numpy as np
 
@@ -57,9 +61,9 @@ from .numerics import (
     EPS0,
     MAX_QUBITS,
     SparseIsometry,
+    amplitude_norm,
     check_permutation,
     int_field,
-    state_norm,
 )
 
 LIVE_CAP = 1 << 22  # amplitudes (rows x columns) of any simulated array: 64 MiB
@@ -79,6 +83,13 @@ class CircuitVerificationError(AssertionError):
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+
+
+def _data_fields(gate):
+    """The fields that define a gate (or gate class): the compared ones,
+    which JSON writes.  A derived field, like ``SPBlock.reflection``, is
+    not compared."""
+    return [f for f in fields(gate) if f.compare]
 
 
 class _Gate:
@@ -104,7 +115,7 @@ class _Gate:
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}
-        for f in fields(self):
+        for f in _data_fields(self):
             key, encode, _ = _JSON_FIELDS[f.name]
             v = getattr(self, f.name)
             d[key] = v if encode is None else encode(v)
@@ -114,7 +125,7 @@ class _Gate:
     def from_json(cls, d: dict) -> Gate:
         """Inverse of :meth:`to_json`; fields with a default may be left out."""
         kw = {}
-        for f in fields(cls):
+        for f in _data_fields(cls):
             key, _, decode = _JSON_FIELDS[f.name]
             if key in d or f.default is MISSING:
                 kw[f.name] = d[key] if decode is None else decode(d[key])
@@ -284,6 +295,68 @@ class Decrement(_Gate):
         return _scatter_subset(idx, (v - 1) % (1 << len(self.qubits)), self.qubits, nq), None
 
 
+class BlockReflection(NamedTuple):
+    """What an :class:`SPBlock` applies, built once from its state: the
+    reflection ``H_u = I - 2|u><u|`` sending the state to
+    ``e^{i theta}|0..0>``, with ``u`` on ``rows`` (the state's rows and
+    row 0; zero elsewhere), and the phase ``eith`` = ``e^{i theta}``."""
+
+    rows: np.ndarray  # sorted distinct int64 subset values
+    u: np.ndarray
+    eith: complex
+
+
+def _state_rows(keys, count: int) -> np.ndarray:
+    """A block state's indices as int64; ValueError if one does not fit."""
+    try:
+        return np.fromiter(keys, dtype=np.int64, count=count)
+    except OverflowError:
+        raise ValueError("SPBlock state index does not fit int64") from None
+
+
+def _sorted_state(rows: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 ``rows`` and their complex ``amps`` by increasing row; a
+    repeated row keeps its last amplitude."""
+    if (rows[1:] > rows[:-1]).all():
+        return rows, amps
+    order = np.argsort(rows, kind="stable")
+    rows, amps = rows[order], amps[order]
+    last = np.append(rows[1:] != rows[:-1], True)
+    return rows[last], amps[last]
+
+
+def _divide_parts(z: np.ndarray, x: float) -> np.ndarray:
+    """A complex array divided by a positive float, each part on its own,
+    as Python's complex-by-float division rounds (numpy's ``z / x``
+    multiplies by ``1 / x``, which differs in the last bit)."""
+    return (np.ascontiguousarray(z, dtype=complex).view(np.float64) / x).view(np.complex128)
+
+
+def _block_reflection(k: int, rows: np.ndarray, amps: np.ndarray) -> BlockReflection:
+    """The reflection of a state on ``k`` qubits, given as sorted distinct
+    int64 ``rows`` and their complex ``amps``.  Raises ValueError if a row
+    is outside ``[0, 2^k)`` or the state's norm is not 1 to 1e-8."""
+    nrm = amplitude_norm(amps)
+    if not abs(nrm - 1.0) <= 1e-8:
+        raise ValueError(f"SPBlock target has norm {nrm}")
+    if not (rows[0] >= 0 and rows[-1] < 1 << k):
+        raise ValueError(f"SPBlock state index outside 0..{(1 << k) - 1}")
+    if rows[0] != 0:  # the target row needs an entry
+        rows = np.concatenate([np.zeros(1, dtype=np.int64), rows])
+        amps = np.concatenate([np.zeros(1, dtype=complex), amps])
+    # w is unit to rounding, so that H_u is unitary to rounding; u is not
+    # pruned, so that column 0 is the state to rounding however small an
+    # amplitude is.  Each part is divided, and the phase taken of a Python
+    # complex, as householder.reduction_vector rounds: simulated blocks
+    # keep the floats they had as dicts (numpy's complex-by-float division
+    # here moves benchmark residuals by up to 1.4e-14)
+    w = _divide_parts(amps, nrm)
+    _, eith = hh.target_phase(complex(w[0]))
+    v, scale = hh.reduction_array(w, 0, eith)
+    u = _divide_parts(v, scale)
+    return BlockReflection(rows, u, eith)
+
+
 @dataclass(frozen=True)
 class SPBlock(_Gate):
     """Opaque state-preparation block: U|0..0> = state on the subset.
@@ -292,43 +365,73 @@ class SPBlock(_Gate):
     unitary is ``U = H_u D``: ``D`` puts the phase ``e^{i theta}`` on
     |0..0>, and ``H_u = I - 2|u><u|`` is the column-reduction reflection
     sending the state to ``e^{i theta}|0..0>``
-    (:func:`householder.reduction_vector`, target 0), so column 0 is the
+    (:func:`householder.reduction_array`, target 0), so column 0 is the
     state.  The normalization ``1 + |v_0|`` is at least 1, so this is
     stable for every state, and for the state |0..0> it is exactly the
     identity.  Any completion gives the same reflection ``U H0 U^dag`` and
     the same prepare/unprepare pairs.
+
+    ``state`` is the tuple of (index, amplitude) pairs that JSON, equality
+    and hashing read; a repeated index counts with its last amplitude.
+    ``reflection`` (:class:`BlockReflection`) is derived: it is built from
+    the state once, with numpy, when the block is made, and no constructor
+    takes it.  :meth:`from_arrays` builds it from the state's own arrays,
+    and :meth:`dagger` and :meth:`remap` share it, so a prepare/unprepare
+    pair builds it once.  A state index outside ``[0, 2^k)`` or a norm off
+    1 by more than 1e-8 raises ValueError.
     """
 
     qubits: tuple[int, ...]
     state: tuple[tuple[int, complex], ...]  # sparse (index, amplitude) pairs
     inverted: bool = False
+    # derived from ``state``; not an argument, not compared, hashed or
+    # written to JSON
+    reflection: BlockReflection = field(init=False, compare=False, repr=False)
     kind = "spblock"
 
     @classmethod
     def from_dict(cls, qubits, state: dict[int, complex], inverted: bool = False):
-        items = tuple(sorted((int(k), complex(a)) for k, a in state.items()))
-        return cls(tuple(qubits), items, inverted)
+        keys = sorted(state)
+        amps = np.fromiter(map(state.__getitem__, keys), dtype=complex, count=len(keys))
+        return cls.from_arrays(qubits, _state_rows(keys, len(keys)), amps, inverted)
+
+    @classmethod
+    def from_arrays(cls, qubits, rows: np.ndarray, amps: np.ndarray, inverted: bool = False):
+        """The block whose state holds the int ``rows`` with the complex
+        ``amps``, built from these arrays (the dense path's constructor);
+        ``state`` lists them by increasing row, as :meth:`from_dict` does."""
+        qubits = tuple(qubits)
+        rows, amps = _sorted_state(np.asarray(rows, dtype=np.int64), np.asarray(amps, dtype=complex))
+        reflection = _block_reflection(len(qubits), rows, amps)
+        return cls._sharing(reflection, qubits, tuple(zip(rows.tolist(), amps.tolist())), inverted)
+
+    @classmethod
+    def _sharing(cls, reflection: BlockReflection, qubits, state, inverted: bool) -> SPBlock:
+        """The block with these fields and ``reflection``, which must be the
+        one built from ``state``: it is neither built nor checked again."""
+        block = object.__new__(cls)
+        block.__dict__.update(qubits=qubits, state=state, inverted=inverted, reflection=reflection)
+        return block
 
     def __post_init__(self):
-        nrm = state_norm(dict(self.state))
-        if not abs(nrm - 1.0) <= 1e-8:
-            raise ValueError(f"SPBlock target has norm {nrm}")
+        keys, amps = zip(*self.state) if self.state else ((), ())
+        rows, amps = _sorted_state(_state_rows(keys, len(keys)), np.array(amps, dtype=complex))
+        object.__setattr__(self, "reflection", _block_reflection(len(self.qubits), rows, amps))
 
     def dagger(self) -> list[Gate]:
-        return [SPBlock(self.qubits, self.state, not self.inverted)]
+        return [self._sharing(self.reflection, self.qubits, self.state, not self.inverted)]
+
+    def remap(self, table) -> Gate:
+        return self._sharing(self.reflection, tuple(table[q] for q in self.qubits), self.state, self.inverted)
 
     def describe(self) -> str:
         tag = "unprepare" if self.inverted else "prepare"
         return f"{tag}[{len(self.state)} amps](q{list(self.qubits)})"
 
     def mix(self, block):
-        nrm = state_norm(dict(self.state))
-        # unit to rounding, so that H_u is unitary to rounding
-        v = {x: a / nrm for x, a in self.state}
-        sparse_u, _ = hh.reduction_vector(v, 0)
+        rows, u_rows, eith = self.reflection
         u = np.zeros(len(block), dtype=complex)
-        u[np.fromiter(sparse_u, dtype=np.int64, count=len(sparse_u))] = list(sparse_u.values())
-        _, eith = hh.target_phase(v.get(0, 0j))
+        u[rows] = u_rows
         # U = H_u D and U^dag = D^dag H_u factor by factor, not as H_u plus
         # a correction of column 0: at the state |0..0> this is exactly I
         if not self.inverted:
@@ -357,8 +460,8 @@ class H0Phase(_Gate):
         return f"h0(phi={self.phi:.4g}, q{list(self.qubits)})"
 
     def index_map(self, nq, idx):
-        v = _subset_values(idx, self.qubits, nq)
-        return idx, np.where(v == 0, cmath.exp(1j * self.phi), 1.0 + 0j)
+        on = (idx & qubit_mask(self.qubits, nq)) == 0
+        return idx, np.where(on, cmath.exp(1j * self.phi), 1.0 + 0j)
 
 
 Gate = CNOT | SingleQubit | MCX | MCU | Diagonal | PermutationGate | Decrement | SPBlock | H0Phase

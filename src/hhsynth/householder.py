@@ -2,11 +2,13 @@
 
 One construction gives every reflection: the standard reflection
 ``H_u = I - 2|u><u|`` sending a unit column ``w`` to ``e^{i theta}|t>``.
-:func:`reduction_vector` builds its ``u`` and :func:`target_phase` its
-phase; the normalization ``1 + |w_t|`` is at least 1, so the construction
-is stable for every column.  The decompositions reduce columns with it, and
-the simulator applies every state-preparation block as it (target 0, after
-a phase on |0..0>; ``gates.SPBlock``), without a dense matrix.
+:func:`reduction_vector` builds its ``u`` from a sparse column,
+:func:`reduction_array` from a column held as an array, and
+:func:`target_phase` its phase; the normalization ``1 + |w_t|`` is at
+least 1, so the construction is stable for every column.  The
+decompositions reduce columns with it, and the simulator applies every
+state-preparation block as it (target 0, after a phase on |0..0>;
+``gates.SPBlock``), without a dense matrix.
 
 :func:`reduce_column` applies the reflection sending column ``j`` of a
 sparse isometry to basis row ``i`` directly on the dual-index storage via
@@ -24,6 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .numerics import EPS0, SparseIsometry, prune_state
 
@@ -49,6 +53,19 @@ def reduction_vector(
     u = {k: a / nrm for k, a in col.items()}
     u[target] = (at - eith) / nrm
     return prune_state(u), theta
+
+
+def reduction_array(w: np.ndarray, t: int, eith: complex) -> tuple[np.ndarray, float]:
+    """Array form of :func:`reduction_vector` for a unit complex column
+    ``w`` held as an array, with ``eith`` the :func:`target_phase` of
+    ``w[t]``: ``w - eith |t>`` (a new array over the same positions, not
+    pruned) and its norm ``sqrt(2 (1 + |w_t|))``; ``u`` is their quotient.
+    The caller divides, and so keeps its own rounding: the dense paths'
+    circuits are built with numpy's complex-by-float division, and
+    ``gates.SPBlock`` divides each part, as :func:`reduction_vector` does."""
+    v = w.copy()
+    v[t] -= eith
+    return v, math.sqrt(2.0 * (1.0 + abs(w[t])))
 
 
 @dataclass

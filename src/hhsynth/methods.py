@@ -337,11 +337,9 @@ def _reduce_dense_level(
         if math.sqrt(float(np.sum(off))) <= 1e-12:
             trace.append(StepTrace(i, i, i, 1, 0, True))
             continue
-        aii = col[i]
-        _, eith = hh.target_phase(aii)
-        u = col.copy()
-        u[i] -= eith
-        u /= math.sqrt(2.0 * (1.0 + abs(aii)))
+        _, eith = hh.target_phase(col[i])
+        u, nrm = hh.reduction_array(col, i, eith)
+        u /= nrm
         col_support = frozenset(np.flatnonzero(np.abs(col) > EPS0).tolist())
         row_support = frozenset(np.flatnonzero(np.abs(work[i, :cols]) > EPS0).tolist())
         pre = work[:, :cols].copy()
@@ -349,14 +347,13 @@ def _reduce_dense_level(
         changed = np.argwhere(np.abs(work[:, :cols] - pre) > 1e-12)
         changed = changed[(changed[:, 0] != i) & (changed[:, 1] != i)]
         support = np.flatnonzero(np.abs(u) > EPS0)
-        udict = dict(zip(support.tolist(), u[support].tolist()))
-        unprep = G.SPBlock.from_dict(sp_qubits, udict, inverted=True)
+        unprep = G.SPBlock.from_arrays(sp_qubits, support, u[support], inverted=True)
         triples.append(_reflection([unprep], dress, n, unprep.dagger()))
         trace.append(
             StepTrace(
                 i, i, i,
                 int(np.sum(np.abs(col) > EPS0)), len(sp_qubits), False,
-                hh_support=frozenset(udict),
+                hh_support=frozenset(support.tolist()),
                 col_support=col_support,
                 row_support=row_support,
                 changed=changed,
@@ -604,11 +601,10 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
         residual[dim - 1] = u[1, 1]
         circuit = G.StructuredCircuit(n, (), [])
         return circuit, residual
-    alpha, beta = u[0, 0], u[1, 0]
     target_idx = dim - 2
-    _, eith = hh.target_phase(alpha)
-    wvec = np.array([alpha - eith, beta], dtype=complex)
-    wvec /= math.sqrt(2.0 * (1.0 + abs(alpha)))
+    _, eith = hh.target_phase(u[0, 0])
+    wvec, nrm = hh.reduction_array(u[:, 0], 0, eith)
+    wvec /= nrm
     gh = np.array([[wvec[0], -wvec[1].conjugate()], [wvec[1], wvec[0].conjugate()]], dtype=complex)
     gates = _reflection(
         [G.SingleQubit(n - 1, gh.conj().T, label="fold")],

@@ -67,8 +67,16 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 # sparse state helpers (dict[int, complex])
 
 
+def amplitude_norm(amps: np.ndarray) -> float:
+    """The 2-norm of a complex array, ``sqrt(fsum(|a|^2))``: exactly
+    rounded over the squares, so it does not depend on their order.
+    ``np.hypot`` and ``np.float_power`` round as Python's ``abs`` and
+    ``** 2`` do (numpy's complex ``abs`` and ``x * x`` do not)."""
+    return math.sqrt(math.fsum(np.float_power(np.hypot(amps.real, amps.imag), 2).tolist()))
+
+
 def state_norm(v: dict[int, complex]) -> float:
-    return math.sqrt(math.fsum(abs(a) ** 2 for a in v.values()))
+    return amplitude_norm(np.fromiter(v.values(), dtype=complex, count=len(v)))
 
 
 def prune_state(v: dict[int, complex]) -> dict[int, complex]:

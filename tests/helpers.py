@@ -75,15 +75,19 @@ def dense_reflection(u_dict, n):
 def complete_state_prep(v, k):
     """The dense 2^k x 2^k unitary an ``SPBlock`` on k qubits with state
     ``v`` applies: the reflection I - 2|u><u| sending ``v`` to
-    e^{i theta}|0..0> (``householder.reduction_vector``, target 0) with its
-    column 0 replaced by ``v`` itself, which equals H_u after the phase
-    e^{i theta} on |0..0>.  The oracle of the simulator's rank-two form."""
-    nrm = np.sqrt(sum(abs(a) ** 2 for a in v.values()))
-    v = {x: a / nrm for x, a in v.items()}
-    u, _ = hh.reduction_vector(v, 0)
-    h = dense_reflection(u, k)
-    h[:, 0] = 0.0
-    h[list(v), 0] = list(v.values())
+    e^{i theta}|0..0>, u = (v - e^{i theta}|0..0>) / sqrt(2 (1 + |v_0|)) on
+    the whole basis (no entry dropped, however small), with its column 0
+    replaced by ``v`` itself, which equals H_u after the phase e^{i theta}
+    on |0..0>.  The oracle of the simulator's rank-two form."""
+    w = np.zeros(1 << k, dtype=complex)
+    w[list(v)] = list(v.values())
+    w /= np.linalg.norm(w)
+    _, eith = hh.target_phase(w[0])
+    u = w.copy()
+    u[0] -= eith
+    u /= np.sqrt(2.0 * (1.0 + abs(w[0])))
+    h = np.eye(1 << k, dtype=complex) - 2.0 * np.outer(u, u.conj())
+    h[:, 0] = w
     return h
 
 

@@ -450,6 +450,16 @@ MALFORMED_CIRCUITS = {
         "gates": [{"kind": "spblock", "qubits": [0], "state": [[0, 1, 0], [1, NAN, 0]]}],
     },
     "nan_h0phase_phi": {"n": 1, "gates": [{"kind": "h0phase", "qubits": [0], "phi": NAN}]},
+    # a state index past the block's 2^k rows, or a negative one, which
+    # numpy would wrap to the last row
+    "spblock_index_past_its_register": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[5, 1, 0]]}],
+    },
+    "spblock_negative_index": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[-1, 1, 0]]}],
+    },
 }
 
 

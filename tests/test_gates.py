@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -6,10 +8,12 @@ import pytest
 
 from hhsynth import costs as C
 from hhsynth import gates as G
+from hhsynth import householder as hh
 from hhsynth import methods as M
-from hhsynth.numerics import SparseIsometry, state_to_vector
+from hhsynth.numerics import EPS0, SparseIsometry, state_norm, state_to_vector
 
 from helpers import (
+    complete_state_prep,
     controlled_matrix,
     full_identity_action,
     near_phased_zero,
@@ -174,6 +178,138 @@ def test_spblock_norm_check_reads_the_state_as_a_dict(state, ok):
     else:
         with pytest.raises(ValueError, match="SPBlock target has norm"):
             G.SPBlock((0,), state)
+
+
+def _oracle_states(k, rng):
+    """Seeded block states on k qubits, as (index, amplitude) tuples."""
+    dim = 1 << k
+    phase = complex(np.exp(2j * np.pi * rng.random()))
+    states = [((0, 1.0 + 0j),), ((0, phase),), ((int(rng.integers(1, dim)), phase),)]
+    for nnz in {min(2, dim), min(3, dim), dim}:  # sparse and full
+        states.append(tuple(random_state_dict(k, nnz, rng).items()))
+    for dist in (1e-9, 1e-5, 1e-2):  # close to e^{i alpha}|0..0>
+        v = near_phased_zero(k, dist, rng.uniform(-math.pi, math.pi), rng)
+        states.append(tuple((int(x), complex(v[x])) for x in np.flatnonzero(v)))
+    if dim > 2:
+        # amplitudes just above EPS0, and ones whose u entry sits just
+        # above and just below EPS0 (u_x = v_x / sqrt(2 (1 + |v_0|)))
+        main = random_state_dict(k, 2, rng)
+        scale = math.sqrt(2.0 * (1.0 + abs(main.get(0, 0j))))
+        rest = [x for x in range(dim) if x not in main]
+        edge = [EPS0 * (1 + 1e-6), EPS0 * (1 + 1e-6) * scale, EPS0 * (1 - 1e-6) * scale]
+        tiny = {x: a * phase for x, a in zip(rng.permutation(rest), edge)}
+        states.append(tuple({**main, **tiny}.items()))
+    # a repeated index: the last amplitude counts
+    v = random_state_dict(k, min(3, dim), rng)
+    x = next(iter(v))
+    states.append(((x, 0.5 + 0j),) + tuple(v.items()) + ((x, v[x]),))
+    return states
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_spblock_simulates_the_dense_oracle(k):
+    rng = np.random.default_rng(700 + k)
+    for state in _oracle_states(k, rng):
+        oracle = complete_state_prep(dict(state), k)
+        for inverted in (False, True):
+            g = G.SPBlock(tuple(range(k)), state, inverted)
+            want = oracle.conj().T if inverted else oracle
+            np.testing.assert_allclose(G.gate_unitary(g, k), want, rtol=0, atol=1e-15)
+
+
+def test_spblock_dagger_shares_the_reflection(monkeypatch):
+    built = []
+    build = G._block_reflection
+    monkeypatch.setattr(G, "_block_reflection", lambda *a: built.append(a) or build(*a))
+    g = G.SPBlock.from_dict((0, 1, 2), random_state_dict(3, 5, np.random.default_rng(3)))
+    (h,) = g.dagger()
+    (back,) = h.dagger()
+    moved = g.remap({0: 2, 1: 0, 2: 1})
+    assert len(built) == 1
+    assert h.inverted and not back.inverted and back == g
+    assert h.state is g.state and h.reflection is g.reflection is back.reflection
+    assert moved.reflection is g.reflection
+    G.SPBlock(g.qubits, g.state)  # a block made from a tuple builds its own
+    assert len(built) == 2
+    # the dense path: one reflection for each prepare/unprepare pair
+    built.clear()
+    u = np.linalg.qr(np.random.default_rng(4).normal(size=(8, 8)) + 0j)[0]
+    blocks = [g for g in M.dense_householder_unitary(u).circuit.gates if isinstance(g, G.SPBlock)]
+    assert len(blocks) == 2 * len(built) > 0
+
+
+def test_spblock_reflection_is_the_dict_reduction_vector():
+    # the same values as reducing the normalized state with the dict form,
+    # so simulated blocks give the same floats as that form does
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        k = int(rng.integers(1, 8))
+        v = random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng)
+        v = {x: a * (1 + 1e-9) for x, a in v.items()}  # a norm off 1 in the last digits
+        rows, u, eith = G.SPBlock.from_dict(tuple(range(k)), v).reflection
+        nrm = state_norm(v)
+        want, _ = hh.reduction_vector({x: a / nrm for x, a in v.items()}, 0)
+        assert rows.tolist() == sorted(want)
+        assert u.tolist() == [want[x] for x in sorted(want)]
+        assert eith == hh.target_phase(v.get(0, 0j) / nrm)[1]
+
+
+def test_spblock_reflection_always_comes_from_the_state():
+    g = G.SPBlock.from_dict((0,), {0: 0.6 + 0j, 1: 0.8 + 0j})
+    other = G.SPBlock.from_dict((0,), {1: 1.0 + 0j})
+    with pytest.raises(TypeError, match="reflection"):
+        G.SPBlock((0,), g.state, reflection=other.reflection)
+    with pytest.raises(ValueError, match="reflection"):
+        dataclasses.replace(g, reflection=other.reflection)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.reflection = other.reflection
+    # a block given another state builds that state's reflection
+    h = dataclasses.replace(g, state=other.state)
+    assert h == other and h.reflection is not other.reflection
+    for a, b in zip(h.reflection, other.reflection):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(G.gate_unitary(h, 1), G.gate_unitary(other, 1))
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+def test_spblock_from_arrays_matches_from_dict(inverted):
+    rng = np.random.default_rng(5)
+    tiny = EPS0 * (1 + 1e-9)
+    cases = [
+        {0: 1.0 + 0j},
+        {3: complex(0.0, -1.0)},
+        {0: complex(-0.0, 0.6), 2: complex(0.8, -0.0), 5: complex(tiny, 0.0), 7: complex(-0.0, -tiny)},
+        random_state_dict(4, 16, rng),
+    ]
+    v = random_state_dict(5, 9, rng)
+    cases.append(dict(reversed(list(v.items()))))  # out of order
+    for v in cases:
+        k = max(v).bit_length() or 1
+        qubits = tuple(range(k))
+        rows, amps = np.array(list(v)), np.array(list(v.values()))
+        a = G.SPBlock.from_arrays(qubits, rows, amps, inverted)
+        b = G.SPBlock.from_dict(qubits, v, inverted)
+        assert a == b and hash(a) == hash(b)
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+        assert [x for x, _ in a.state] == sorted(v)
+    # the dense path's blocks, rebuilt from their states
+    u = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))[0]
+    for g in M.dense_householder_unitary(u).circuit.gates:
+        if isinstance(g, G.SPBlock):
+            again = G.SPBlock.from_dict(g.qubits, dict(g.state), g.inverted)
+            assert again == g and json.dumps(again.to_json()) == json.dumps(g.to_json())
+
+
+@pytest.mark.parametrize("index", [2, 5, -1, 1 << 40, 1 << 70])
+def test_spblock_refuses_an_index_outside_its_register(index):
+    state = ((index, 1.0 + 0j),)
+    with pytest.raises(ValueError, match="SPBlock state index"):
+        G.SPBlock((0,), state)
+    with pytest.raises(ValueError, match="SPBlock state index"):
+        G.SPBlock.from_dict((0,), dict(state))
+    if abs(index) < 1 << 62:
+        with pytest.raises(ValueError, match="SPBlock state index"):
+            G.SPBlock.from_arrays((0,), [index], [1.0])
 
 
 def _spblock_unitary(v, k):

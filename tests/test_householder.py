@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from hhsynth.householder import fill_in_predicate, reduce_column, reduction_vector
+from hhsynth.householder import (
+    fill_in_predicate,
+    reduce_column,
+    reduction_array,
+    reduction_vector,
+    target_phase,
+)
 from hhsynth.numerics import SparseIsometry, state_to_vector
 
 from helpers import (
@@ -53,6 +59,37 @@ def test_reduce_rejects_zero_column():
     w = SparseIsometry(2, 1, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         reduce_column(w, 1, 0)
+
+
+def _same_values(a, b):
+    """Equal real and imaginary parts (a zero's sign aside)."""
+    a, b = (np.asarray(x, dtype=complex).reshape(-1) for x in (a, b))
+    return np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
+
+
+def test_reduction_array_divides_as_each_caller_did():
+    # divided part by part, it is reduction_vector bit for bit (which
+    # simulated blocks depend on); divided by numpy, it is the arithmetic
+    # the dense paths had inline (which their circuits depend on)
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        k = int(rng.integers(1, 7))
+        v = random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng)
+        t = int(rng.integers(1 << k))
+        w = state_to_vector(v, k)
+        _, eith = target_phase(complex(w[t]))
+        d, nrm = reduction_array(w, t, eith)
+        want = reduction_vector(v, t)[0]
+        u = (d.view(np.float64) / nrm).view(complex)
+        assert set(want) <= set(np.flatnonzero(u).tolist()) | {t}
+        assert _same_values(u[list(want)], list(want.values()))
+        at = w[t]
+        _, eith = target_phase(at)
+        d, nrm = reduction_array(w, t, eith)
+        old = w.copy()
+        old[t] -= eith
+        old /= math.sqrt(2.0 * (1.0 + abs(at)))
+        assert _same_values(d / nrm, old)
 
 
 def test_reduce_column_matches_dense_reflection_oracle():
