@@ -43,7 +43,8 @@ print(f"greedy elimination strategy: {elim} eliminations expected\n")
 dirty1 = hh.AncillaRegime.with_dirty(1)
 results = {
     "dense": hh.dense_householder_iso(w.to_dense(), dirty1),
-    "sparse": hh.sparse_householder_iso(w, strategy, dirty1, seed=1),
+    # trace_entries: the step trace lists the entries, the fill-in among them
+    "sparse": hh.sparse_householder_iso(w, strategy, dirty1, seed=1, trace_entries=True),
     "fixed-env": hh.fixed_envelope_iso(w, strategy, dirty1, seed=1),
     "no-fill-in": hh.no_fill_in_iso(w, hh.AncillaRegime(clean=1, dirty=1), seed=1),
 }

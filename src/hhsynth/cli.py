@@ -119,6 +119,7 @@ def cmd_compile(args) -> int:
         if not rep.ok:
             raise CliError(rep.describe(), EXIT_VALIDATE)
         kw = dict(samples=args.samples, seed=args.seed)
+        entries = args.trace is not None  # the trace file lists each step's entries
         try:
             if args.method == "ssp":
                 if w.m != 0:
@@ -132,17 +133,17 @@ def cmd_compile(args) -> int:
                         f"past the cap of {G.LIVE_CAP} (gates.LIVE_CAP)",
                         EXIT_VALIDATE,
                     )
-                result = M.dense_householder_iso(w.to_dense(), regime)
+                result = M.dense_householder_iso(w.to_dense(), regime, trace_entries=entries)
             elif args.method == "sparse":
                 result = M.sparse_householder_iso(
-                    w, _load_strategy(args.strategy, w), regime, **kw
+                    w, _load_strategy(args.strategy, w), regime, **kw, trace_entries=entries
                 )
             elif args.method == "fixed-env":
                 result = M.fixed_envelope_iso(
-                    w, _load_strategy(args.strategy, w), regime, **kw
+                    w, _load_strategy(args.strategy, w), regime, **kw, trace_entries=entries
                 )
             else:  # no-fill-in: argparse's choices refuse any other method
-                result = M.no_fill_in_iso(w, regime, **kw)
+                result = M.no_fill_in_iso(w, regime, **kw, trace_entries=entries)
         except NotAnIsometryError as e:
             raise CliError(str(e), EXIT_VALIDATE)
     circuit = result.circuit

@@ -1037,7 +1037,9 @@ _JSON_FIELDS = {
     "state": (
         "state",
         lambda st: [[k, a.real, a.imag] for k, a in st],
-        lambda st: tuple(sorted({int(k): complex(re, im) for k, re, im in st}.items())),
+        lambda st: tuple(
+            sorted({int_field(k, "state index"): complex(re, im) for k, re, im in st}.items())
+        ),
     ),
     "inverted": ("inverted", None, None),
     "phi": ("phi", None, _phi),

@@ -59,10 +59,16 @@ from .numerics import (
 class StepTrace:
     """Per-column record of one reduction step (working coordinates).
 
-    The entries the step changed (outside the target row and the reduced
-    column) are kept as one ``(k, 2)`` int array of ``(row, col)`` pairs,
-    ``changed``; :attr:`modified`, the same pairs as a tuple of int
-    tuples, is built on first read and cached.  Compared by identity.
+    The scalar fields (``step`` to ``skipped``) are recorded on every
+    compile.  The entry fields (the supports, ``changed``, ``fill_in`` and
+    ``eliminated``) are recorded only when the decomposition is called
+    with ``trace_entries=True`` and stay empty otherwise: a dense column
+    changes O(N * M) entries, so listing them would cost as much as the
+    reduction itself.  The entries the step changed (outside the target
+    row and the reduced column) are kept as one ``(k, 2)`` int array of
+    ``(row, col)`` pairs, ``changed``; :attr:`modified`, the same pairs as
+    a tuple of int tuples, is built on first read and cached.  Compared by
+    identity.
     """
 
     step: int
@@ -227,6 +233,8 @@ def _reduce_columns(
     order,
     targets: np.ndarray,
     reflect,
+    trace_entries: bool = False,
+    forbid_fill_in: bool = False,
 ) -> tuple[list[G.Gate], list[StepTrace]]:
     """Reduce column ``order[i]`` onto row ``targets[i]`` at step ``i``.
 
@@ -236,7 +244,10 @@ def _reduce_columns(
     the matrix instead of being emitted; it moves the matrix rows and the
     remaining target rows together, so ``targets`` always holds current
     positions.  Ends with :func:`perm_diag_reduce` and returns
-    ``(gates, trace)``; ``work`` is consumed.
+    ``(gates, trace)``; ``work`` is consumed.  The trace's entry fields
+    are filled only with ``trace_entries``; ``forbid_fill_in`` raises
+    :class:`~hhsynth.gates.CircuitVerificationError` at a step whose
+    update fills in an entry.
     """
     committed: list[G.Gate] = []
     trace: list[StepTrace] = []
@@ -247,21 +258,21 @@ def _reduce_columns(
             gates, residual, s = reflect(i, None)
             trace.append(StepTrace(i, c, t, 1, s, True))
         else:
-            row_support = frozenset(work.row(t))
+            row_support = frozenset(work.row(t)) if trace_entries else frozenset()
             u, _ = hh.reduction_vector(col, t)
             rec = hh.reduce_column(work, c, t)
+            if forbid_fill_in and rec.fill_in:
+                raise G.CircuitVerificationError(f"fill-in occurred at step {i}")
             gates, residual, s = reflect(i, u)
-            trace.append(
-                StepTrace(
-                    i, c, t, rec.nnz_before, s, False,
-                    hh_support=frozenset(u),
-                    col_support=frozenset(col),
-                    row_support=row_support,
-                    changed=np.array(rec.modified, dtype=np.int64).reshape(-1, 2),
-                    fill_in=tuple(rec.fill_in),
-                    eliminated=tuple(rec.eliminated),
-                )
-            )
+            step = StepTrace(i, c, t, rec.nnz_before, s, False)
+            if trace_entries:
+                step.hh_support = frozenset(u)
+                step.col_support = frozenset(col)
+                step.row_support = row_support
+                step.changed = np.array(rec.modified, dtype=np.int64).reshape(-1, 2)
+                step.fill_in = tuple(rec.fill_in)
+                step.eliminated = tuple(rec.eliminated)
+            trace.append(step)
         if residual:
             work, targets = _apply_residual(residual, work, targets)
         committed.extend(gates)
@@ -289,12 +300,15 @@ def sparse_householder_iso(
     regime: C.AncillaRegime = C.AncillaRegime.none(),
     samples: int = 100,
     seed=0,
+    *,
+    trace_entries: bool = False,
 ) -> DecompositionResult:
     """Column-by-column sparse reduction with reflections up to diag x perm.
 
     At step ``i`` the column ``sigma^{-1}(i)`` of the working matrix is
     reflected onto the current position of original row ``rho^{-1}(i)``
-    (:func:`_reduce_columns`).
+    (:func:`_reduce_columns`).  ``trace_entries`` fills the trace's entry
+    fields (:class:`StepTrace`).
     """
     _require_isometry(w)
     if strategy is None:
@@ -304,6 +318,7 @@ def sparse_householder_iso(
         invert_permutation(strategy.sigma),
         invert_permutation(strategy.rho)[: 1 << w.m],
         _pivoted_reflections(w.n, samples, seed),
+        trace_entries,
     )
     return _result(G.StructuredCircuit(w.n, (), gates), regime, trace)
 
@@ -313,7 +328,7 @@ def sparse_householder_iso(
 
 
 def _reduce_dense_level(
-    v: np.ndarray, cols: int, k: int, n: int
+    v: np.ndarray, cols: int, k: int, n: int, trace_entries: bool = False
 ) -> tuple[list[G.Gate], np.ndarray, list[StepTrace], np.ndarray]:
     """Level ``k`` of the halving scheme: reduce each of the first ``cols``
     columns of a dense block to its own index.
@@ -322,8 +337,11 @@ def _reduce_dense_level(
     qubits, SP] with the state-preparation blocks on qubits ``k .. n-1``
     and the H0 dressed by X on the ``k`` fixed qubits.  Returns (the
     reflections in circuit order, diagonal values, trace, reduced block);
-    columns already reduced are skipped.  The trace and the residue check
-    look at the first ``cols`` columns only.
+    columns already reduced are skipped.  Each column costs its skip test,
+    its Householder vector and one in-place rank-one update of a copy of
+    ``v``; with ``trace_entries`` the trace's entry fields are filled too,
+    from a copy of the block taken before each update.  The trace and the
+    residue check look at the first ``cols`` columns only.
     """
     sp_qubits = tuple(range(k, n))
     dress = [G.x_gate(q) for q in range(k)]
@@ -331,8 +349,9 @@ def _reduce_dense_level(
     triples: list[list[G.Gate]] = []
     trace: list[StepTrace] = []
     for i in range(cols):
-        col = work[:, i]
-        off = np.abs(col) ** 2
+        col = work[:, i]  # a view: read it before the update
+        mag = np.abs(col)
+        off = mag**2
         off[i] = 0.0
         if math.sqrt(float(np.sum(off))) <= 1e-12:
             trace.append(StepTrace(i, i, i, 1, 0, True))
@@ -340,29 +359,25 @@ def _reduce_dense_level(
         _, eith = hh.target_phase(col[i])
         u, nrm = hh.reduction_array(col, i, eith)
         u /= nrm
-        col_support = frozenset(np.flatnonzero(np.abs(col) > EPS0).tolist())
-        row_support = frozenset(np.flatnonzero(np.abs(work[i, :cols]) > EPS0).tolist())
-        pre = work[:, :cols].copy()
-        work = work - 2.0 * np.outer(u, u.conj() @ work)
-        changed = np.argwhere(np.abs(work[:, :cols] - pre) > 1e-12)
-        changed = changed[(changed[:, 0] != i) & (changed[:, 1] != i)]
+        step = StepTrace(i, i, i, int(np.count_nonzero(mag > EPS0)), len(sp_qubits), False)
+        if trace_entries:
+            step.col_support = frozenset(np.flatnonzero(mag > EPS0).tolist())
+            step.row_support = frozenset(np.flatnonzero(np.abs(work[i, :cols]) > EPS0).tolist())
+            pre = work[:, :cols].copy()
+        # H_u = I - 2|u><u|; the factor 2 is exact, so this rounds as
+        # work - 2 |u><u| work does
+        work -= np.outer(u, 2.0 * (u.conj() @ work))
         support = np.flatnonzero(np.abs(u) > EPS0)
         unprep = G.SPBlock.from_arrays(sp_qubits, support, u[support], inverted=True)
         triples.append(_reflection([unprep], dress, n, unprep.dagger()))
-        trace.append(
-            StepTrace(
-                i, i, i,
-                int(np.sum(np.abs(col) > EPS0)), len(sp_qubits), False,
-                hh_support=frozenset(support.tolist()),
-                col_support=col_support,
-                row_support=row_support,
-                changed=changed,
-            )
-        )
-    delta = np.array([work[j, j] for j in range(cols)], dtype=complex)
+        if trace_entries:
+            changed = np.argwhere(np.abs(work[:, :cols] - pre) > 1e-12)
+            step.changed = changed[(changed[:, 0] != i) & (changed[:, 1] != i)]
+            step.hh_support = frozenset(support.tolist())
+        trace.append(step)
+    delta = np.diagonal(work)[:cols]
     body = np.abs(work[:, :cols])
-    for j in range(cols):
-        body[j, j] = 0.0
+    np.fill_diagonal(body, 0.0)
     if np.max(body) > 1e-8:
         raise AssertionError("dense reduction left off-diagonal residue")
     delta = delta / np.abs(delta)
@@ -385,21 +400,26 @@ def _phase_fix(delta: np.ndarray, k: int, n: int) -> list[G.Gate]:
 def dense_householder_iso(
     v: np.ndarray,
     regime: C.AncillaRegime = C.AncillaRegime.none(),
+    *,
+    trace_entries: bool = False,
 ) -> DecompositionResult:
     """Dense isometry via one reflection per column plus a diagonal: level
-    0 of :func:`dense_householder_unitary`'s halving scheme."""
+    0 of :func:`dense_householder_unitary`'s halving scheme.
+    ``trace_entries`` fills the trace's entry fields (:class:`StepTrace`)."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     _require_isometry(v)
     n = qubit_count(v.shape[0])
-    level, delta, trace, _ = _reduce_dense_level(v, v.shape[1], 0, n)
+    level, delta, trace, _ = _reduce_dense_level(v, v.shape[1], 0, n, trace_entries)
     return _result(G.StructuredCircuit(n, (), _phase_fix(delta, 0, n) + level), regime, trace)
 
 
 def dense_householder_unitary(
     u: np.ndarray,
     regime: C.AncillaRegime = C.AncillaRegime.none(),
+    *,
+    trace_entries: bool = False,
 ) -> DecompositionResult:
     """Unitary via recursive halving.
 
@@ -407,7 +427,8 @@ def dense_householder_unitary(
     isometry from n-k-1 to n-k qubits; its phase-fix diagonal and every H0
     acquire the k already-fixed qubits as controls (free X dressing), while
     the state-preparation blocks stay uncontrolled, so with controls off
-    each reflection telescopes to the identity.
+    each reflection telescopes to the identity.  ``trace_entries`` fills
+    the trace's entry fields (:class:`StepTrace`).
     """
     u = np.asarray(u, dtype=complex)
     n = qubit_count(u.shape[0])
@@ -421,7 +442,7 @@ def dense_householder_unitary(
     trace: list[StepTrace] = []
     for k in range(n):
         half = 1 << (n - k - 1)
-        level, delta, tr, red = _reduce_dense_level(work, half, k, n)
+        level, delta, tr, red = _reduce_dense_level(work, half, k, n, trace_entries)
         if np.max(np.abs(red[:half, half:])) > 1e-8 or np.max(np.abs(red[half:, :half])) > 1e-8:
             raise AssertionError("halving step left cross-block residue")
         if k == n - 1:
@@ -446,6 +467,8 @@ def fixed_envelope_iso(
     regime: C.AncillaRegime = C.AncillaRegime.none(),
     samples: int = 100,
     seed=0,
+    *,
+    trace_entries: bool = False,
 ) -> DecompositionResult:
     """Envelope-confined reduction: reflect each column onto the top row,
     decrement, repeat; no pivoting inside the reflections.
@@ -460,6 +483,7 @@ def fixed_envelope_iso(
     splitting, whose grouping step takes them to the top.  It needs no
     splitting search, so ``samples`` and ``seed`` have no effect; they are
     accepted for a call signature shared with the other sparse methods.
+    ``trace_entries`` fills the trace's entry fields (:class:`StepTrace`).
     """
     _require_isometry(w)
     if strategy is None:
@@ -485,6 +509,7 @@ def fixed_envelope_iso(
         invert_permutation(strategy.sigma),
         np.arange(1 << m),
         reflect,
+        trace_entries,
     )
     if not np.array_equal(strategy.rho, np.arange(1 << n)):
         rho_gate = G.PermutationGate(tuple(range(n)), tuple(int(x) for x in strategy.rho))
@@ -501,13 +526,17 @@ def no_fill_in_iso(
     regime: C.AncillaRegime = C.AncillaRegime.with_dirty(1),
     samples: int = 100,
     seed=0,
+    *,
+    trace_entries: bool = False,
 ) -> DecompositionResult:
     """Fill-in-free reduction using one clean ancilla as a new top qubit.
 
     The input embeds as the top block of an (n+1)-qubit isometry whose
     bottom 2^n rows are empty; column i reduces onto empty row 2^n + i, so
-    the update formula never touches another column.  Register sizes come
-    from the original column supports.
+    the update formula never touches another column, and a step that
+    fills in raises :class:`~hhsynth.gates.CircuitVerificationError`.
+    Register sizes come from the original column supports.
+    ``trace_entries`` fills the trace's entry fields (:class:`StepTrace`).
     """
     _require_isometry(w)
     n, m = w.n, w.m
@@ -518,9 +547,9 @@ def no_fill_in_iso(
         range(1 << m),
         (1 << n) + np.arange(1 << m),
         _pivoted_reflections(n + 1, samples, seed),
+        trace_entries,
+        forbid_fill_in=True,
     )
-    if any(t.fill_in for t in trace):
-        raise G.CircuitVerificationError("fill-in occurred in the no-fill-in method")
     table = {0: n}
     table.update({q + 1: q for q in range(n)})
     gates = [g.remap(table) for g in virtual_gates]

@@ -62,13 +62,15 @@ def iso_runs():
         elim = O.elim_count(w, strat)
         for method in ("dense", "sparse", "fixed-env", "no-fill-in"):
             if method == "dense":
-                res = M.dense_householder_iso(w.to_dense(), D1)
+                res = M.dense_householder_iso(w.to_dense(), D1, trace_entries=True)
             elif method == "sparse":
-                res = M.sparse_householder_iso(w, strat, D1, seed=seed)
+                res = M.sparse_householder_iso(w, strat, D1, seed=seed, trace_entries=True)
             elif method == "fixed-env":
-                res = M.fixed_envelope_iso(w, strat, D1, seed=seed)
+                res = M.fixed_envelope_iso(w, strat, D1, seed=seed, trace_entries=True)
             else:
-                res = M.no_fill_in_iso(w, C.AncillaRegime(clean=1, dirty=1), seed=seed)
+                res = M.no_fill_in_iso(
+                    w, C.AncillaRegime(clean=1, dirty=1), seed=seed, trace_entries=True
+                )
             eq = G.equivalent(res.circuit, w, "exact", 1e-9)
             runs.append(
                 {

@@ -460,6 +460,16 @@ MALFORMED_CIRCUITS = {
         "n": 1,
         "gates": [{"kind": "spblock", "qubits": [0], "state": [[-1, 1, 0]]}],
     },
+    # a state index is an integer, as a qubit index is: int() would read
+    # 1.5 and true as index 1
+    "spblock_float_index": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[1.5, 1, 0]]}],
+    },
+    "spblock_boolean_index": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[True, 1, 0]]}],
+    },
 }
 
 
@@ -613,3 +623,14 @@ def test_verify_malformed_row_perm_exit_2(tmp_path, kind):
         "object": {"perm": rp},
     }[kind]
     assert _verify_row_perm(tmp_path, circ, permuted, witness) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse"])
+def test_compile_trace_lists_modified_entries(tmp_path, method):
+    # the CLI asks for the trace's entry fields whenever --trace is given
+    w = random_sparse_isometry(4, 2, 5, np.random.default_rng(80))
+    mat = write_json(tmp_path / "w.json", matrix_to_dict(w))
+    trace = tmp_path / "t.json"
+    assert run(["compile", mat, "--method", method, "--trace", str(trace), "-o", str(tmp_path / "c.json")]) == 0
+    steps = json.loads(trace.read_text())
+    assert any(step["modified"] for step in steps)

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_sparse_reduced_columns_never_disturbed():
     rng = np.random.default_rng(46)
     for _ in range(10):
         w = random_sparse_isometry(4, 2, int(rng.integers(0, 6)), rng)
-        res = M.sparse_householder_iso(w, seed=int(rng.integers(1 << 30)))
+        res = M.sparse_householder_iso(w, seed=int(rng.integers(1 << 30)), trace_entries=True)
         for t in res.trace:
             # no later step may modify an entry in an already-reduced column
             reduced_cols = {tt.column for tt in res.trace[: t.step]}
@@ -323,7 +324,7 @@ def test_dense_unitary_trace_matches_replayed_steps(n):
     fixed_first = np.eye(1 << n, dtype=complex)  # column 0 is skipped
     fixed_first[1:, 1:] = random_unitary((1 << n) - 1, rng)
     for u in (random_unitary(1 << n, rng), random_unitary(1 << n, rng), fixed_first):
-        res = M.dense_householder_unitary(u)
+        res = M.dense_householder_unitary(u, trace_entries=True)
         _check_dense_trace(res.trace, list(dense_unitary_levels(u)))
     assert any(t.skipped for t in res.trace)
 
@@ -333,14 +334,14 @@ def test_dense_iso_trace_matches_replayed_steps(n):
     rng = np.random.default_rng(70 + n)
     for m in range(n + 1):
         v = random_isometry(n, m, rng)
-        res = M.dense_householder_iso(v)
+        res = M.dense_householder_iso(v, trace_entries=True)
         _check_dense_trace(res.trace, [(v, 1 << m)])
 
 
 def test_sparse_trace_modified_is_int_pairs():
     rng = np.random.default_rng(80)
     w = random_sparse_isometry(4, 2, 5, rng)
-    res = M.sparse_householder_iso(w)
+    res = M.sparse_householder_iso(w, trace_entries=True)
     assert any(t.modified for t in res.trace)
     for t in res.trace:
         assert t.changed.shape == (len(t.modified), 2)
@@ -367,7 +368,7 @@ def test_fixed_envelope_random_exact_and_confined():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(0, min(2, n) + 1))
         w = random_sparse_isometry(n, m, int(rng.integers(0, 6)), rng)
-        res = M.fixed_envelope_iso(w, seed=int(rng.integers(1 << 30)))
+        res = M.fixed_envelope_iso(w, seed=int(rng.integers(1 << 30)), trace_entries=True)
         assert G.equivalent(res.circuit, w, "exact", 1e-9).ok
         for t in res.trace:
             if not t.skipped:
@@ -391,7 +392,7 @@ def test_no_fill_in_random_exact_zero_fill():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(0, min(3, n) + 1))
         w = random_sparse_isometry(n, m, int(rng.integers(0, 7)), rng)
-        res = M.no_fill_in_iso(w, seed=int(rng.integers(1 << 30)))
+        res = M.no_fill_in_iso(w, seed=int(rng.integers(1 << 30)), trace_entries=True)
         assert res.circuit.ancillas == ("clean",)
         assert all(not t.fill_in for t in res.trace)
         assert G.equivalent(res.circuit, w, "exact", 1e-9).ok
@@ -400,7 +401,7 @@ def test_no_fill_in_random_exact_zero_fill():
 def test_no_fill_in_working_nnz_never_grows():
     rng = np.random.default_rng(53)
     w = random_sparse_isometry(5, 3, 6, rng)
-    res = M.no_fill_in_iso(w)
+    res = M.no_fill_in_iso(w, trace_entries=True)
     # each step only deletes: eliminated entries, no modifications
     for t in res.trace:
         assert t.modified == ()
@@ -480,9 +481,73 @@ def test_fill_in_confinement_from_traces():
         m = int(rng.integers(1, min(3, n) + 1))
         w = random_sparse_isometry(n, m, int(rng.integers(0, 7)), rng)
         for method in (M.sparse_householder_iso, M.fixed_envelope_iso):
-            res = method(w, seed=int(rng.integers(1 << 30)))
+            res = method(w, seed=int(rng.integers(1 << 30)), trace_entries=True)
             for t in res.trace:
                 if t.skipped:
                     continue
                 for (s, tt) in t.modified:
                     assert s in t.col_support and tt in t.row_support
+
+
+# ---------------------------------------------------------------------------
+# step-trace entries on request
+
+SCALAR_FIELDS = ("step", "column", "target_current", "nnz", "s", "skipped")
+ENTRY_FIELDS = ("hh_support", "col_support", "row_support", "modified", "fill_in", "eliminated")
+
+
+def _entry_flag_cases():
+    """``(name, compile)`` for every method on seeded inputs, where
+    ``compile(trace_entries=...)`` returns the decomposition."""
+    rng = np.random.default_rng(90)
+    cases = []
+    for n in range(1, 6):
+        m = int(rng.integers(0, min(3, n) + 1))
+        w = random_sparse_isometry(n, m, int(rng.integers(1, 7)), rng)
+        seed = int(rng.integers(1 << 30))
+        v, u = random_isometry(n, m, rng), random_unitary(1 << n, rng)
+        cases += [
+            (f"sparse-{n}", partial(M.sparse_householder_iso, w, seed=seed)),
+            (f"fixed-env-{n}", partial(M.fixed_envelope_iso, w, seed=seed)),
+            (f"no-fill-in-{n}", partial(M.no_fill_in_iso, w, seed=seed)),
+            (f"dense-iso-{n}", partial(M.dense_householder_iso, v)),
+            (f"dense-sparse-input-{n}", partial(M.dense_householder_iso, w.to_dense())),
+            (f"dense-unitary-{n}", partial(M.dense_householder_unitary, u)),
+        ]
+    return cases
+
+
+ENTRY_FLAG_CASES = _entry_flag_cases()
+
+
+@pytest.mark.parametrize(
+    "compile_", [c for _, c in ENTRY_FLAG_CASES], ids=[name for name, _ in ENTRY_FLAG_CASES]
+)
+def test_trace_entries_flag_changes_only_the_entry_fields(compile_):
+    plain, full = compile_(trace_entries=False), compile_(trace_entries=True)
+    assert G.circuit_to_dict(plain.circuit) == G.circuit_to_dict(full.circuit)
+    assert plain.audit.as_dict() == full.audit.as_dict()
+    assert len(plain.trace) == len(full.trace)
+    for a, b in zip(plain.trace, full.trace):
+        assert [getattr(a, f) for f in SCALAR_FIELDS] == [getattr(b, f) for f in SCALAR_FIELDS]
+        assert all(not getattr(a, f) for f in ENTRY_FIELDS)
+        assert a.changed.shape == (0, 2)
+    # the flag records something wherever a step was reduced
+    assert all(b.col_support for b in full.trace if not b.skipped)
+
+
+@pytest.mark.parametrize("trace_entries", [False, True])
+def test_no_fill_in_check_reads_the_reduction_not_the_trace(monkeypatch, trace_entries):
+    from hhsynth import householder as hh
+
+    real = hh.reduce_column
+
+    def filling(w, j, i):
+        rec = real(w, j, i)
+        rec.fill_in.append((0, 0))
+        return rec
+
+    monkeypatch.setattr(hh, "reduce_column", filling)
+    w = random_sparse_isometry(3, 1, 3, np.random.default_rng(91))
+    with pytest.raises(G.CircuitVerificationError, match="fill-in"):
+        M.no_fill_in_iso(w, trace_entries=trace_entries)

@@ -90,7 +90,9 @@ def test_no_fill_in_properties(n, m):
     for rotations, data_seed, seed in _draws((n, m), ISOMETRY_CASES, *ISOMETRY_DRAWS):
         w = random_sparse_isometry(n, m, rotations, np.random.default_rng(data_seed))
         res = _check_common(
-            lambda: M.no_fill_in_iso(w, CLEAN1_DIRTY1, seed=seed), w, CLEAN1_DIRTY1
+            lambda: M.no_fill_in_iso(w, CLEAN1_DIRTY1, seed=seed, trace_entries=True),
+            w,
+            CLEAN1_DIRTY1,
         )
         assert res.audit.total <= C.bound_no_fill_in_dirty(n, m, w.nnz)
         clean = C.AncillaRegime.with_clean(math.ceil(n / 2))
