@@ -939,10 +939,11 @@ def equivalent(
         if mat.n != circuit.n:
             return EquivalenceResult(False, math.inf)
         ncols = 1 << mat.m
-        m_rows = np.fromiter(mat.rows, dtype=np.int64, count=len(mat.rows))
+        mat_rows = mat.rows
+        m_rows = np.fromiter(mat_rows, dtype=np.int64, count=len(mat_rows))
         _admit(nq, len(m_rows) * ncols)
         m_vals = np.zeros((len(m_rows), ncols), dtype=complex)
-        for r, row in enumerate(mat.rows.values()):
+        for r, row in enumerate(mat_rows.values()):
             m_vals[r, list(row)] = list(row.values())
     else:
         m_vals = np.asarray(mat, dtype=complex)

@@ -11,8 +11,8 @@ state-preparation block as it (target 0, after a phase on |0..0>;
 ``gates.SPBlock``), without a dense matrix.
 
 :func:`reduce_column` applies the reflection sending column ``j`` of a
-sparse isometry to basis row ``i`` directly on the dual-index storage via
-the rank-one update
+sparse isometry to basis row ``i`` directly on the column storage via the
+rank-one update
 
     V'[s, t] = V[s, t] + e^{-i theta} * V[s, j] * V[i, t] / (1 + |V[i, j]|)
 
@@ -95,7 +95,7 @@ def reduce_column(w: SparseIsometry, j: int, i: int) -> ReductionRecord:
     col = dict(w.col(j))
     if not col:
         raise ValueError(f"column {j} is zero")
-    row = dict(w.row(i))
+    row = w.row(i)
     aij = col.get(i, 0j)
     theta, eith = target_phase(aij)
     rec = ReductionRecord(theta=theta, nnz_before=len(col))

@@ -32,8 +32,7 @@ isometry is its level 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,15 +59,13 @@ class StepTrace:
     """Per-column record of one reduction step (working coordinates).
 
     The scalar fields (``step`` to ``skipped``) are recorded on every
-    compile.  The entry fields (the supports, ``changed``, ``fill_in`` and
+    compile.  The entry fields (the supports, ``modified``, ``fill_in`` and
     ``eliminated``) are recorded only when the decomposition is called
     with ``trace_entries=True`` and stay empty otherwise: a dense column
     changes O(N * M) entries, so listing them would cost as much as the
-    reduction itself.  The entries the step changed (outside the target
-    row and the reduced column) are kept as one ``(k, 2)`` int array of
-    ``(row, col)`` pairs, ``changed``; :attr:`modified`, the same pairs as
-    a tuple of int tuples, is built on first read and cached.  Compared by
-    identity.
+    reduction itself.  ``modified`` holds the ``(row, col)`` int pairs the
+    step changed outside the target row and the reduced column.  Compared
+    by identity.
     """
 
     step: int
@@ -80,13 +77,9 @@ class StepTrace:
     hh_support: frozenset = frozenset()
     col_support: frozenset = frozenset()
     row_support: frozenset = frozenset()
-    changed: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    modified: tuple = ()
     fill_in: tuple = ()
     eliminated: tuple = ()
-
-    @cached_property
-    def modified(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.changed.tolist()))
 
 
 @dataclass
@@ -122,14 +115,21 @@ def _apply_residual(
     residual: list[G.Gate], work: SparseIsometry, targets: np.ndarray
 ) -> tuple[SparseIsometry, np.ndarray]:
     """The working matrix and the current target rows after a pivot
-    residual, with the residual evaluated once on both."""
-    entries = list(work.entries())
-    rows = np.array([i for i, _, _ in entries] + targets.tolist(), dtype=np.int64)
-    dst, ph = G.relabel(residual, work.n, rows)
+    residual, with the residual evaluated once on the occupied rows and the
+    targets.  Each column is rebuilt in ascending order of its rows before
+    the residual; an entry whose rephased amplitude is at most ``EPS0``
+    is dropped, as :meth:`SparseIsometry.set` drops it."""
+    occupied = sorted(set().union(*work.cols))
+    dst, ph = G.relabel(residual, work.n, occupied + targets.tolist())
+    moved = dict(zip(occupied, zip(dst.tolist(), ph.tolist())))
     out = SparseIsometry(work.n, work.m)
-    for (_, j, a), i2, p in zip(entries, dst, ph):
-        out.set(int(i2), j, a * complex(p))
-    return out, dst[len(entries):]
+    for col, new in zip(work.cols, out.cols):
+        for i in sorted(col):
+            i2, p = moved[i]
+            a = col[i] * p
+            if abs(a) > EPS0:
+                new[i2] = a
+    return out, dst[len(occupied):]
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +215,7 @@ def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.nd
     delta = amp_of * phase_m
     delta = delta / np.abs(delta)
 
-    gates: list[G.Gate] = []
-    if np.max(np.abs(delta - 1.0)) > EPS0:
-        gates.append(G.Diagonal(tuple(range(n - m, n)), tuple(delta)))
+    gates = _phase_fix(delta, 0, n)
     if not np.array_equal(perm_m, np.arange(1 << m)):
         gates.append(G.PermutationGate(tuple(range(n - m, n)), tuple(int(x) for x in perm_m)))
     gates.extend(G.dagger_sequence(f_gates))
@@ -269,7 +267,7 @@ def _reduce_columns(
                 step.hh_support = frozenset(u)
                 step.col_support = frozenset(col)
                 step.row_support = row_support
-                step.changed = np.array(rec.modified, dtype=np.int64).reshape(-1, 2)
+                step.modified = tuple(rec.modified)
                 step.fill_in = tuple(rec.fill_in)
                 step.eliminated = tuple(rec.eliminated)
             trace.append(step)
@@ -372,7 +370,8 @@ def _reduce_dense_level(
         triples.append(_reflection([unprep], dress, n, unprep.dagger()))
         if trace_entries:
             changed = np.argwhere(np.abs(work[:, :cols] - pre) > 1e-12)
-            step.changed = changed[(changed[:, 0] != i) & (changed[:, 1] != i)]
+            changed = changed[(changed[:, 0] != i) & (changed[:, 1] != i)]
+            step.modified = tuple(map(tuple, changed.tolist()))
             step.hh_support = frozenset(support.tolist())
         trace.append(step)
     delta = np.diagonal(work)[:cols]
@@ -385,9 +384,10 @@ def _reduce_dense_level(
 
 
 def _phase_fix(delta: np.ndarray, k: int, n: int) -> list[G.Gate]:
-    """The diagonal that restores level ``k``'s reduced phases ``delta``:
-    on the ``k`` fixed qubits (all 1) and the trailing ``log2 len(delta)``
-    qubits; none when every phase is 1."""
+    """The diagonal that restores level ``k``'s reduced phases ``delta``
+    (level 0 also closes :func:`perm_diag_reduce`): on the ``k`` fixed
+    qubits (all 1) and the trailing ``log2 len(delta)`` qubits; none when
+    every phase is within ``EPS0`` of 1."""
     if np.max(np.abs(delta - 1.0)) <= EPS0:
         return []
     m = qubit_count(len(delta))

@@ -1,4 +1,4 @@
-"""Dense and dual-indexed sparse complex matrices.
+"""Dense and column-stored sparse complex matrices.
 
 Index conventions used throughout the package:
 
@@ -12,14 +12,13 @@ Index conventions used throughout the package:
   never stored in sparse containers.
 
 Sparse state vectors are plain ``dict[int, complex]`` maps from basis index
-to amplitude; sparse matrices use :class:`SparseIsometry`, which keeps a row
-index and a column index over the same entry set.
+to amplitude; sparse matrices use :class:`SparseIsometry`, which stores one
+such map per column and assembles a row from the columns when one is read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +99,16 @@ def state_to_vector(v: dict[int, complex], n: int) -> np.ndarray:
 
 
 class SparseIsometry:
-    """A ``2**n x 2**m`` complex matrix held in a dual row/column index.
+    """A ``2**n x 2**m`` complex matrix stored by column.
 
-    ``rows[i]`` maps column -> amplitude for row ``i`` and ``cols[j]`` maps
-    row -> amplitude for column ``j``.  Both indexes always describe the same
-    entry set, and no stored amplitude has magnitude <= ``EPS0``.  ``rows``
-    holds only the occupied rows, so storage is O(2**m + nnz) whatever n is.
-    Instances are not safe for concurrent mutation.
+    ``cols[j]`` maps row -> amplitude for column ``j``, and nothing else is
+    stored: no stored amplitude has magnitude <= ``EPS0``, and storage is
+    O(2**m + nnz) whatever n is.  A row read (:meth:`row`, :attr:`rows`)
+    is assembled from the columns, so it costs O(2**m).  Instances are not
+    safe for concurrent mutation.
     """
 
-    __slots__ = ("n", "m", "rows", "cols", "_nnz")
+    __slots__ = ("n", "m", "cols")
 
     def __init__(self, n: int, m: int, entries=None):
         if n < 0 or m < 0:
@@ -118,9 +117,7 @@ class SparseIsometry:
             raise ValueError(f"isometry needs rows >= cols, got n={n} < m={m}")
         self.n = n
         self.m = m
-        self.rows: defaultdict[int, dict[int, complex]] = defaultdict(dict)
         self.cols: list[dict[int, complex]] = [{} for _ in range(1 << m)]
-        self._nnz = 0
         if entries is not None:
             for i, j, a in entries:
                 self.set(int(i), int(j), complex(a))
@@ -131,35 +128,36 @@ class SparseIsometry:
 
     @property
     def nnz(self) -> int:
-        return self._nnz
+        return sum(map(len, self.cols))
 
     def get(self, i: int, j: int) -> complex:
-        return self.row(i).get(j, 0j)
+        return self.cols[j].get(i, 0j)
 
     def set(self, i: int, j: int, a: complex) -> None:
-        """Create, overwrite or remove entry ``(i, j)`` in both indexes.
+        """Create, overwrite or remove entry ``(i, j)``.
 
         Values with ``|a| <= EPS0`` delete the entry.
         """
         if not (0 <= i < (1 << self.n)) or not (0 <= j < (1 << self.m)):
             raise IndexError(f"entry ({i}, {j}) out of range for shape {self.shape}")
-        row = self.rows[i]
         if abs(a) <= EPS0:
-            if j in row:
-                del row[j]
-                del self.cols[j][i]
-                self._nnz -= 1
-            if not row:
-                del self.rows[i]
+            self.cols[j].pop(i, None)
         else:
-            if j not in row:
-                self._nnz += 1
-            row[j] = a
             self.cols[j][i] = a
 
     def row(self, i: int) -> dict[int, complex]:
-        """Live row map (column -> amplitude); do not mutate directly."""
-        return self.rows.get(i, {})
+        """Row ``i`` as a new map (column -> amplitude), in column order."""
+        return {j: col[i] for j, col in enumerate(self.cols) if i in col}
+
+    @property
+    def rows(self) -> dict[int, dict[int, complex]]:
+        """The occupied rows as new maps, sorted by row, each in column
+        order."""
+        rows: dict[int, dict[int, complex]] = {}
+        for j, col in enumerate(self.cols):
+            for i, a in col.items():
+                rows.setdefault(i, {})[j] = a
+        return dict(sorted(rows.items()))
 
     def col(self, j: int) -> dict[int, complex]:
         """Live column map (row -> amplitude); do not mutate directly."""
@@ -167,28 +165,22 @@ class SparseIsometry:
 
     def entries(self):
         """Deterministic (i, j, amplitude) iteration in row-major order."""
-        for i in sorted(self.rows):
-            row = self.rows[i]
-            for j in sorted(row):
-                yield i, j, row[j]
+        for i, row in self.rows.items():
+            for j, a in row.items():
+                yield i, j, a
 
     def pattern(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, row in self.rows.items() for j in row}
+        return {(i, j) for j, col in enumerate(self.cols) for i in col}
 
     def copy(self) -> "SparseIsometry":
         out = SparseIsometry(self.n, self.m)
-        for i, row in self.rows.items():
-            out.rows[i] = dict(row)
-        for j, col in enumerate(self.cols):
-            if col:
-                out.cols[j] = dict(col)
-        out._nnz = self._nnz
+        out.cols = [dict(col) for col in self.cols]
         return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
-        for i, row in self.rows.items():
-            for j, a in row.items():
+        for j, col in enumerate(self.cols):
+            for i, a in col.items():
                 out[i, j] = a
         return out
 
@@ -203,18 +195,6 @@ class SparseIsometry:
         for i, j in zip(*np.nonzero(np.abs(a) > EPS0)):
             out.set(int(i), int(j), complex(a[i, j]))
         return out
-
-    def check_consistent(self) -> None:
-        """Verify the two indexes agree entry by entry (test support)."""
-        rebuilt: dict[tuple[int, int], complex] = {}
-        for j, col in enumerate(self.cols):
-            for i, a in col.items():
-                rebuilt[(i, j)] = a
-        direct = {(i, j): a for i, row in self.rows.items() for j, a in row.items()}
-        if rebuilt != direct:
-            raise AssertionError("row/column indexes disagree")
-        if len(direct) != self._nnz:
-            raise AssertionError("nnz counter out of sync")
 
 
 def apply_permutations(w: SparseIsometry, rho, sigma) -> SparseIsometry:
@@ -268,11 +248,10 @@ def validate_isometry(mat, tol: float = 1e-10) -> ValidationReport:
         # V^dag V is zero off the column pairs that share a row: accumulate
         # only those, row by row as a dense product does, and the diagonal
         gram = {(j, j): 0j for j in range(1 << mat.m)}
-        for _, row in sorted(mat.rows.items()):
-            items = sorted(row.items())
-            for j, aj in items:
+        for row in mat.rows.values():  # sorted by row, each in column order
+            for j, aj in row.items():
                 cj = aj.conjugate()
-                for k, ak in items:
+                for k, ak in row.items():
                     gram[j, k] = gram.get((j, k), 0j) + cj * ak
         pairs = sorted(gram)  # row-major, as a dense Gram is searched
         jk = np.array(pairs, dtype=np.int64)

@@ -11,7 +11,7 @@ from hhsynth import gates as G
 from hhsynth import methods as M
 from hhsynth import ordering as O
 from hhsynth import pivoting as P
-from hhsynth.numerics import NotAnIsometryError, SparseIsometry
+from hhsynth.numerics import EPS0, NotAnIsometryError, SparseIsometry
 
 from helpers import (
     dense_reduction_steps,
@@ -64,6 +64,65 @@ def test_hr_up_to_audit_bound_example():
         gates, _, s = M.householder_up_to(v, 4, seed=int(rng.integers(1 << 30)))
         audited = C.audit_circuit(G.StructuredCircuit(4, (), gates), D1).total
         assert audited <= C.bound_hr_up_to_dirty(4, s, 2) == 94
+
+
+# ---------------------------------------------------------------------------
+# pivot residual on the working matrix
+
+
+def _rebuild_by_set(residual, work, targets):
+    """The working matrix after a residual, rebuilt with one ``set`` per
+    row-major entry: the oracle of :func:`methods._apply_residual`."""
+    entries = list(work.entries())
+    rows = np.array([i for i, _, _ in entries] + targets.tolist(), dtype=np.int64)
+    dst, ph = G.relabel(residual, work.n, rows)
+    out = SparseIsometry(work.n, work.m)
+    for (_, j, a), i2, p in zip(entries, dst, ph):
+        out.set(int(i2), j, a * complex(p))
+    return out, dst[len(entries):]
+
+
+def _column_items(w):
+    """Each column's (row, repr of amplitude) pairs in insertion order."""
+    return [[(i, repr(a)) for i, a in col.items()] for col in w.cols]
+
+
+def test_apply_residual_equals_one_set_per_entry():
+    rng = np.random.default_rng(95)
+    moved = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(0, min(n, 3) + 1))
+        w = random_sparse_isometry(n, m, 2 * n, rng)
+        entries = list(w.entries())
+        rng.shuffle(entries)  # insertion order must not matter
+        w = SparseIsometry(n, m, entries)
+        _, residual, _ = M.householder_up_to(
+            dict(w.col(int(rng.integers(1 << m)))), n, seed=int(rng.integers(1 << 30))
+        )
+        targets = rng.choice(1 << n, size=1 << m, replace=False)
+        got, got_targets = M._apply_residual(residual, w, targets)
+        want, want_targets = _rebuild_by_set(residual, w, targets)
+        assert _column_items(got) == _column_items(want)
+        assert np.array_equal(got_targets, want_targets)
+        moved += got.pattern() != w.pattern()
+    assert moved > 0
+
+
+def test_apply_residual_drops_an_entry_rephased_to_eps0():
+    # an amplitude just above EPS0 whose phase's rounding takes it to EPS0
+    a = math.nextafter(EPS0, 1.0)
+    p = next(
+        p for p in (complex(np.exp(1e-3j * k)) for k in range(1, 10_000)) if abs(a * p) <= EPS0
+    )
+    w = SparseIsometry(2, 1, [(0, 0, a), (1, 0, 1.0), (2, 1, a), (3, 1, 0.5)])
+    residual = [G.Diagonal((0,), (p, 1.0)), G.x_gate(1)]
+    got, _ = M._apply_residual(residual, w, np.array([0, 2]))
+    want, _ = _rebuild_by_set(residual, w, np.array([0, 2]))
+    assert _column_items(got) == _column_items(want)
+    # (0, 0) moves to row 1 with phase p and is dropped; (2, 1), of the
+    # same magnitude, moves to row 3 with phase 1 and is kept
+    assert got.pattern() == {(0, 0), (2, 1), (3, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +403,8 @@ def test_sparse_trace_modified_is_int_pairs():
     res = M.sparse_householder_iso(w, trace_entries=True)
     assert any(t.modified for t in res.trace)
     for t in res.trace:
-        assert t.changed.shape == (len(t.modified), 2)
+        assert type(t.modified) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in t.modified)
         assert all(type(x) is int for pair in t.modified for x in pair)
     json.dumps(cli._trace_dict(res.trace))
 
@@ -531,7 +591,7 @@ def test_trace_entries_flag_changes_only_the_entry_fields(compile_):
     for a, b in zip(plain.trace, full.trace):
         assert [getattr(a, f) for f in SCALAR_FIELDS] == [getattr(b, f) for f in SCALAR_FIELDS]
         assert all(not getattr(a, f) for f in ENTRY_FIELDS)
-        assert a.changed.shape == (0, 2)
+        assert a.modified == ()
     # the flag records something wherever a step was reduced
     assert all(b.col_support for b in full.trace if not b.skipped)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hhsynth.numerics import (
+    EPS0,
     SparseIsometry,
     apply_permutations,
     check_permutation,
@@ -103,7 +104,7 @@ def test_sparse_update_set_and_clear():
     assert w.cols[0] == {0: 1.0}
     w.set(0, 0, 0.0)
     assert w.nnz == 0
-    assert not w.rows[0] and not w.cols[0]
+    assert w.rows == {} and not w.cols[0]
 
 
 def test_sparse_update_bounds():
@@ -112,15 +113,34 @@ def test_sparse_update_bounds():
         w.set(2, 0, 1.0)
 
 
-def test_dual_index_consistency_random_updates():
+def test_column_store_matches_dense_mirror_after_random_updates():
     rng = np.random.default_rng(0)
     w = SparseIsometry(4, 3)
+    mirror = np.zeros((16, 8), dtype=complex)
     for _ in range(10_000):
         i = int(rng.integers(16))
         j = int(rng.integers(8))
         a = complex(rng.normal(), rng.normal()) if rng.uniform() > 0.3 else 0.0
+        if rng.uniform() < 0.05:
+            a *= EPS0  # at most EPS0 in magnitude often enough to clear
         w.set(i, j, a)
-    w.check_consistent()
+        mirror[i, j] = a if abs(a) > EPS0 else 0.0
+    stored = [a for col in w.cols for a in col.values()]
+    assert all(abs(a) > EPS0 for a in stored)
+    nonzero = [(int(i), int(j)) for i, j in zip(*np.nonzero(mirror))]  # row-major
+    assert w.nnz == len(nonzero) == len(stored)
+    assert w.pattern() == set(nonzero)
+    assert [(i, j) for i, j, _ in w.entries()] == nonzero
+    assert [a for _, _, a in w.entries()] == [mirror[i, j] for i, j in nonzero]
+    assert list(w.rows) == sorted({i for i, _ in nonzero})
+    for i in range(16):
+        row = w.row(i)
+        assert list(row) == sorted(row)  # column order
+        assert row == {int(j): mirror[i, j] for j in np.flatnonzero(mirror[i])}
+        assert w.rows.get(i, {}) == row
+        for j in range(8):
+            assert w.get(i, j) == mirror[i, j]
+    assert np.array_equal(w.to_dense(), mirror)
 
 
 def test_apply_permutations_identity():
