@@ -23,15 +23,18 @@ read.
 
 Simulation is exact linear algebra on the live rows of a state: an int64
 array of distinct basis indices and their amplitudes, one column per state
-of a batch.  One kernel, :func:`_live_gate`, applies every gate: an index
-map moves and rephases the live rows; a mixing gate adds the rows of every
-2^k group it reaches and mixes each group.  A state holding all 2^nq rows
-is kept in basis order, so its rows are its positions and its groups are
-indexed directly.  Once the live rows pass ``1 / DENSE_SHARE`` of the
-basis, :func:`_simulate` fills them in to the full basis if that fits;
-:func:`apply_gate` is the kernel on the full basis.  One memory rule holds
-on any register up to 62 qubits: an array the verifier would build with
-more than :data:`LIVE_CAP` amplitudes (rows x columns) raises
+of a batch.  The rows are labels, in any order.  One kernel,
+:func:`_live_gate`, applies every gate: an index map relabels and
+rephases the rows and moves no amplitude; a mixing gate adds the rows of
+every 2^k group it reaches and mixes each group.  Once the live rows pass
+``1 / DENSE_SHARE`` of the basis, :func:`_simulate` fills them in to the
+full basis if that fits.  A state holding all 2^nq rows keeps them all,
+and a mixing gate gathers its groups through the rows' positions: no
+amplitude is transposed or scattered.  :func:`_simulate` sorts the rows
+once at the end, and :func:`apply_gate`, the kernel on the full basis,
+scatters them once into basis order.  One memory rule holds on any
+register up to 62 qubits: an array the verifier would build with more
+than :data:`LIVE_CAP` amplitudes (rows x columns) raises
 :class:`SimulationCapExceeded` before it is allocated.
 
 Clean ancillas must start and end in |0>; dirty ancillas may start in any
@@ -539,9 +542,9 @@ class StructuredCircuit:
 
 
 # ---------------------------------------------------------------------------
-# simulation kernel: a live state is an int64 array of distinct basis rows and
-# their (rows, batch) amplitudes; apply_gate's dense states are (2^N,) or
-# (2^N, batch) arrays
+# simulation kernel: a live state is an int64 array of distinct basis rows, in
+# any order, and their (rows, batch) amplitudes; apply_gate's dense states are
+# (2^N,) or (2^N, batch) arrays in basis order
 
 
 def _subset_values(idx, qubits: tuple[int, ...], nq: int):
@@ -575,17 +578,6 @@ def _controls_hit(idx: np.ndarray, controls, nq: int) -> np.ndarray:
     return (idx & mask) == want
 
 
-def _apply_subset_unitary(state, mix, qubits, nq):
-    """``mix`` (a gate's :meth:`_Gate.mix`) on every 2^k group of a full
-    ``(2^nq, batch)`` state in basis order; a new array."""
-    t = state.reshape([2] * nq + [state.shape[1]])
-    order = list(qubits) + [a for a in range(nq + 1) if a not in qubits]
-    # a contiguous copy, which ``mix`` may overwrite
-    t = np.transpose(t, order).astype(np.result_type(t, complex), order="C")
-    t = mix(t.reshape(1 << len(qubits), -1)).reshape(t.shape)
-    return np.transpose(t, np.argsort(order)).reshape(state.shape)
-
-
 def _sorted_unique(idx: np.ndarray) -> np.ndarray:
     """``np.unique`` of an int array, without the ``numpy.ma`` import that
     ``np.unique`` costs on first use."""
@@ -606,65 +598,70 @@ def _admit(nq: int, amplitudes: int) -> None:
 
 def _live_gate(g: Gate, rows: np.ndarray, amps: np.ndarray, nq: int):
     """One gate on a live state: ``(rows, amps)`` after the gate.  The rows
-    are distinct but in no particular order; a mixing gate returns them
-    sorted, without those it leaves at exactly 0 in every column.  A state
-    on all 2^nq rows is in basis order, so that its rows are its positions,
-    and it stays so and keeps every row."""
-    full = len(rows) == 1 << nq
+    are distinct basis labels in no particular order: an index map
+    relabels and rephases them.  A mixing gate on fewer than 2^nq rows
+    returns them sorted, without those it leaves at exactly 0 in every
+    column; on all 2^nq rows it gathers each group through the rows'
+    positions and keeps every row, the untouched ones first."""
     imap = g.index_map(nq, rows)
     if imap is not None:
         dst, ph = imap
-        if ph is not None:
-            amps = amps * ph[:, None]
-        if not full or dst is rows:
-            return dst, amps
-        out = np.empty_like(amps)
-        out[dst] = amps
-        return rows, out
+        return dst, amps if ph is None else amps * ph[:, None]
     qubits, hit = g.mixing(nq, rows)
-    if full and hit is None:
-        return rows, _apply_subset_unitary(amps, g.mix, qubits, nq)
     k = len(qubits)
+    if len(rows) == 1 << nq:  # every group is present: gather it by position
+        pos = np.empty_like(rows)
+        pos[rows] = np.arange(len(rows))
+        # group[v, b]: the row of base b whose subset value is v, the bases
+        # in increasing order, so that the mix sees the block of basis
+        # order (BLAS rounds a column by its place in the block)
+        order = [*qubits, *(q for q in range(nq) if q not in qubits)]
+        group = np.arange(len(rows)).reshape([2] * nq).transpose(order).reshape(1 << k, -1)
+        if hit is not None:
+            group = group[:, hit[pos[group[0]]]]
+        # a gathered copy, which ``mix`` may overwrite
+        block = amps[pos[group]].astype(np.result_type(amps, complex), copy=False)
+        mixed = g.mix(block.reshape(1 << k, -1)).reshape(-1, amps.shape[1])
+        if hit is None:
+            return group.ravel(), mixed
+        return np.concatenate([rows[~hit], group.ravel()]), np.concatenate([amps[~hit], mixed])
     mask = qubit_mask(qubits, nq)
-    if full:  # the rows are the positions: index the hit groups directly
-        bases = rows[hit & ((rows & mask) == 0)]
-    else:
-        bases = _sorted_unique((rows if hit is None else rows[hit]) & ~mask)
-        kept = rows[:0] if hit is None else rows[~hit]  # untouched, and in no hit group
-        _admit(nq, (len(kept) + (len(bases) << k)) * amps.shape[1])  # the rows after the gate
+    bases = _sorted_unique((rows if hit is None else rows[hit]) & ~mask)
+    kept = rows[:0] if hit is None else rows[~hit]  # untouched, and in no hit group
+    _admit(nq, (len(kept) + (len(bases) << k)) * amps.shape[1])  # the rows after the gate
     # group[v, b]: the row of base b whose subset value is v
     offsets = _scatter_subset(np.zeros(1 << k, dtype=np.int64), np.arange(1 << k), qubits, nq)
     group = offsets[:, None] | bases
-    if full:
-        new_rows, pos, out = rows, group, amps.astype(np.result_type(amps, complex))
-    else:
-        new_rows = np.sort(np.concatenate([kept, group.ravel()]))
-        out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, complex))
-        out[np.searchsorted(new_rows, rows)] = amps
-        pos = np.searchsorted(new_rows, group)
+    new_rows = np.sort(np.concatenate([kept, group.ravel()]))
+    out = np.zeros((len(new_rows), amps.shape[1]), dtype=np.result_type(amps, complex))
+    out[np.searchsorted(new_rows, rows)] = amps
+    pos = np.searchsorted(new_rows, group)
     block = out[pos]  # a copy, which ``mix`` may overwrite
     out[pos] = g.mix(block.reshape(1 << k, -1)).reshape(block.shape)
-    if not full:
-        live = np.any(out != 0, axis=1)
-        if not live.all():
-            return new_rows[live], out[live]
+    live = np.any(out != 0, axis=1)
+    if not live.all():
+        return new_rows[live], out[live]
     return new_rows, out
 
 
 def apply_gate(state: np.ndarray, g: Gate, nq: int) -> np.ndarray:
     """Exact action of one gate on a statevector or a batch of columns:
-    :func:`_live_gate` on all 2^nq rows."""
+    :func:`_live_gate` on all 2^nq rows, scattered once into basis order
+    in a new array."""
     if state.shape[0] != 1 << nq:
         raise ValueError(f"state dimension {state.shape[0]} != 2^{nq}")
-    _, out = _live_gate(g, np.arange(1 << nq), state.reshape(len(state), -1), nq)
+    rows, amps = _live_gate(g, np.arange(1 << nq), state.reshape(len(state), -1), nq)
+    out = np.empty_like(amps)
+    out[rows] = amps
     return out.reshape(state.shape)
 
 
 def _simulate(circuit: StructuredCircuit, rows: np.ndarray, amps: np.ndarray):
-    """The circuit on the live state ``(rows, amps)``, ``rows`` sorted;
-    returns the live state after it, also sorted.  A state with more than
-    ``2^nq / DENSE_SHARE`` rows is filled in to all 2^nq rows, which the
-    gates after it keep, once those fit LIVE_CAP."""
+    """The circuit on the live state ``(rows, amps)``; returns the live
+    state after it, sorted once at the end.  The rows are labels, in any
+    order.  A state with more than ``2^nq / DENSE_SHARE`` rows is filled
+    in to all 2^nq rows, which the gates after it keep, once those fit
+    LIVE_CAP."""
     nq = circuit.total_qubits
     dense = (1 << nq) * amps.shape[1] <= LIVE_CAP
     for g in circuit.gates:
@@ -673,10 +670,8 @@ def _simulate(circuit: StructuredCircuit, rows: np.ndarray, amps: np.ndarray):
             full[rows] = amps
             rows, amps = np.arange(1 << nq), full
         rows, amps = _live_gate(g, rows, amps, nq)
-    if len(rows) < 1 << nq:  # still live: sort once, at the end
-        order = np.argsort(rows)
-        rows, amps = rows[order], amps[order]
-    return rows, amps
+    order = np.argsort(rows)
+    return rows[order], amps[order]
 
 
 def apply_circuit(state: np.ndarray, circuit: StructuredCircuit) -> np.ndarray:

@@ -498,3 +498,98 @@ def test_spblock_of_the_zero_state_leaves_every_input_unchanged(k, monkeypatch):
         c = G.StructuredCircuit(nq, (), [g])
         for x in (_sparse_input(nq, 1, rng), _sparse_input(nq, 3, rng), batch):
             np.testing.assert_array_equal(G.apply_circuit(x, c), x)
+
+
+def _sorted_by_row(rows, amps):
+    order = np.argsort(rows)
+    return rows[order], amps[order]
+
+
+def _labelled_gates(rng, nq, kind):
+    """Random gates of ``kind``, plus, for the mixing kinds, a controlled
+    mix (an MCU with controls, so that ``hit`` is set) and a block on
+    scattered qubits in descending order."""
+    gates = [random_gate(rng, nq, kind) for _ in range(8)]
+    if kind == "mcu":
+        gates.append(G.MCU(((1, 0), (nq - 1, 1)), 2, random_u2(rng)))
+    if kind == "spblock":
+        gates.append(G.SPBlock.from_dict((nq - 1, 2, 0), random_state_dict(3, 5, rng)))
+    return gates
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_full_basis_rows_are_labels_in_any_order(kind):
+    rng = np.random.default_rng(KINDS.index(kind) + 900)
+    nq = 5
+    rows = np.arange(1 << nq)
+    for g in _labelled_gates(rng, nq, kind):
+        amps = rng.normal(size=(1 << nq, 3)) + 1j * rng.normal(size=(1 << nq, 3))
+        want_rows, want = _sorted_by_row(*G._live_gate(g, rows, amps, nq))
+        shuffle = rng.permutation(1 << nq)
+        got_rows, got = _sorted_by_row(*G._live_gate(g, rows[shuffle], amps[shuffle], nq))
+        np.testing.assert_array_equal(want_rows, rows)  # the full basis keeps every row
+        np.testing.assert_array_equal(got_rows, rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("share", [LIVE_ONLY, G.DENSE_SHARE])
+def test_simulate_returns_sorted_rows(share, monkeypatch):
+    monkeypatch.setattr(G, "DENSE_SHARE", share)
+    rng = np.random.default_rng(910 + share)
+    nq = 5
+    for trial in range(6):
+        c = G.StructuredCircuit(nq, (), hadamard_spread(rng, nq, random_gates(rng, nq, 20)))
+        for count in (1, 3, 1 << nq):
+            rows = np.sort(rng.choice(1 << nq, size=count, replace=False))
+            amps = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+            out_rows, _ = G._simulate(c, rows, amps)
+            assert (out_rows[1:] > out_rows[:-1]).all()
+
+
+def test_real_spblock_input_gives_the_complex_result():
+    g = G.SPBlock.from_dict((0, 2), {0: 0.6, 3: 0.8j})
+    got = G.apply_gate(np.arange(8.0), g, 3)
+    assert got.dtype == complex
+    np.testing.assert_array_equal(got, G.apply_gate(np.arange(8.0).astype(complex), g, 3))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_real_inputs_equal_their_complex_casts(kind, monkeypatch):
+    rng = np.random.default_rng(KINDS.index(kind) + 920)
+    nq = 4
+    default_share = G.DENSE_SHARE
+    for g in _labelled_gates(rng, nq, kind):
+        c = G.StructuredCircuit(nq, (), [g])
+        batch = rng.normal(size=(1 << nq, 3))
+        sparse = np.zeros(1 << nq)
+        sparse[rng.choice(1 << nq, size=2, replace=False)] = rng.normal(size=2)
+        for x in (batch, batch[:, 0], sparse):
+            np.testing.assert_array_equal(G.apply_gate(x, g, nq), G.apply_gate(x.astype(complex), g, nq))
+            for share in (LIVE_ONLY, default_share):
+                monkeypatch.setattr(G, "DENSE_SHARE", share)
+                np.testing.assert_array_equal(G.apply_circuit(x, c), G.apply_circuit(x.astype(complex), c))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_callers_arrays_are_never_written(kind, monkeypatch):
+    rng = np.random.default_rng(KINDS.index(kind) + 930)
+    nq = 4
+    for share in (LIVE_ONLY, G.DENSE_SHARE):
+        monkeypatch.setattr(G, "DENSE_SHARE", share)
+        for g in _labelled_gates(rng, nq, kind):
+            c = G.StructuredCircuit(nq, (), [g])
+            batch = rng.normal(size=(1 << nq, 3)) + 1j * rng.normal(size=(1 << nq, 3))
+            sparse = np.zeros(1 << nq, dtype=complex)
+            sparse[rng.choice(1 << nq, size=2, replace=False)] = 1.0
+            for x in (batch, batch[:, 0].copy(), batch.real.copy(), sparse):
+                kept = x.copy()
+                x.flags.writeable = False  # a write into x raises
+                outs = [G.apply_gate(x, g, nq), G.apply_circuit(x, c)]
+                if x.ndim == 1:
+                    outs.append(G.simulate_on_state(c, x))
+                for out in outs:
+                    assert not np.shares_memory(out, x)
+                np.testing.assert_array_equal(x, kept)
+            state = {3: 0.6, 9: 0.8j}
+            G.simulate_on_state(c, state)
+            assert state == {3: 0.6, 9: 0.8j}
