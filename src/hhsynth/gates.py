@@ -53,8 +53,9 @@ indices in play, so it never needs a 2^n array.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple, get_args
 
 import numpy as np
@@ -104,17 +105,17 @@ class _Gate:
     JSON form."""
 
     def remap(self, table) -> Gate:
-        """The same gate with every qubit ``q`` moved to ``table[q]``."""
-        moved = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in ("control", "target"):
-                moved[f.name] = table[v]
-            elif f.name == "controls":
-                moved[f.name] = tuple((table[q], p) for q, p in v)
-            elif f.name == "qubits":
-                moved[f.name] = tuple(table[q] for q in v)
-        return replace(self, **moved)
+        """The gate with every qubit ``q`` moved to ``table[q]``; other fields are shared."""
+        moved = object.__new__(type(self))
+        for name, v in self.__dict__.items():
+            if name in ("control", "target"):
+                v = table[v]
+            elif name == "controls":
+                v = tuple((table[q], p) for q, p in v)
+            elif name == "qubits":
+                v = tuple(table[q] for q in v)
+            moved.__dict__[name] = v
+        return moved
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}
@@ -182,7 +183,7 @@ class _Controlled(_Gate):
 
     def index_map(self, nq, idx):
         u, tpos = self.matrix, nq - 1 - self.target
-        if u is X_MATRIX or np.array_equal(u, X_MATRIX):
+        if _x_controls(self) is not None:
             flip = 1 << tpos
             if self.controls:
                 flip = _controls_hit(idx, self.controls, nq).astype(idx.dtype) << tpos
@@ -424,9 +425,6 @@ class SPBlock(_Gate):
     def dagger(self) -> list[Gate]:
         return [self._sharing(self.reflection, self.qubits, self.state, not self.inverted)]
 
-    def remap(self, table) -> Gate:
-        return self._sharing(self.reflection, tuple(table[q] for q in self.qubits), self.state, self.inverted)
-
     def describe(self) -> str:
         tag = "unprepare" if self.inverted else "prepare"
         return f"{tag}[{len(self.state)} amps](q{list(self.qubits)})"
@@ -547,23 +545,33 @@ class StructuredCircuit:
 # (2^N,) or (2^N, batch) arrays in basis order
 
 
+@functools.lru_cache(maxsize=1024)
+def _qubit_runs(qubits: tuple[int, ...], nq: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(bits, runs)``: the subset's bits in a basis index, and ``(shift,
+    mask)`` per shift: the bits ``idx & mask`` sit ``shift`` places lower
+    (higher if negative) in the subset value.  Adjacent ascending qubits
+    share one shift, so a run of them costs one shift."""
+    runs = {}
+    for k, q in enumerate(qubits):
+        shift = nq - len(qubits) + k - q
+        runs[shift] = runs.get(shift, 0) | 1 << (nq - 1 - q)
+    return sum(runs.values()), tuple(runs.items())
+
+
 def _subset_values(idx, qubits: tuple[int, ...], nq: int):
     """The subset value of a basis index, or of each index in an int64 array."""
     v = idx & 0  # 0, or a fresh zero array that |= fills in place
-    s = len(qubits)
-    for k, q in enumerate(qubits):
-        v |= ((idx >> (nq - 1 - q)) & 1) << (s - 1 - k)
+    for shift, mask in _qubit_runs(tuple(qubits), nq)[1]:
+        v |= (idx & mask) >> shift if shift >= 0 else (idx & mask) << -shift
     return v
 
 
 def _scatter_subset(idx, values, qubits, nq: int):
     """``idx`` with the subset's bits set to ``values`` (ints or int64 arrays)."""
-    out = idx
-    s = len(qubits)
-    for k, q in enumerate(qubits):
-        bit = (values >> (s - 1 - k)) & 1
-        pos = nq - 1 - q
-        out = (out & ~(1 << pos)) | (bit << pos)
+    bits, runs = _qubit_runs(tuple(qubits), nq)
+    out = idx & ~bits
+    for shift, mask in runs:
+        out |= (values << shift if shift >= 0 else values >> -shift) & mask
     return out
 
 
@@ -576,6 +584,13 @@ def _controls_hit(idx: np.ndarray, controls, nq: int) -> np.ndarray:
         if pol:
             want |= bit
     return (idx & mask) == want
+
+
+def _x_controls(g: Gate):
+    """The controls of an X gate (CNOT, MCX, X); None for any other gate."""
+    if isinstance(g, _Controlled) and (g.matrix is X_MATRIX or np.array_equal(g.matrix, X_MATRIX)):
+        return g.controls
+    return None
 
 
 def _sorted_unique(idx: np.ndarray) -> np.ndarray:
@@ -706,20 +721,33 @@ def relabel(word: list, nq: int, idx) -> tuple[np.ndarray, np.ndarray]:
     qubits, where ``word`` is a list of basis-relabeling or diagonal gates
     (each with an :meth:`_Gate.index_map`), first applied first.
 
-    The phase starts at 1 and is multiplied by each gate's phase in
-    application order, so it is bit-identical to multiplying out the full
-    tables gate by gate.
+    A run of X gates on equal controls commutes: one masked XOR of its
+    targets.  The phase is multiplied by each gate's phase in order, and by
+    ones at the first relabeling after a phase (which fixes the signs of
+    zero parts; a second product with ones changes no bit of a unit phase),
+    so it is bit-identical to multiplying out the full tables gate by gate.
     """
     idx = np.asarray(idx, dtype=np.int64)
     ph = np.ones(len(idx), dtype=complex)
-    for g in word:
-        imap = g.index_map(nq, idx)
-        if imap is None:
-            raise TypeError(f"{g!r} is not a permutation/diagonal gate")
-        idx, p = imap
-        # a relabeling multiplies by ones too: that fixes the signs of zero
-        # parts exactly as the product of full tables does
-        ph = (np.ones(len(idx), dtype=complex) if p is None else p) * ph
+    rephased, k = False, 0  # rephased: a phase came after the last ones
+    while k < len(word):
+        g, k = word[k], k + 1
+        controls = _x_controls(g)
+        if controls is None:
+            imap = g.index_map(nq, idx)
+            if imap is None:
+                raise TypeError(f"{g!r} is not a permutation/diagonal gate")
+            idx, p = imap
+        else:
+            bits = 1 << (nq - 1 - g.target)
+            while k < len(word) and _x_controls(word[k]) == controls:
+                bits, k = bits ^ 1 << (nq - 1 - word[k].target), k + 1
+            flip = _controls_hit(idx, controls, nq) * bits if controls else bits
+            idx, p = idx ^ flip, None
+        if p is not None:
+            ph, rephased = p * ph, True
+        elif rephased:
+            ph, rephased = np.ones(len(idx), dtype=complex) * ph, False
     return idx, ph
 
 
@@ -732,21 +760,25 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+_RY_PLUS, _RY_MINUS = _ry(math.pi / 4.0), _ry(-math.pi / 4.0)  # shared by every network
+
+
 def _margolus_gates(c1: int, c2: int, t: int) -> list[Gate]:
-    q = math.pi / 4.0
     return [
-        SingleQubit(t, _ry(q), label="ry"),
+        SingleQubit(t, _RY_PLUS, label="ry"),
         CNOT(c2, t),
-        SingleQubit(t, _ry(q), label="ry"),
+        SingleQubit(t, _RY_PLUS, label="ry"),
         CNOT(c1, t),
-        SingleQubit(t, _ry(-q), label="ry"),
+        SingleQubit(t, _RY_MINUS, label="ry"),
         CNOT(c2, t),
-        SingleQubit(t, _ry(-q), label="ry"),
+        SingleQubit(t, _RY_MINUS, label="ry"),
     ]
 
 
-# (the network) = Diag(_MARGOLUS_DIAG) . Toffoli on qubits (0, 1, 2)
+# (the network) = Diag(_MARGOLUS_DIAG) . Toffoli on qubits (0, 1, 2), and
+# its phases by the xmask of relaxed_mcx2's X-dressed controls
 _MARGOLUS_DIAG = np.array([1, 1, 1, 1, 1, -1, 1, 1], dtype=complex)
+_MARGOLUS_PHASES = {x: tuple(_MARGOLUS_DIAG[np.arange(8) ^ x].tolist()) for x in (0, 2, 4, 6)}
 
 
 def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int):
@@ -763,7 +795,7 @@ def relaxed_mcx2(controls: tuple[tuple[int, int], tuple[int, int]], target: int)
     gates.extend(_margolus_gates(q1, q2, target))
     gates.extend(dress)
     xmask = (4 if p1 == 0 else 0) | (2 if p2 == 0 else 0)
-    diag = Diagonal((q1, q2, target), tuple(_MARGOLUS_DIAG[np.arange(8) ^ xmask]))
+    diag = Diagonal((q1, q2, target), _MARGOLUS_PHASES[xmask])
     return gates, [MCX(controls, target), diag]
 
 

@@ -13,8 +13,8 @@ initially-outside entries.
 Greedy choices: the splitting maximizes the best block's initial occupancy
 (exhaustive when there are at most ``samples`` splittings, else that many
 seeded draws), and each insertion minimizes the Hamming cost d = d_c + d_r,
-with d_r for all rows obtained in one multi-source breadth-first search on
-the s-dimensional hypercube started from the free slots.
+with d_r for all rows from one multi-source breadth-first search per plan
+on the s-dimensional hypercube, from the free slots, repaired at each step.
 
 Doubly-controlled NOTs are emitted as the 3-CNOT relative-phase network;
 the plan's residual, a list of index-map gates, names each one as the
@@ -27,11 +27,11 @@ indices and one of amplitudes: splittings are scored with bit masks over
 the nonzero indices, all candidates by one row-wise sort of the
 candidates x nnz masked indices (:func:`block_scores`, in chunks under
 :data:`~hhsynth.gates.LIVE_CAP`), and each step tests block membership
-with the target's mask and moves the two arrays by its residual
-(:func:`~hhsynth.gates.relabel`), so planning costs polynomial time in n
-and nnz, with no 2^n array.  The exhaustive candidates of an ``(n, s)``
-and their masks are memoized, since one compile searches the same
-``(n, s)`` again and again; sampled candidates are drawn on every call.
+with the target's mask, splits the outside entries only and moves the two
+arrays by its residual (:func:`~hhsynth.gates.relabel`), so planning costs
+polynomial time in n and nnz, with no 2^n array.  The exhaustive candidates
+of an ``(n, s)`` and their masks are memoized, since one compile searches
+the same ``(n, s)`` again and again; sampled ones are drawn on every call.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class QubitSplitting:
             G._subset_values(index, self.register_qubits, self.n),
         )
 
-    @property
+    @functools.cached_property
     def block_mask(self) -> int:
         """The block qubits' bits in a full basis index."""
         return _block_mask(self.n, self.register_qubits)
@@ -128,7 +128,7 @@ def choose_splitting(
         raise ValueError(f"register size {s} exceeds {n} qubits")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    pattern = np.unique(np.fromiter(pattern, dtype=np.int64))
+    pattern = G._sorted_unique(np.fromiter(pattern, dtype=np.int64))
     if len(pattern) > (1 << s):
         raise ValueError("pattern does not fit in a 2^s block")
     if s == n:
@@ -171,7 +171,7 @@ def _sampled_register_subsets(n: int, s: int, samples: int, rng):
     attempts = 0
     while len(out) < samples and attempts < 50 * samples:
         attempts += 1
-        reg = tuple(sorted(int(q) for q in rng.choice(n, size=s, replace=False)))
+        reg = tuple(sorted(rng.choice(n, size=s, replace=False).tolist()))
         if reg not in seen:
             seen.add(reg)
             out.append(reg)
@@ -207,6 +207,25 @@ def hypercube_multisource_bfs(s: int, sources) -> tuple[np.ndarray, np.ndarray]:
         frontier = np.flatnonzero(dist == d)
     src[src == size] = -1
     return dist, src
+
+
+def _fill_slot(dist: np.ndarray, src: np.ndarray, free: np.ndarray, slot: int) -> np.ndarray:
+    """Take ``slot`` out of the sorted ``free`` slots, repair their table
+    ``(dist, src)`` in place and return the slots left.  Only the vertices
+    whose nearest slot was ``slot`` change (a lost slot lowers no distance
+    and keeps every other vertex's smallest nearest slot), each to the first
+    nearest slot left, at most ``LIVE_CAP`` vertex-slot pairs at a time."""
+    free = free[free != slot]
+    cell = (src == slot).nonzero()[0]
+    if not len(free):  # no slot left: every vertex is unreached
+        dist[:], src[:] = np.iinfo(np.int64).max, -1
+        return free
+    for lo in range(0, len(cell), step := max(1, G.LIVE_CAP // len(free))):
+        part = cell[lo : lo + step]
+        d = np.bitwise_count(part[:, None] ^ free)
+        j = d.argmin(axis=1)
+        dist[part], src[part] = d[np.arange(len(part)), j], free[j]
+    return free
 
 
 @dataclass
@@ -249,7 +268,8 @@ def pivot_plan(
     splitting: QubitSplitting,
     target_block: int,
 ) -> PivotPlan:
-    """Greedy insertion plan moving all nonzeros into the target block."""
+    """Greedy insertion plan moving all nonzeros into the target block, with
+    one nearest-free-slot table that each step repairs (:func:`_fill_slot`)."""
     n = splitting.n
     s = splitting.s
     work = prune_state(v)
@@ -261,29 +281,37 @@ def pivot_plan(
     amps = np.fromiter(work.values(), dtype=complex, count=len(work))
     block_mask = splitting.block_mask
     target_key = splitting.join(target_block, 0)
+    reg_qubits = splitting.register_qubits
+    free = np.ones(1 << s, dtype=bool)
+    free[G._subset_values(keys[(keys & block_mask) == target_key], reg_qubits, n)] = False
+    free = np.flatnonzero(free)
+    dist, src = hypercube_multisource_bfs(s, free)
     steps: list[PivotStep] = []
     gates: list[G.Gate] = []
     residual: list[G.Gate] = []
     while True:
-        reg = G._subset_values(keys, splitting.register_qubits, n)
         outside = (keys & block_mask) != target_key
         if not outside.any():
             break
-        occupied = np.zeros(1 << s, dtype=bool)
-        occupied[reg[~outside]] = True
-        dist, src = hypercube_multisource_bfs(s, np.flatnonzero(~occupied))
         # cheapest outside entry, the smallest index among equals; d_c
         # counts the differing block bits where they sit in the index
-        out_keys, out_reg = keys[outside], reg[outside]
+        out_keys = keys[outside]
+        out_reg = G._subset_values(out_keys, reg_qubits, n)
         cost = np.bitwise_count((out_keys ^ target_key) & block_mask) + dist[out_reg]
-        k = np.lexsort((out_keys, cost))[0]
-        dest = splitting.join(target_block, int(src[out_reg[k]]))
+        best = (cost == cost.min()).nonzero()[0]
+        k = best[np.argmin(out_keys[best])]
+        slot = int(src[out_reg[k]])
+        dest = splitting.join(target_block, slot)
         sgates, word, ncnots = _insertion_gates(splitting, int(out_keys[k]), dest)
         steps.append(PivotStep(ncnots, sgates))
         gates.extend(sgates)
         residual.extend(word)
         keys, ph = G.relabel(word, n, keys)
         amps = amps * ph
+        # one slot fills: the fan fires only on the source's control bit and
+        # the NOT only on the free slot, so no entry inside the block moves
+        free = _fill_slot(dist, src, free, slot)
+    reg = G._subset_values(keys, reg_qubits, n)
     amps = amps.tolist()
     x_layer = G.x_layer(target_key, splitting.block_qubits, n)
     return PivotPlan(

@@ -73,6 +73,15 @@ def test_remap_moves_every_gate_kind():
     for g in sample_gates():
         moved = g.remap(table)
         assert type(moved) is type(g)
+        want = g.to_json()
+        for key in ("control", "target"):
+            if key in want:
+                want[key] = table[want[key]]
+        if "controls" in want:
+            want["controls"] = [[table[q], p] for q, p in want["controls"]]
+        if "qubits" in want:
+            want["qubits"] = [table[q] for q in want["qubits"]]
+        assert moved.to_json() == want
         np.testing.assert_allclose(
             G.gate_unitary(moved, 4), _move_qubits(G.gate_unitary(g, 4), table, 4),
             rtol=0, atol=1e-12, err_msg=repr(g),
@@ -689,6 +698,113 @@ def _reference_unitary(g, n):
                 y = (y & ~(1 << pos)) | (((new >> (k - 1 - i)) & 1) << pos)
         u[y, x] = phase
     return u
+
+
+def _relabel_gate_by_gate(word, nq, idx):
+    """A residual word one gate at a time, the phase multiplied by ones at
+    every relabeling: :func:`gates.relabel` must match it bit for bit."""
+    idx = np.asarray(idx, dtype=np.int64)
+    ph = np.ones(len(idx), dtype=complex)
+    for g in word:
+        idx, p = g.index_map(nq, idx)
+        ph = (np.ones(len(idx), dtype=complex) if p is None else p) * ph
+    return idx, ph
+
+
+def test_fused_relabel_matches_the_gate_by_gate_word():
+    # phases with zero parts of either sign, where a product with ones
+    # changes the sign of a zero
+    units = [1, -1, 1j, -1j, complex(-0.0, 1), complex(1, -0.0), complex(-1, -0.0), complex(0.0, -1)]
+    rng = np.random.default_rng(24)
+    for trial in range(200):
+        n = int(rng.integers(3, 10))
+
+        def phase():
+            return units[int(rng.integers(len(units)))] if rng.uniform() < 0.5 else np.exp(2j * np.pi * rng.uniform())
+
+        word = []
+        for _ in range(int(rng.integers(1, 12))):
+            qs = [int(q) for q in rng.permutation(n)]
+            kind = int(rng.integers(7))
+            if kind == 0:  # a fold's fan, of either polarity, with a repeated pair
+                ctrl, pol = qs[0], int(rng.integers(2))
+                fan = [G.CNOT(ctrl, t) if pol else G.MCX(((ctrl, 0),), t) for t in qs[1 : int(rng.integers(2, n))]]
+                fan.insert(int(rng.integers(len(fan) + 1)), fan[0])
+                word += fan + fan[:1]
+            elif kind == 1:  # an X layer
+                word += [G.x_gate(q) for q in qs[: int(rng.integers(1, n))]]
+            elif kind == 2:
+                controls = tuple((q, int(rng.integers(2))) for q in qs[1 : int(rng.integers(1, n))])
+                word += [G.MCX(controls, qs[0])] * int(rng.integers(1, 3))
+            elif kind == 3:
+                k = int(rng.integers(1, 4))
+                word.append(G.Diagonal(tuple(qs[:k]), tuple(phase() for _ in range(1 << k))))
+            elif kind == 4:
+                controls = tuple((q, int(rng.integers(2))) for q in qs[1 : int(rng.integers(1, n))])
+                word.append(G.MCU(controls, qs[0], np.diag([phase(), phase()])))
+            elif kind == 5:
+                word.append(G.Decrement(tuple(qs[: int(rng.integers(1, n + 1))])))
+            else:
+                word.append(G.PermutationGate(tuple(qs[:2]), tuple(int(x) for x in rng.permutation(4))))
+        idx = rng.choice(1 << n, size=int(rng.integers(1, 1 << n)), replace=False)
+        dst, ph = G.relabel(word, n, idx)
+        want_dst, want_ph = _relabel_gate_by_gate(word, n, idx)
+        np.testing.assert_array_equal(dst, want_dst)
+        for part in ("real", "imag"):
+            got = [float.hex(x) for x in getattr(ph, part)]
+            assert got == [float.hex(x) for x in getattr(want_ph, part)], (trial, part)
+
+
+def _subset_values_per_bit(idx, qubits, nq):
+    v = idx & 0
+    for k, q in enumerate(qubits):
+        v |= ((idx >> (nq - 1 - q)) & 1) << (len(qubits) - 1 - k)
+    return v
+
+
+def _scatter_subset_per_bit(idx, values, qubits, nq):
+    out = idx
+    for k, q in enumerate(qubits):
+        pos = nq - 1 - q
+        out = (out & ~(1 << pos)) | (((values >> (len(qubits) - 1 - k)) & 1) << pos)
+    return out
+
+
+@pytest.mark.parametrize(
+    "nq, qubits",
+    [
+        (5, ()),
+        (5, (3,)),
+        (62, (0,)),
+        (62, (61, 0)),
+        (8, (2, 3, 4)),
+        (8, (5, 6, 7, 0, 1, 2)),  # runs that move up and down
+        (8, (4, 2, 7, 0)),
+        (8, (3, 0, 5)),  # apart, with one shift
+        (8, (7, 6, 5, 4)),
+        (40, tuple(range(5, 17))),
+        (40, (0, 1, 9, 10, 11, 39, 20, 21)),
+        (62, tuple(range(62))),
+    ],
+)
+def test_subset_kernels_match_the_per_bit_loops(nq, qubits):
+    rng = np.random.default_rng(nq + len(qubits))
+    idx = rng.integers(0, 1 << nq, size=64, dtype=np.int64)
+    values = rng.integers(0, 1 << len(qubits), size=64, dtype=np.int64)
+    np.testing.assert_array_equal(G._subset_values(idx, qubits, nq), _subset_values_per_bit(idx, qubits, nq))
+    np.testing.assert_array_equal(
+        G._scatter_subset(idx, values, qubits, nq), _scatter_subset_per_bit(idx, values, qubits, nq)
+    )
+    for i, v in zip(idx[:8].tolist(), values[:8].tolist()):  # Python ints
+        got = G._subset_values(i, qubits, nq), G._scatter_subset(i, v, qubits, nq)
+        assert got == (_subset_values_per_bit(i, qubits, nq), _scatter_subset_per_bit(i, v, qubits, nq))
+        assert all(type(x) is int for x in got)
+    if len(qubits) <= 12:  # the live path's group offsets
+        every = np.arange(1 << len(qubits))
+        np.testing.assert_array_equal(
+            G._scatter_subset(np.zeros_like(every), every, qubits, nq),
+            _scatter_subset_per_bit(np.zeros_like(every), every, qubits, nq),
+        )
 
 
 def test_index_map_residual_matches_dense_product():

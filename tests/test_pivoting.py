@@ -177,6 +177,42 @@ def test_bfs_matches_brute_force():
         check(s, list(range(1 << s)))  # every vertex is a source
 
 
+def test_every_step_keeps_the_nearest_free_slot_table_exact(monkeypatch):
+    # each repaired (dist, src) against a fresh brute-force table of the
+    # slots left, and the slots filled against the plan's own occupancy
+    steps = []
+    fill = P._fill_slot
+
+    def record(dist, src, free, slot):
+        left = fill(dist, src, free, slot)
+        steps.append((dist.copy(), src.copy(), free.tolist(), slot, left.tolist()))
+        return left
+
+    monkeypatch.setattr(P, "_fill_slot", record)
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        s = int(rng.integers(0, 7))
+        n = s + int(rng.integers(1, 4))
+        order = [int(q) for q in rng.permutation(n)]
+        sp = QubitSplitting(tuple(order[s:]), tuple(order[:s]))
+        blk = int(rng.integers(1 << (n - s)))
+        v = random_state_dict(n, int(rng.integers(1, (1 << s) + 1)), rng)
+        steps.clear()
+        plan = pivot_plan(v, sp, blk)
+        assert len(steps) == len(plan.steps)
+        free = sorted(set(range(1 << s)) - {sp.split(k)[1] for k in v if sp.split(k)[0] == blk})
+        for dist, src, before, slot, left in steps:
+            assert before == free and slot in free
+            free.remove(slot)
+            assert left == free
+            for vtx in range(1 << s):
+                if free:  # the nearest slot left, the smallest among equals
+                    assert (dist[vtx], src[vtx]) == min(((vtx ^ f).bit_count(), f) for f in free)
+                else:
+                    assert (dist[vtx], src[vtx]) == (np.iinfo(np.int64).max, -1)
+        assert sorted(plan.register_state) == sorted(set(range(1 << s)) - set(free))
+
+
 def test_single_insertion_at_distance_one():
     # one outside entry whose register part already matches a free slot:
     # zero adjust CNOTs, one register-controlled NOT as the relaxed Toffoli
