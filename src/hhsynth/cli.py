@@ -1,7 +1,8 @@
 """Batch front-end: compile, verify, audit, order and bench subcommands.
 
 Exit codes: 0 success, 2 input parse failure, 3 input validation failure
-(a simulation past ``gates.LIVE_CAP`` included), 4 verification failure.
+(a simulation past ``gates.LIVE_CAP`` and a run out of memory included),
+4 verification failure.
 Identical arguments and seed produce byte-identical outputs.
 """
 
@@ -171,7 +172,9 @@ def cmd_verify(args) -> int:
     if args.row_perm:
         row_perm = _load_json(args.row_perm)
     eq = G.equivalent(circuit, w, args.mode, args.tol, row_perm=row_perm)
-    print(json.dumps({"ok": eq.ok, "residual": eq.residual}))
+    # JSON has no infinity: a residual that is not finite is written null
+    residual = eq.residual if math.isfinite(eq.residual) else None
+    print(json.dumps({"ok": eq.ok, "residual": residual}))
     return 0 if eq.ok else EXIT_VERIFY
 
 
@@ -321,6 +324,13 @@ def main(argv=None) -> int:
     except G.CircuitVerificationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY
+    except MemoryError as e:
+        print(
+            f"error: out of memory ({e}); --method ssp and --method no-fill-in "
+            "hold no 2^n array",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATE
 
 
 if __name__ == "__main__":

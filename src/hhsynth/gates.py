@@ -158,14 +158,18 @@ class _Gate:
         raise NotImplementedError
 
 
+def _own_matrix(gate) -> None:
+    """``__post_init__`` of the gates that hold their own matrix field:
+    it is stored as a complex array, and must be 2x2."""
+    object.__setattr__(gate, "matrix", np.asarray(gate.matrix, dtype=complex))
+    if gate.matrix.shape != (2, 2):
+        raise ValueError(f"{gate.kind} matrix must be 2x2")
+
+
 class _Controlled(_Gate):
     """A 2x2 ``matrix`` on ``target``, applied where every (qubit, polarity)
-    pair of ``controls`` matches; CNOT and MCX apply X."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        if self.matrix.shape != (2, 2):
-            raise ValueError(f"{self.kind} matrix must be 2x2")
+    pair of ``controls`` matches; CNOT and MCX apply the class constant
+    ``X_MATRIX``, which no instance holds."""
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -216,6 +220,7 @@ class SingleQubit(_Controlled):
     label: str = "u"
     kind = "single"
     controls = ()
+    __post_init__ = _own_matrix
 
     def dagger(self) -> list[Gate]:
         return [SingleQubit(self.target, self.matrix.conj().T, label=self.label + "^")]
@@ -241,6 +246,7 @@ class MCU(_Controlled):
     target: int
     matrix: np.ndarray
     kind = "mcu"
+    __post_init__ = _own_matrix
 
     def dagger(self) -> list[Gate]:
         return [MCU(self.controls, self.target, self.matrix.conj().T)]
@@ -329,13 +335,6 @@ def _sorted_state(rows: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.nd
     return rows[last], amps[last]
 
 
-def _divide_parts(z: np.ndarray, x: float) -> np.ndarray:
-    """A complex array divided by a positive float, each part on its own,
-    as Python's complex-by-float division rounds (numpy's ``z / x``
-    multiplies by ``1 / x``, which differs in the last bit)."""
-    return (np.ascontiguousarray(z, dtype=complex).view(np.float64) / x).view(np.complex128)
-
-
 def _block_reflection(k: int, rows: np.ndarray, amps: np.ndarray) -> BlockReflection:
     """The reflection of a state on ``k`` qubits, given as sorted distinct
     int64 ``rows`` and their complex ``amps``.  Raises ValueError if a row
@@ -350,14 +349,8 @@ def _block_reflection(k: int, rows: np.ndarray, amps: np.ndarray) -> BlockReflec
         amps = np.concatenate([np.zeros(1, dtype=complex), amps])
     # w is unit to rounding, so that H_u is unitary to rounding; u is not
     # pruned, so that column 0 is the state to rounding however small an
-    # amplitude is.  Each part is divided, and the phase taken of a Python
-    # complex, as householder.reduction_vector rounds: simulated blocks
-    # keep the floats they had as dicts (numpy's complex-by-float division
-    # here moves benchmark residuals by up to 1.4e-14)
-    w = _divide_parts(amps, nrm)
-    _, eith = hh.target_phase(complex(w[0]))
-    v, scale = hh.reduction_array(w, 0, eith)
-    u = _divide_parts(v, scale)
+    # amplitude is
+    u, eith = hh.reflection(hh.divide_parts(amps.copy(), nrm), 0)
     return BlockReflection(rows, u, eith)
 
 
@@ -369,7 +362,7 @@ class SPBlock(_Gate):
     unitary is ``U = H_u D``: ``D`` puts the phase ``e^{i theta}`` on
     |0..0>, and ``H_u = I - 2|u><u|`` is the column-reduction reflection
     sending the state to ``e^{i theta}|0..0>``
-    (:func:`householder.reduction_array`, target 0), so column 0 is the
+    (:func:`householder.reflection`, target 0), so column 0 is the
     state.  The normalization ``1 + |v_0|`` is at least 1, so this is
     stable for every state, and for the state |0..0> it is exactly the
     identity.  Any completion gives the same reflection ``U H0 U^dag`` and
@@ -437,7 +430,7 @@ class SPBlock(_Gate):
         # a correction of column 0: at the state |0..0> this is exactly I
         if not self.inverted:
             block[0] *= eith
-        block -= np.outer(u, 2.0 * (u.conj() @ block))
+        hh.reflect(u, block)
         if self.inverted:
             block[0] *= eith.conjugate()
         return block

@@ -2,9 +2,9 @@
 
 One construction gives every reflection: the standard reflection
 ``H_u = I - 2|u><u|`` sending a unit column ``w`` to ``e^{i theta}|t>``.
-:func:`reduction_vector` builds its ``u`` from a sparse column,
-:func:`reduction_array` from a column held as an array, and
-:func:`target_phase` its phase; the normalization ``1 + |w_t|`` is at
+:func:`reflection` builds its ``u`` and phase from an array column,
+:func:`reduction_vector` from a sparse one, both dividing part by part;
+:func:`reflect` applies ``H_u``.  The normalization ``1 + |w_t|`` is at
 least 1, so the construction is stable for every column.  The
 decompositions reduce columns with it, and the simulator applies every
 state-preparation block as it (target 0, after a phase on |0..0>;
@@ -55,17 +55,33 @@ def reduction_vector(
     return prune_state(u), theta
 
 
-def reduction_array(w: np.ndarray, t: int, eith: complex) -> tuple[np.ndarray, float]:
+def divide_parts(z: np.ndarray, x: float) -> np.ndarray:
+    """The contiguous complex array ``z`` divided in place by a positive
+    float, each part on its own, as Python's complex-by-float division
+    rounds (numpy's ``z / x`` multiplies by ``1 / x``, which differs in the
+    last bit); returns ``z``."""
+    z.view(np.float64)[:] /= x
+    return z
+
+
+def reflection(w: np.ndarray, t: int) -> tuple[np.ndarray, complex]:
     """Array form of :func:`reduction_vector` for a unit complex column
-    ``w`` held as an array, with ``eith`` the :func:`target_phase` of
-    ``w[t]``: ``w - eith |t>`` (a new array over the same positions, not
-    pruned) and its norm ``sqrt(2 (1 + |w_t|))``; ``u`` is their quotient.
-    The caller divides, and so keeps its own rounding: the dense paths'
-    circuits are built with numpy's complex-by-float division, and
-    ``gates.SPBlock`` divides each part, as :func:`reduction_vector` does."""
-    v = w.copy()
-    v[t] -= eith
-    return v, math.sqrt(2.0 * (1.0 + abs(w[t])))
+    ``w``: ``u`` on all of ``w``'s positions (not pruned) and
+    ``e^{i theta}``.  ``u`` is one copy of ``w`` divided in place part by
+    part, so its values are :func:`reduction_vector`'s (a zero's sign
+    aside)."""
+    at = complex(w[t])
+    _, eith = target_phase(at)
+    u = np.array(w, dtype=complex)
+    u[t] -= eith
+    return divide_parts(u, math.sqrt(2.0 * (1.0 + abs(at)))), eith
+
+
+def reflect(u: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``H_u block`` for ``H_u = I - 2|u><u|``, in place in ``block`` (the
+    factor 2 is exact, so this rounds as ``block - 2 |u><u| block`` does)."""
+    block -= np.outer(u, 2.0 * (u.conj() @ block))
+    return block
 
 
 @dataclass

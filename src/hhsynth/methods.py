@@ -354,17 +354,13 @@ def _reduce_dense_level(
         if math.sqrt(float(np.sum(off))) <= 1e-12:
             trace.append(StepTrace(i, i, i, 1, 0, True))
             continue
-        _, eith = hh.target_phase(col[i])
-        u, nrm = hh.reduction_array(col, i, eith)
-        u /= nrm
+        u, _ = hh.reflection(col, i)
         step = StepTrace(i, i, i, int(np.count_nonzero(mag > EPS0)), len(sp_qubits), False)
         if trace_entries:
             step.col_support = frozenset(np.flatnonzero(mag > EPS0).tolist())
             step.row_support = frozenset(np.flatnonzero(np.abs(work[i, :cols]) > EPS0).tolist())
             pre = work[:, :cols].copy()
-        # H_u = I - 2|u><u|; the factor 2 is exact, so this rounds as
-        # work - 2 |u><u| work does
-        work -= np.outer(u, 2.0 * (u.conj() @ work))
+        hh.reflect(u, work)
         support = np.flatnonzero(np.abs(u) > EPS0)
         unprep = G.SPBlock.from_arrays(sp_qubits, support, u[support], inverted=True)
         triples.append(_reflection([unprep], dress, n, unprep.dagger()))
@@ -631,9 +627,7 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
         circuit = G.StructuredCircuit(n, (), [])
         return circuit, residual
     target_idx = dim - 2
-    _, eith = hh.target_phase(u[0, 0])
-    wvec, nrm = hh.reduction_array(u[:, 0], 0, eith)
-    wvec /= nrm
+    wvec, _ = hh.reflection(u[:, 0], 0)
     gh = np.array([[wvec[0], -wvec[1].conjugate()], [wvec[1], wvec[0].conjugate()]], dtype=complex)
     gates = _reflection(
         [G.SingleQubit(n - 1, gh.conj().T, label="fold")],
@@ -642,7 +636,7 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
         [G.SingleQubit(n - 1, gh, label="fold")],
     )
     # residual: H (2x2 block on the last two basis states) = C_k(u) . D
-    h2 = np.eye(2, dtype=complex) - 2.0 * np.outer(wvec, wvec.conj())
+    h2 = hh.reflect(wvec, np.eye(2, dtype=complex))
     d2 = u.conj().T @ h2
     if np.max(np.abs(d2 - np.diag(np.diag(d2)))) > 1e-10:
         raise AssertionError("controlled-u residual is not diagonal")

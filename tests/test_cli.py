@@ -309,6 +309,42 @@ def test_compile_dense_past_the_live_cap_exit_3(tmp_path):
     assert run(["compile", mat, "--method", "dense", "--verify", "-o", str(tmp_path / "c.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["compile", "--method", "sparse"], ["compile", "--method", "fixed-env"], ["order"]]
+)
+def test_a_2n_array_at_n_40_exits_3(tmp_path, argv):
+    # these build a 2^n row map; out of memory is one line and exit 3, and
+    # the line names the methods that build none
+    mat = write_json(tmp_path / "v.json", {"n": 40, "m": 0, "entries": [[5, 0, 1.0, 0]]})
+    proc = _run_capped([argv[0], mat, *argv[1:]])
+    assert proc.returncode == cli.EXIT_VALIDATE, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert "out of memory" in proc.stderr and "--method ssp and --method no-fill-in" in proc.stderr
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_prints_strict_json(tmp_path, capsys):
+    mat = write_json(tmp_path / "readme.json", README_MATRIX)
+    circuit = str(tmp_path / "c.json")
+    assert run(["compile", mat, "-o", circuit]) == 0
+    wrong = dict(README_MATRIX, entries=[[0, 0, 1.0, 0.0], [6, 1, 0.0, 1.0]])
+    wrong = write_json(tmp_path / "wrong.json", wrong)
+    # a 3-qubit circuit against a 2-qubit state: the residual is infinite
+    state = write_json(tmp_path / "state.json", {"n": 2, "m": 0, "entries": [[0, 0, 1.0, 0.0]]})
+    capsys.readouterr()
+    for matrix, code in [(mat, 0), (wrong, cli.EXIT_VERIFY), (state, cli.EXIT_VERIFY)]:
+        assert run(["verify", circuit, matrix]) == code
+        out = _strict_json(capsys.readouterr().out)
+        assert out["ok"] == (code == 0)
+        assert (out["residual"] is None) == (matrix == state)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
 @pytest.mark.parametrize("command", ["compile", "verify"])
 def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, command, tol):

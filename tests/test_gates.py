@@ -67,6 +67,17 @@ def _move_qubits(u, table, nq):
     return out
 
 
+def test_x_gates_hold_no_matrix():
+    # CNOT and MCX apply the class constant; only a matrix field is checked
+    for g in (G.CNOT(0, 1), G.MCX(((0, 1), (2, 0)), 1)):
+        assert "matrix" not in g.__dict__ and "matrix" not in g.remap([2, 0, 1]).__dict__
+        assert g.matrix is G.X_MATRIX
+    for build in (lambda m: G.SingleQubit(0, m), lambda m: G.MCU(((0, 1),), 1, m)):
+        assert build([[0, 1], [1, 0]]).matrix.dtype == complex
+        with pytest.raises(ValueError, match="2x2"):
+            build(np.eye(3))
+
+
 def test_remap_moves_every_gate_kind():
     # the sample gates act on qubits 0..2; qubit 0 moves to the spare qubit 3
     table = {0: 3, 1: 0, 2: 1, 3: 2}

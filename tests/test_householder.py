@@ -7,9 +7,9 @@ import pytest
 from hhsynth.householder import (
     fill_in_predicate,
     reduce_column,
-    reduction_array,
+    reflect,
+    reflection,
     reduction_vector,
-    target_phase,
 )
 from hhsynth.numerics import EPS0, SparseIsometry, state_to_vector
 
@@ -67,29 +67,38 @@ def _same_values(a, b):
     return np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
 
 
-def test_reduction_array_divides_as_each_caller_did():
-    # divided part by part, it is reduction_vector bit for bit (which
-    # simulated blocks depend on); divided by numpy, it is the arithmetic
-    # the dense paths had inline (which their circuits depend on)
+def test_reflection_is_reduction_vector():
+    # the array builder gives the dict form's values bit for bit (a zero's
+    # sign aside), on every position of the column: sparse circuits and
+    # simulated blocks rest on that
     rng = np.random.default_rng(12)
     for trial in range(300):
         k = int(rng.integers(1, 7))
         v = random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng)
         t = int(rng.integers(1 << k))
         w = state_to_vector(v, k)
-        _, eith = target_phase(complex(w[t]))
-        d, nrm = reduction_array(w, t, eith)
-        want = reduction_vector(v, t)[0]
-        u = (d.view(np.float64) / nrm).view(complex)
-        assert set(want) <= set(np.flatnonzero(u).tolist()) | {t}
+        u, eith = reflection(w, t)
+        want, theta = reduction_vector(v, t)
+        assert set(want) <= set(np.flatnonzero(u).tolist())
         assert _same_values(u[list(want)], list(want.values()))
-        at = w[t]
-        _, eith = target_phase(at)
-        d, nrm = reduction_array(w, t, eith)
-        old = w.copy()
-        old[t] -= eith
-        old /= math.sqrt(2.0 * (1.0 + abs(at)))
-        assert _same_values(d / nrm, old)
+        assert np.all(np.abs(np.delete(u, list(want))) <= EPS0)
+        at = complex(w[t])
+        assert eith == (-at / abs(at) if abs(at) > EPS0 else 1.0)
+        assert abs(eith - cmath.exp(1j * theta)) <= 1e-15
+        assert np.array_equal(w, state_to_vector(v, k))  # the column is not touched
+
+
+def test_reflect_applies_the_reflection_in_place():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        k = int(rng.integers(1, 5))
+        w = state_to_vector(random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng), k)
+        u, eith = reflection(w, 0)
+        block = np.column_stack([w, rng.normal(size=1 << k) + 0j])
+        want = (np.eye(1 << k) - 2.0 * np.outer(u, u.conj())) @ block
+        assert reflect(u, block) is block
+        np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block[:, 0], eith * np.eye(1 << k)[0], rtol=0, atol=1e-12)
 
 
 def test_reduce_column_matches_dense_reflection_oracle():
