@@ -23,7 +23,7 @@ from .householder import (
     ReductionRecord,
     fill_in_predicate,
     reduce_column,
-    reduction_vector,
+    sparse_reflection,
 )
 from .gates import (
     CNOT,

@@ -51,14 +51,14 @@ def _load_json(path: str) -> dict:
 def _load_matrix(path: str) -> SparseIsometry:
     try:
         return matrix_from_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise CliError(f"bad matrix file {path}: {e}", EXIT_PARSE)
 
 
 def _load_circuit(path: str) -> G.StructuredCircuit:
     try:
         return G.circuit_from_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise CliError(f"bad circuit file {path}: {e}", EXIT_PARSE)
 
 
@@ -168,6 +168,8 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     circuit = _load_circuit(args.circuit)
     w = _load_matrix(args.matrix)
+    if circuit.n != w.n:
+        raise CliError(f"the circuit has {circuit.n} qubits, the matrix {w.n}", EXIT_PARSE)
     row_perm = None
     if args.row_perm:
         row_perm = _load_json(args.row_perm)

@@ -68,6 +68,7 @@ from .numerics import (
     amplitude_norm,
     check_permutation,
     int_field,
+    typed_field,
 )
 
 LIVE_CAP = 1 << 22  # amplitudes (rows x columns) of any simulated array: 64 MiB
@@ -132,7 +133,7 @@ class _Gate:
         for f in _data_fields(cls):
             key, _, decode = _JSON_FIELDS[f.name]
             if key in d or f.default is MISSING:
-                kw[f.name] = d[key] if decode is None else decode(d[key])
+                kw[f.name] = decode(d[key])
         return cls(**kw)
 
     def describe(self) -> str:
@@ -388,14 +389,13 @@ class SPBlock(_Gate):
 
     @classmethod
     def from_dict(cls, qubits, state: dict[int, complex], inverted: bool = False):
-        keys = sorted(state)
-        amps = np.fromiter(map(state.__getitem__, keys), dtype=complex, count=len(keys))
-        return cls.from_arrays(qubits, _state_rows(keys, len(keys)), amps, inverted)
+        amps = np.fromiter(state.values(), dtype=complex, count=len(state))
+        return cls.from_arrays(qubits, _state_rows(state, len(state)), amps, inverted)
 
     @classmethod
     def from_arrays(cls, qubits, rows: np.ndarray, amps: np.ndarray, inverted: bool = False):
         """The block whose state holds the int ``rows`` with the complex
-        ``amps``, built from these arrays (the dense path's constructor);
+        ``amps``, built from these arrays (every block the library builds);
         ``state`` lists them by increasing row, as :meth:`from_dict` does."""
         qubits = tuple(qubits)
         rows, amps = _sorted_state(np.asarray(rows, dtype=np.int64), np.asarray(amps, dtype=complex))
@@ -1021,7 +1021,7 @@ def _mat2(m: np.ndarray) -> list:
 def _mat2_from(d) -> np.ndarray:
     """A 2x2 unitary, to 1e-7 (an ssp ``phase`` gate holds the state's own
     amplitude, whose modulus is 1 only to the input norm tolerance)."""
-    m = np.array([[complex(*e) for e in row] for row in d], dtype=complex)
+    m = np.array([[_complex(e) for e in row] for row in d], dtype=complex)
     if m.shape == (2, 2) and not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-7:
         raise ValueError(f"gate matrix {m.tolist()} is not unitary")
     return m
@@ -1031,8 +1031,13 @@ def _qubit(q) -> int:
     return int_field(q, "qubit index")
 
 
+def _complex(pair) -> complex:
+    re, im = pair
+    return complex(typed_field(re, float, "real part"), typed_field(im, float, "imaginary part"))
+
+
 def _phi(x) -> float:
-    phi = float(x)
+    phi = typed_field(x, float, "phase")
     if not math.isfinite(phi):
         raise ValueError(f"phase {x!r} is not finite")
     return phi
@@ -1045,24 +1050,24 @@ def _controls(pairs) -> tuple[tuple[int, int], ...]:
     return out
 
 
-# gate field name -> (JSON key, encode, decode); None passes the value through
+# gate field name -> (JSON key, encode, decode); an encode of None passes the value through
 _JSON_FIELDS = {
     "control": ("control", None, _qubit),
     "target": ("target", None, _qubit),
     "controls": ("controls", lambda cs: [list(c) for c in cs], _controls),
     "qubits": ("qubits", list, lambda qs: tuple(map(_qubit, qs))),
     "matrix": ("matrix", _mat2, _mat2_from),
-    "label": ("label", None, None),
-    "phases": ("phases", lambda ps: [_c(p) for p in ps], lambda ps: tuple(complex(*p) for p in ps)),
+    "label": ("label", None, lambda x: typed_field(x, str, "label")),
+    "phases": ("phases", lambda ps: [_c(p) for p in ps], lambda ps: tuple(map(_complex, ps))),
     "mapping": ("map", list, tuple),
     "state": (
         "state",
         lambda st: [[k, a.real, a.imag] for k, a in st],
         lambda st: tuple(
-            sorted({int_field(k, "state index"): complex(re, im) for k, re, im in st}.items())
+            sorted({int_field(k, "state index"): _complex((re, im)) for k, re, im in st}.items())
         ),
     ),
-    "inverted": ("inverted", None, None),
+    "inverted": ("inverted", None, lambda x: typed_field(x, bool, "inverted")),
     "phi": ("phi", None, _phi),
 }
 

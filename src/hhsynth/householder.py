@@ -2,13 +2,13 @@
 
 One construction gives every reflection: the standard reflection
 ``H_u = I - 2|u><u|`` sending a unit column ``w`` to ``e^{i theta}|t>``.
-:func:`reflection` builds its ``u`` and phase from an array column,
-:func:`reduction_vector` from a sparse one, both dividing part by part;
-:func:`reflect` applies ``H_u``.  The normalization ``1 + |w_t|`` is at
-least 1, so the construction is stable for every column.  The
-decompositions reduce columns with it, and the simulator applies every
-state-preparation block as it (target 0, after a phase on |0..0>;
-``gates.SPBlock``), without a dense matrix.
+:func:`reflection` builds its ``u`` and phase, dividing part by part,
+from an array column, and :func:`sparse_reflection` from a sparse one
+gathered onto its rows; :func:`reflect` applies ``H_u``.  The
+normalization ``1 + |w_t|`` is at least 1, so the construction is stable
+for every column.  The decompositions reduce columns with it, and the
+simulator applies every state-preparation block as it (target 0, after a
+phase on |0..0>; ``gates.SPBlock``), without a dense matrix.
 
 :func:`reduce_column` applies the reflection sending column ``j`` of a
 sparse isometry to basis row ``i`` directly on the column storage via the
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import EPS0, SparseIsometry, prune_state
+from .numerics import EPS0, SparseIsometry
 
 
 def target_phase(a: complex) -> tuple[float, complex]:
@@ -39,20 +39,6 @@ def target_phase(a: complex) -> tuple[float, complex]:
     if abs(a) <= EPS0:
         return 0.0, 1.0 + 0j
     return math.pi + cmath.phase(a), -a / abs(a)
-
-
-def reduction_vector(
-    col: dict[int, complex], target: int
-) -> tuple[dict[int, complex], float]:
-    """Householder vector and theta reducing a unit column to basis row
-    ``target``: u = (w - e^{i theta}|target>) / ||.||, theta = pi + arg(w_t)
-    (theta = 0 when the target entry vanishes)."""
-    at = col.get(target, 0j)
-    theta, eith = target_phase(at)
-    nrm = math.sqrt(2.0 * (1.0 + abs(at)))
-    u = {k: a / nrm for k, a in col.items()}
-    u[target] = (at - eith) / nrm
-    return prune_state(u), theta
 
 
 def divide_parts(z: np.ndarray, x: float) -> np.ndarray:
@@ -65,16 +51,24 @@ def divide_parts(z: np.ndarray, x: float) -> np.ndarray:
 
 
 def reflection(w: np.ndarray, t: int) -> tuple[np.ndarray, complex]:
-    """Array form of :func:`reduction_vector` for a unit complex column
-    ``w``: ``u`` on all of ``w``'s positions (not pruned) and
-    ``e^{i theta}``.  ``u`` is one copy of ``w`` divided in place part by
-    part, so its values are :func:`reduction_vector`'s (a zero's sign
-    aside)."""
+    """Householder vector ``u = (w - e^{i theta}|t>) / sqrt(2 (1 + |w_t|))``
+    and ``e^{i theta}`` (:func:`target_phase`) reducing a unit complex column
+    ``w`` (an array or a list) to position ``t``.  ``u`` is one copy of
+    ``w``, not pruned, divided in place part by part (:func:`divide_parts`)."""
     at = complex(w[t])
     _, eith = target_phase(at)
     u = np.array(w, dtype=complex)
     u[t] -= eith
     return divide_parts(u, math.sqrt(2.0 * (1.0 + abs(at)))), eith
+
+
+def sparse_reflection(col: dict[int, complex], t: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reflection` of a sparse unit column to row ``t`` as ``(rows, u)``:
+    the sorted int64 rows of the column and ``t`` where ``|u| > EPS0``."""
+    rows = sorted(col.keys() | {t})
+    u, _ = reflection([col.get(r, 0j) for r in rows], rows.index(t))
+    keep = np.abs(u) > EPS0
+    return np.array(rows, dtype=np.int64)[keep], u[keep]
 
 
 def reflect(u: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -89,7 +83,6 @@ class ReductionRecord:
     """What one call to :func:`reduce_column` did to the matrix."""
 
     theta: float  # the surviving entry is e^{i theta}
-    nnz_before: int  # nonzeros of the column before reduction
     modified: list[tuple[int, int]] = field(default_factory=list)
     fill_in: list[tuple[int, int]] = field(default_factory=list)  # subset of modified
     eliminated: list[tuple[int, int]] = field(default_factory=list)  # column entries removed
@@ -114,7 +107,7 @@ def reduce_column(w: SparseIsometry, j: int, i: int) -> ReductionRecord:
     row = w.row(i)
     aij = col.get(i, 0j)
     theta, eith = target_phase(aij)
-    rec = ReductionRecord(theta=theta, nnz_before=len(col))
+    rec = ReductionRecord(theta=theta)
     coeff = eith.conjugate() / (1.0 + abs(aij))
     for s, asj in col.items():
         if s == i:

@@ -48,7 +48,6 @@ from .numerics import (
     apply_permutations,
     check_permutation,
     invert_permutation,
-    prune_state,
     qubit_count,
     validate_isometry,
 )
@@ -137,12 +136,13 @@ def _apply_residual(
 
 
 def householder_up_to(
-    v: dict[int, complex],
+    rows: np.ndarray,
+    amps: np.ndarray,
     n: int,
     samples: int = 100,
     seed=0,
 ) -> tuple[list[G.Gate], list[G.Gate], int]:
-    """Gates implementing the reflection about ``v`` up to diag x perm.
+    """Gates implementing the reflection about ``v = (rows, amps)`` up to diag x perm.
 
     Returns ``(gates, residual, s)`` with
     ``product(gates) == residual . H_v`` exactly, where the residual is the
@@ -150,21 +150,19 @@ def householder_up_to(
     a single basis state the reflection is itself diagonal: no gates are
     emitted and the residual is that diagonal.
     """
-    v = prune_state(v)
-    if not v:
-        raise ValueError("zero vector has no reflection")
-    nnz = len(v)
-    if nnz == 1:
+    if not len(rows) or not np.all(np.abs(amps) > EPS0):
+        raise ValueError("a zero or NaN amplitude, or none, has no reflection")
+    if len(rows) == 1:
         # I - 2|idx><idx|: a Z on the last qubit controlled by the others
-        idx = next(iter(v))
+        idx = int(rows[0])
         z = np.diag([-1.0, 1.0] if idx & 1 == 0 else [1.0, -1.0])
         return [], [G.MCU(G.controls_on(idx, range(n - 1), n), n - 1, z)], 0
-    s = (nnz - 1).bit_length()
-    splitting, blk = P.choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
-    plan = P.pivot_plan(v, splitting, blk)
+    s = (len(rows) - 1).bit_length()
+    splitting, blk = P.choose_splitting(rows, n, s, samples=samples, seed=seed)
+    plan = P.pivot_plan(rows, amps, splitting, blk)
     residual = plan.residual + plan.x_layer
     # register factor of the pivoted vector, after the X layer (block -> 0)
-    unprep = G.SPBlock.from_dict(splitting.register_qubits, plan.register_state, inverted=True)
+    unprep = G.SPBlock.from_arrays(splitting.register_qubits, *plan.register, inverted=True)
     gates = _reflection(plan.gates + plan.x_layer + [unprep], [], n, unprep.dagger())
     return gates, residual, s
 
@@ -198,14 +196,14 @@ def perm_diag_reduce(w: SparseIsometry) -> tuple[list[G.Gate], np.ndarray, np.nd
     if len(set(rows_of.tolist())) != (1 << m):
         raise ValueError("occupied rows are not distinct")
 
-    colsum = {int(r): complex(amp_of[j]) / math.sqrt(1 << m) for j, r in enumerate(rows_of)}
     splitting = P.QubitSplitting(tuple(range(n - m)), tuple(range(n - m, n)))
     if m == n:
         blk = 0
     else:
         _, inside = P.block_scores(rows_of, np.array([splitting.block_mask]))
         blk = splitting.split(int(inside[0]))[0]
-    plan = P.pivot_plan(colsum, splitting, blk)
+    # the column-sum state; its amplitudes leave the plan's gates unchanged
+    plan = P.pivot_plan(rows_of, amp_of / math.sqrt(1 << m), splitting, blk)
     f_gates = plan.gates + plan.x_layer
 
     # grouped matrix: column j's entry sits at plain index perm_m[j]
@@ -237,8 +235,9 @@ def _reduce_columns(
     """Reduce column ``order[i]`` onto row ``targets[i]`` at step ``i``.
 
     ``reflect(i, u)`` builds step ``i`` as ``(gates, residual, s)`` with
-    ``product(gates) == residual . H_u`` (``u`` is None on a skipped step,
-    and a residual of ``[]`` is the identity).  The residual is applied to
+    ``product(gates) == residual . H_u`` (``u`` is ``(rows, amps)`` from
+    :func:`~hhsynth.householder.sparse_reflection`, None on a skipped step;
+    a residual of ``[]`` is the identity).  The residual is applied to
     the matrix instead of being emitted; it moves the matrix rows and the
     remaining target rows together, so ``targets`` always holds current
     positions.  Ends with :func:`perm_diag_reduce` and returns
@@ -251,22 +250,22 @@ def _reduce_columns(
     trace: list[StepTrace] = []
     for i, c in enumerate(order):
         c, t = int(c), int(targets[i])
-        col = dict(work.col(c))
+        col = work.col(c)
         if len(col) == 1 and t in col:
             gates, residual, s = reflect(i, None)
             trace.append(StepTrace(i, c, t, 1, s, True))
         else:
-            row_support = frozenset(work.row(t)) if trace_entries else frozenset()
-            u, _ = hh.reduction_vector(col, t)
+            u = hh.sparse_reflection(col, t)
+            step = StepTrace(i, c, t, len(col), 0, False)
+            if trace_entries:  # the supports before the update
+                step.hh_support = frozenset(u[0].tolist())
+                step.col_support = frozenset(col)
+                step.row_support = frozenset(work.row(t))
             rec = hh.reduce_column(work, c, t)
             if forbid_fill_in and rec.fill_in:
                 raise G.CircuitVerificationError(f"fill-in occurred at step {i}")
-            gates, residual, s = reflect(i, u)
-            step = StepTrace(i, c, t, rec.nnz_before, s, False)
+            gates, residual, step.s = reflect(i, u)
             if trace_entries:
-                step.hh_support = frozenset(u)
-                step.col_support = frozenset(col)
-                step.row_support = row_support
                 step.modified = tuple(rec.modified)
                 step.fill_in = tuple(rec.fill_in)
                 step.eliminated = tuple(rec.eliminated)
@@ -287,7 +286,7 @@ def _pivoted_reflections(n: int, samples: int, seed):
     def reflect(i, u):
         if u is None:
             return [], [], 0
-        return householder_up_to(u, n, samples=samples, seed=rng)
+        return householder_up_to(*u, n, samples=samples, seed=rng)
 
     return reflect
 
@@ -492,12 +491,12 @@ def fixed_envelope_iso(
         s_i = (int(env[i]) - i).bit_length()  # ceil(log2(1 + height above the diagonal))
         if u is None:
             return [dec_gate], [dec_gate], s_i
-        # u's support is the column's support plus row 0
-        if max(u) >= (1 << s_i):
+        # u's support is the column's support plus row 0, rows ascending
+        if u[0][-1] >= (1 << s_i):
             raise G.CircuitVerificationError(
                 f"column support escaped the envelope at step {i}"
             )
-        unprep = G.SPBlock.from_dict(tuple(range(n - s_i, n)), u, inverted=True)
+        unprep = G.SPBlock.from_arrays(tuple(range(n - s_i, n)), *u, inverted=True)
         return _reflection([unprep], [], n, unprep.dagger() + [dec_gate]), [dec_gate], s_i
 
     gates, trace = _reduce_columns(

@@ -56,6 +56,16 @@ def int_field(x, name: str) -> int:
     return int(x)
 
 
+def typed_field(x, kind: type, name: str):
+    """A field of an input file that must hold a JSON ``kind``: ``bool``,
+    ``str``, or ``float``, which takes any number but a boolean."""
+    kinds = (int, float, np.integer, np.floating) if kind is float else kind
+    if isinstance(x, bool) != (kind is bool) or not isinstance(x, kinds):
+        what = "number" if kind is float else kind.__name__
+        raise ValueError(f"{name} {x!r} is not a JSON {what}")
+    return kind(x)
+
+
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
@@ -72,10 +82,6 @@ def amplitude_norm(amps: np.ndarray) -> float:
     ``np.hypot`` and ``np.float_power`` round as Python's ``abs`` and
     ``** 2`` do (numpy's complex ``abs`` and ``x * x`` do not)."""
     return math.sqrt(math.fsum(np.float_power(np.hypot(amps.real, amps.imag), 2).tolist()))
-
-
-def state_norm(v: dict[int, complex]) -> float:
-    return amplitude_norm(np.fromiter(v.values(), dtype=complex, count=len(v)))
 
 
 def prune_state(v: dict[int, complex]) -> dict[int, complex]:
@@ -298,11 +304,9 @@ def matrix_to_dict(w: SparseIsometry) -> dict:
 
 
 def _parse_scalar(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(x[0], x[1])
-    raise ValueError(f"bad matrix element {x!r}; use a real or an [re, im] pair")
+    """A dense matrix element: a real number or an ``[re, im]`` pair."""
+    pair = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
+    return complex(*(typed_field(p, float, "matrix element") for p in pair))
 
 
 def matrix_from_dict(d: dict) -> SparseIsometry:
@@ -328,7 +332,7 @@ def matrix_from_dict(d: dict) -> SparseIsometry:
             if (i, j) in seen:
                 raise ValueError(f"entry ({i}, {j}) given twice")
             seen.add((i, j))
-            out.set(i, j, complex(re, im))
+            out.set(i, j, complex(typed_field(re, float, "entry"), typed_field(im, float, "entry")))
     elif "dense" in d:
         rows = d["dense"]
         if len(rows) != (1 << n):

@@ -22,7 +22,7 @@ doubly-controlled NOT and its known diagonal, so replaying the plan on a
 state is exact.  Sparse state preparation inverts the plan and folds those
 phases into the dense block's target state.
 
-The plan works on the state's support only, kept as an array of basis
+The plan works on the state's support only, taken as an array of basis
 indices and one of amplitudes: splittings are scored with bit masks over
 the nonzero indices, all candidates by one row-wise sort of the
 candidates x nnz masked indices (:func:`block_scores`, in chunks under
@@ -32,6 +32,8 @@ arrays by its residual (:func:`~hhsynth.gates.relabel`), so planning costs
 polynomial time in n and nnz, with no 2^n array.  The exhaustive candidates
 of an ``(n, s)`` and their masks are memoized, since one compile searches
 the same ``(n, s)`` again and again; sampled ones are drawn on every call.
+The register factor comes out as two arrays too, which
+:meth:`~hhsynth.gates.SPBlock.from_arrays` takes: no dict on the way.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates as G
-from .numerics import EPS0, prune_state, state_norm
+from .numerics import EPS0, amplitude_norm, prune_state
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,7 @@ class PivotPlan:
     steps: list[PivotStep]
     gates: list[G.Gate]
     residual: list[G.Gate]  # index-map word equal to the emitted gates, exactly
-    final_state: dict[int, complex]  # the input state after the plan
-    register_state: dict[int, complex]  # its register factor (phases folded)
+    register: tuple[np.ndarray, np.ndarray]  # (rows, amps) of the register factor, sorted
     x_layer: list[G.Gate]  # free X gates taking the target block to block 0
 
 
@@ -264,21 +265,20 @@ def _insertion_gates(
 
 
 def pivot_plan(
-    v: dict[int, complex],
+    keys: np.ndarray,
+    amps: np.ndarray,
     splitting: QubitSplitting,
     target_block: int,
 ) -> PivotPlan:
-    """Greedy insertion plan moving all nonzeros into the target block, with
-    one nearest-free-slot table that each step repairs (:func:`_fill_slot`)."""
+    """Greedy insertion plan moving the state ``amps`` on the int64 indices
+    ``keys`` (any order) into the target block, with one nearest-free-slot
+    table that each step repairs (:func:`_fill_slot`)."""
     n = splitting.n
     s = splitting.s
-    work = prune_state(v)
-    if not work:
-        raise ValueError("zero state")
-    if len(work) > (1 << s):
+    if not len(keys) or not np.all(np.abs(amps) > EPS0):
+        raise ValueError("a zero or NaN amplitude, or none")
+    if len(keys) > (1 << s):
         raise ValueError("more nonzeros than the target block holds")
-    keys = np.fromiter(work, dtype=np.int64, count=len(work))
-    amps = np.fromiter(work.values(), dtype=complex, count=len(work))
     block_mask = splitting.block_mask
     target_key = splitting.join(target_block, 0)
     reg_qubits = splitting.register_qubits
@@ -312,12 +312,9 @@ def pivot_plan(
         # the NOT only on the free slot, so no entry inside the block moves
         free = _fill_slot(dist, src, free, slot)
     reg = G._subset_values(keys, reg_qubits, n)
-    amps = amps.tolist()
+    order = reg.argsort()
     x_layer = G.x_layer(target_key, splitting.block_qubits, n)
-    return PivotPlan(
-        steps, gates, residual, dict(zip(keys.tolist(), amps)),
-        dict(zip(reg.tolist(), amps)), x_layer,
-    )
+    return PivotPlan(steps, gates, residual, (reg[order], amps[order]), x_layer)
 
 
 def sparse_state_prep_on(
@@ -337,27 +334,26 @@ def sparse_state_prep_on(
     v = prune_state(v)
     if not v:
         raise ValueError("zero state cannot be prepared")
-    nrm = state_norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state norm {nrm} is not 1")
     if min(v) < 0 or max(v) >= (1 << n):
         raise ValueError("state index out of range")
-    nnz = len(v)
-    s = (nnz - 1).bit_length()
-    splitting, blk = choose_splitting(v.keys(), n, s, samples=samples, seed=seed)
-    plan = pivot_plan(v, splitting, blk)
+    keys = np.fromiter(v, dtype=np.int64, count=len(v))
+    amps = np.fromiter(v.values(), dtype=complex, count=len(v))
+    nrm = amplitude_norm(amps)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"state norm {nrm} is not 1")
+    s = (len(v) - 1).bit_length()
+    splitting, blk = choose_splitting(keys, n, s, samples=samples, seed=seed)
+    plan = pivot_plan(keys, amps, splitting, blk)
     gates: list[G.Gate] = list(plan.x_layer)
     if s == 0:
-        amp = plan.register_state[0]
+        amp = complex(plan.register[1][0])
         if abs(amp - 1.0) > EPS0 and n == 0:  # no qubit: a global phase
             gates.append(G.Diagonal((), (amp / abs(amp),)))
         elif abs(amp - 1.0) > EPS0:
             q = splitting.block_qubits[0]
             gates.append(G.SingleQubit(q, np.eye(2) * amp, label="phase"))
     else:
-        gates.append(
-            G.SPBlock.from_dict(splitting.register_qubits, plan.register_state)
-        )
+        gates.append(G.SPBlock.from_arrays(splitting.register_qubits, *plan.register))
     gates.extend(G.dagger_sequence(plan.gates))
     circuit = G.StructuredCircuit(n, (), gates)
     circuit.validate()

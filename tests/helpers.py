@@ -64,11 +64,18 @@ def word_dense(word, n):
     return out
 
 
-def dense_reflection(u_dict, n):
-    """I - 2|u><u| from a sparse unit vector."""
+def state_arrays(v):
+    """A sparse state dict as ``(rows, amps)`` arrays, in the dict's order."""
+    return (
+        np.fromiter(v, dtype=np.int64, count=len(v)),
+        np.fromiter(v.values(), dtype=complex, count=len(v)),
+    )
+
+
+def dense_reflection(rows, amps, n):
+    """I - 2|u><u| from a sparse unit vector: ``amps`` on ``rows``."""
     u = np.zeros(1 << n, dtype=complex)
-    for k, a in u_dict.items():
-        u[k] = a
+    u[rows] = amps
     return np.eye(1 << n, dtype=complex) - 2.0 * np.outer(u, u.conj())
 
 

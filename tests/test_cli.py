@@ -335,14 +335,29 @@ def test_verify_prints_strict_json(tmp_path, capsys):
     assert run(["compile", mat, "-o", circuit]) == 0
     wrong = dict(README_MATRIX, entries=[[0, 0, 1.0, 0.0], [6, 1, 0.0, 1.0]])
     wrong = write_json(tmp_path / "wrong.json", wrong)
-    # a 3-qubit circuit against a 2-qubit state: the residual is infinite
-    state = write_json(tmp_path / "state.json", {"n": 2, "m": 0, "entries": [[0, 0, 1.0, 0.0]]})
+    # json writes and reads NaN: the residual is NaN, written null
+    nan = dict(README_MATRIX, entries=[[0, 0, NAN, 0.0], [5, 1, 0.0, 1.0]])
+    nan = write_json(tmp_path / "nan.json", nan)
     capsys.readouterr()
-    for matrix, code in [(mat, 0), (wrong, cli.EXIT_VERIFY), (state, cli.EXIT_VERIFY)]:
+    for matrix, code in [(mat, 0), (wrong, cli.EXIT_VERIFY), (nan, cli.EXIT_VERIFY)]:
         assert run(["verify", circuit, matrix]) == code
         out = _strict_json(capsys.readouterr().out)
         assert out["ok"] == (code == 0)
-        assert (out["residual"] is None) == (matrix == state)
+        assert (out["residual"] is None) == (matrix == nan)
+
+
+def test_verify_on_different_qubit_counts_exit_2(tmp_path, capsys):
+    # a 3-qubit circuit against a 2-qubit state is refused before any
+    # simulation, with one line naming both sizes
+    mat = write_json(tmp_path / "readme.json", README_MATRIX)
+    circuit = str(tmp_path / "c.json")
+    assert run(["compile", mat, "-o", circuit]) == 0
+    state = write_json(tmp_path / "state.json", {"n": 2, "m": 0, "entries": [[0, 0, 1.0, 0.0]]})
+    capsys.readouterr()
+    assert run(["verify", circuit, state]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the circuit has 3 qubits, the matrix 2\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
@@ -506,6 +521,41 @@ MALFORMED_CIRCUITS = {
         "n": 1,
         "gates": [{"kind": "spblock", "qubits": [0], "state": [[True, 1, 0]]}],
     },
+    # a field of the wrong JSON type: Python would read true as 1 and any
+    # non-empty string as true
+    "spblock_inverted_string": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[1, 1, 0]], "inverted": "yes"}],
+    },
+    "spblock_inverted_number": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[1, 1, 0]], "inverted": 1}],
+    },
+    "spblock_boolean_amplitude": {
+        "n": 1,
+        "gates": [{"kind": "spblock", "qubits": [0], "state": [[0, True, 0]]}],
+    },
+    "single_label_number": {
+        "n": 1,
+        "gates": [
+            {"kind": "single", "target": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "label": 7}
+        ],
+    },
+    "single_boolean_matrix": {
+        "n": 1,
+        "gates": [
+            {"kind": "single", "target": 0, "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        ],
+    },
+    "diagonal_boolean_phase": {
+        "n": 1,
+        "gates": [{"kind": "diagonal", "qubits": [0], "phases": [[1, 0], [True, 0]]}],
+    },
+    "diagonal_string_phase": {
+        "n": 1,
+        "gates": [{"kind": "diagonal", "qubits": [0], "phases": [[1, 0], ["1"]]}],
+    },
+    "h0phase_boolean_phi": {"n": 1, "gates": [{"kind": "h0phase", "qubits": [0], "phi": True}]},
 }
 
 
@@ -606,10 +656,19 @@ def test_compile_malformed_strategy_exit_2(tmp_path, name, method):
         {"n": 63, "m": 0, "entries": [[5, 0, 1.0, 0]]},
         {"n": 1, "m": 0, "dense": [[1.0], [0.0, 0.0]]},
         {"n": 1, "m": 0, "dense": [["x"], [0.0]]},
+        # a boolean or a string where a number goes
+        {"n": 1, "m": 0, "entries": [[0, 0, True, 0]]},
+        {"n": 1, "m": 0, "entries": [[0, 0, 1.0, False]]},
+        {"n": 1, "m": 0, "entries": [[0, 0, "1", 0]]},
+        {"n": 1, "m": 0, "dense": [[True], [0.0]]},
+        {"n": 1, "m": 0, "dense": [[[1.0, False]], [0.0]]},
+        {"n": 1, "m": 0, "entries": [[0, 0, 10**400, 0]]},
     ],
     ids=[
         "float_n", "float_m", "boolean_n", "float_row", "float_column",
         "n_63", "dense_row_of_the_wrong_width", "dense_element_not_a_number",
+        "boolean_re", "boolean_im", "string_re", "dense_boolean",
+        "dense_pair_boolean", "re_past_the_float_range",
     ],
 )
 def test_compile_non_integer_matrix_field_exit_2(tmp_path, data):

@@ -9,7 +9,8 @@ from hhsynth.householder import (
     reduce_column,
     reflect,
     reflection,
-    reduction_vector,
+    sparse_reflection,
+    target_phase,
 )
 from hhsynth.numerics import EPS0, SparseIsometry, state_to_vector
 
@@ -22,7 +23,7 @@ from helpers import (
 
 
 def test_theta_conventions_agree_on_basis_targets():
-    # the reflection from reduction_vector sends v to e^{i theta}|i>, with
+    # the reflection from sparse_reflection sends v to e^{i theta}|i>, with
     # theta = pi + arg(v_i), and theta = 0 when v_i = 0
     rng = np.random.default_rng(11)
     cases = 0
@@ -30,11 +31,16 @@ def test_theta_conventions_agree_on_basis_targets():
         v = random_state_dict(3, int(rng.integers(1, 9)), rng)
         i = int(rng.integers(8))
         cases += i not in v
-        u, theta = reduction_vector(v, i)
+        rows, u = sparse_reflection(v, i)
+        theta, _ = target_phase(v.get(i, 0j))
+        if i in v:
+            assert theta == pytest.approx(math.pi + cmath.phase(v[i]))
+        else:
+            assert theta == 0.0
         target = np.zeros(8, dtype=complex)
         target[i] = cmath.exp(1j * theta)
         np.testing.assert_allclose(
-            dense_reflection(u, 3) @ state_to_vector(v, 3), target, rtol=0, atol=1e-12
+            dense_reflection(rows, u, 3) @ state_to_vector(v, 3), target, rtol=0, atol=1e-12
         )
     assert cases > 0
 
@@ -61,31 +67,72 @@ def test_reduce_rejects_zero_column():
         reduce_column(w, 1, 0)
 
 
-def _same_values(a, b):
-    """Equal real and imaginary parts (a zero's sign aside)."""
-    a, b = (np.asarray(x, dtype=complex).reshape(-1) for x in (a, b))
-    return np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
+def _bits(z):
+    """The exact bits of a complex array, a zero's sign included."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
 
 
-def test_reflection_is_reduction_vector():
-    # the array builder gives the dict form's values bit for bit (a zero's
-    # sign aside), on every position of the column: sparse circuits and
-    # simulated blocks rest on that
+def _edge_columns(rng):
+    """Seeded unit sparse columns ``(n, col, t)`` at the builder's edges:
+    entries whose ``|u|`` sits at ``EPS0 * (1 +- 1e-9)`` and column entries
+    at ``EPS0 * (1 +- 1e-9)``, a target outside the support, one entry on
+    the target, near-basis columns and ``n = 1``."""
+    for trial in range(400):
+        kind = trial % 5
+        n = 1 if kind == 4 else int(rng.integers(1, 6))
+        t = int(rng.integers(1 << n))
+        nnz = int(rng.integers(1, (1 << n) + 1))
+        rows = [int(r) for r in rng.choice(1 << n, size=nnz, replace=False)]
+        if kind == 1:  # the target outside the support
+            rows = [r for r in rows if r != t] or [t ^ 1]
+        elif kind == 2:  # one entry, on the target
+            rows = [t]
+        amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+        if kind == 3:  # near-basis: one entry holds all but 1e-8 .. 1e-14
+            amps[1:] *= 10.0 ** -rng.integers(8, 15)
+        amps /= np.linalg.norm(amps)
+        col = dict(zip(rows, amps.tolist()))
+        if kind == 0:  # tiny entries off the target, on rows still free
+            nrm = math.sqrt(2.0 * (1.0 + abs(col.get(t, 0j))))
+            free = [r for r in range(1 << n) if r not in col and r != t]
+            for r in free[: int(rng.integers(len(free) + 1))]:
+                scale = nrm if rng.integers(2) else 1.0  # |u| or |w| at the edge
+                edge = EPS0 * scale * (1.0 + float(rng.choice([-1e-9, 1e-9])))
+                col[r] = edge * complex(np.exp(2j * math.pi * rng.random()))
+        yield n, col, t
+
+
+def test_sparse_reflection_on_generated_edge_columns():
+    # the sparse builder is the dense builder on the scattered column, bit
+    # for bit, kept where |u| > EPS0: sparse circuits rest on that
     rng = np.random.default_rng(12)
-    for trial in range(300):
-        k = int(rng.integers(1, 7))
-        v = random_state_dict(k, int(rng.integers(1, (1 << k) + 1)), rng)
-        t = int(rng.integers(1 << k))
-        w = state_to_vector(v, k)
-        u, eith = reflection(w, t)
-        want, theta = reduction_vector(v, t)
-        assert set(want) <= set(np.flatnonzero(u).tolist())
-        assert _same_values(u[list(want)], list(want.values()))
-        assert np.all(np.abs(np.delete(u, list(want))) <= EPS0)
-        at = complex(w[t])
-        assert eith == (-at / abs(at) if abs(at) > EPS0 else 1.0)
-        assert abs(eith - cmath.exp(1j * theta)) <= 1e-15
-        assert np.array_equal(w, state_to_vector(v, k))  # the column is not touched
+    kept = dropped = 0
+    for n, col, t in _edge_columns(rng):
+        before = dict(col)
+        rows, u = sparse_reflection(col, t)
+        assert col == before  # the column is not touched
+        w = state_to_vector(col, n)
+        dense, eith = reflection(w, t)
+        assert rows.dtype == np.int64 and np.all(rows[1:] > rows[:-1])
+        assert np.array_equal(_bits(u), _bits(dense[rows]))
+        candidates = sorted(set(col) | {t})
+        assert rows.tolist() == [r for r in candidates if abs(dense[r]) > EPS0]
+        assert not np.any(np.delete(dense, candidates))
+        near = [abs(abs(dense[r]) / EPS0 - 1.0) < 1e-8 for r in candidates]
+        kept += sum(x for x, r in zip(near, candidates) if r in rows)
+        dropped += sum(x for x, r in zip(near, candidates) if r not in rows)
+        # H_u sends the column to e^{i theta}|t>, up to the column's
+        # entries on the dropped rows; a target entry of at most EPS0 counts
+        # as zero (target_phase), which moves the image by at most 4 |w_t|
+        at = col.get(t, 0j)
+        assert eith == target_phase(at)[1]
+        want = np.zeros(1 << n, dtype=complex)
+        want[t] = eith
+        lost = np.setdiff1d(candidates, rows)
+        want[lost] = w[lost]
+        got = dense_reflection(rows, u, n) @ w
+        assert np.max(np.abs(got - want)) <= 1e-15 + (4 * abs(at) if abs(at) <= EPS0 else 0.0)
+    assert kept > 0 and dropped > 0
 
 
 def test_reflect_applies_the_reflection_in_place():
@@ -108,9 +155,9 @@ def test_reduce_column_matches_dense_reflection_oracle():
         w = SparseIsometry.from_dense(v)
         j = int(rng.integers(4))
         i = int(rng.integers(8))
-        u, theta = reduction_vector(dict(w.col(j)), i)
+        rows, u = sparse_reflection(w.col(j), i)
         reduce_column(w, j, i)
-        expected = dense_reflection(u, 3) @ v
+        expected = dense_reflection(rows, u, 3) @ v
         assert np.linalg.norm(w.to_dense() - expected) <= 1e-9
         assert all(abs(a) > EPS0 for col in w.cols for a in col.values())
 

@@ -22,6 +22,7 @@ from helpers import (
     random_state_dict,
     random_u2,
     random_unitary,
+    state_arrays,
     word_dense,
 )
 
@@ -38,7 +39,7 @@ def identity_iso(n, m):
 
 
 def test_hr_up_to_basis_vector_emits_nothing():
-    gates, residual, _ = M.householder_up_to({0: 1.0 + 0j}, 3)
+    gates, residual, _ = M.householder_up_to(np.array([0]), np.array([1.0 + 0j]), 3)
     assert gates == []
     # the reflection about |0> is itself the diagonal residual
     np.testing.assert_allclose(word_dense(residual, 3), np.diag([-1, 1, 1, 1, 1, 1, 1, 1]), atol=1e-12)
@@ -49,11 +50,14 @@ def test_hr_up_to_matches_reflection_oracle():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         v = random_state_dict(n, int(rng.integers(1, (1 << n) + 1)), rng)
-        gates, residual, _ = M.householder_up_to(v, n, seed=int(rng.integers(1 << 30)))
+        rows, amps = state_arrays(v)
+        gates, residual, _ = M.householder_up_to(rows, amps, n, seed=int(rng.integers(1 << 30)))
         u = np.eye(1 << n, dtype=complex)
         for g in gates:
             u = G.apply_gate(u, g, n)
-        np.testing.assert_allclose(u, word_dense(residual, n) @ dense_reflection(v, n), atol=1e-10)
+        np.testing.assert_allclose(
+            u, word_dense(residual, n) @ dense_reflection(rows, amps, n), atol=1e-10
+        )
 
 
 def test_hr_up_to_audit_bound_example():
@@ -61,7 +65,7 @@ def test_hr_up_to_audit_bound_example():
     rng = np.random.default_rng(41)
     for _ in range(10):
         v = random_state_dict(4, 2, rng)
-        gates, _, s = M.householder_up_to(v, 4, seed=int(rng.integers(1 << 30)))
+        gates, _, s = M.householder_up_to(*state_arrays(v), 4, seed=int(rng.integers(1 << 30)))
         audited = C.audit_circuit(G.StructuredCircuit(4, (), gates), D1).total
         assert audited <= C.bound_hr_up_to_dirty(4, s, 2) == 94
 
@@ -98,7 +102,7 @@ def test_apply_residual_equals_one_set_per_entry():
         rng.shuffle(entries)  # insertion order must not matter
         w = SparseIsometry(n, m, entries)
         _, residual, _ = M.householder_up_to(
-            dict(w.col(int(rng.integers(1 << m)))), n, seed=int(rng.integers(1 << 30))
+            *state_arrays(w.col(int(rng.integers(1 << m)))), n, seed=int(rng.integers(1 << 30))
         )
         targets = rng.choice(1 << n, size=1 << m, replace=False)
         got, got_targets = M._apply_residual(residual, w, targets)
@@ -228,7 +232,7 @@ NAN_UNITARY = np.diag([1.0, NAN, 1.0, 1.0])
     "build, error",
     [
         (lambda: P.sparse_state_prep_on({0: NAN, 1: 1.0}, 2), ValueError),
-        (lambda: M.householder_up_to({0: NAN, 3: 1.0}, 2), ValueError),
+        (lambda: M.householder_up_to(np.array([0, 3]), np.array([NAN, 1.0]), 2), ValueError),
         (lambda: M.controlled_u_via_householder(2, np.array([[NAN, 0], [0, 1]])), ValueError),
         (lambda: M.dense_householder_unitary(NAN_UNITARY), NotAnIsometryError),
     ],

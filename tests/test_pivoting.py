@@ -18,7 +18,7 @@ from hhsynth.pivoting import (
     sparse_state_prep_on,
 )
 
-from helpers import random_state_dict, unique_block_score, word_dense
+from helpers import random_state_dict, state_arrays, unique_block_score, word_dense
 
 
 def test_splitting_split_join_round_trip():
@@ -32,7 +32,7 @@ def test_choose_splitting_contiguous_pattern_needs_no_steps():
     n, s = 5, 2
     pattern = set(range(1 << s))
     sp, blk = choose_splitting(pattern, n, s)
-    plan = pivot_plan({p: 0.5 for p in pattern}, sp, blk)
+    plan = pivot_plan(*state_arrays({p: 0.5 for p in pattern}), sp, blk)
     assert plan.steps == []
 
 
@@ -198,7 +198,7 @@ def test_every_step_keeps_the_nearest_free_slot_table_exact(monkeypatch):
         blk = int(rng.integers(1 << (n - s)))
         v = random_state_dict(n, int(rng.integers(1, (1 << s) + 1)), rng)
         steps.clear()
-        plan = pivot_plan(v, sp, blk)
+        plan = pivot_plan(*state_arrays(v), sp, blk)
         assert len(steps) == len(plan.steps)
         free = sorted(set(range(1 << s)) - {sp.split(k)[1] for k in v if sp.split(k)[0] == blk})
         for dist, src, before, slot, left in steps:
@@ -210,7 +210,7 @@ def test_every_step_keeps_the_nearest_free_slot_table_exact(monkeypatch):
                     assert (dist[vtx], src[vtx]) == min(((vtx ^ f).bit_count(), f) for f in free)
                 else:
                     assert (dist[vtx], src[vtx]) == (np.iinfo(np.int64).max, -1)
-        assert sorted(plan.register_state) == sorted(set(range(1 << s)) - set(free))
+        assert plan.register[0].tolist() == sorted(set(range(1 << s)) - set(free))
 
 
 def test_single_insertion_at_distance_one():
@@ -218,7 +218,7 @@ def test_single_insertion_at_distance_one():
     # zero adjust CNOTs, one register-controlled NOT as the relaxed Toffoli
     sp = QubitSplitting((0,), (1, 2))
     v = {0b000: 0.8, 0b101: 0.6j}
-    plan = pivot_plan(v, sp, 0)
+    plan = pivot_plan(*state_arrays(v), sp, 0)
     assert len(plan.steps) == 1
     assert plan.steps[0].cnots == 0
     relaxed, _ = G.relaxed_mcx2(((1, 0), (2, 1)), 0)
@@ -233,16 +233,46 @@ def test_plan_simulates_to_block_product_state():
         nnz = int(rng.integers(1, (1 << s) + 1))
         v = random_state_dict(n, nnz, rng)
         sp, blk = choose_splitting(v.keys(), n, s, seed=int(rng.integers(1 << 30)))
-        plan = pivot_plan(v, sp, blk)
+        plan = pivot_plan(*state_arrays(v), sp, blk)
         vec = state_to_vector(v, n)
         for g in plan.gates:
             vec = G.apply_gate(vec, g, n)
         np.testing.assert_allclose(vec, word_dense(plan.residual, n) @ state_to_vector(v, n), atol=1e-12)
-        for idx in plan.final_state:
+        # the state after the plan lies in the target block, and its
+        # register values are the plan's register rows
+        after, _ = G.relabel(plan.residual, n, list(v))
+        for idx in after.tolist():
             assert sp.split(idx)[0] == blk
+        assert plan.register[0].tolist() == sorted(sp.split(idx)[1] for idx in after.tolist())
         # step count equals the initially-outside entries; never grows
         outside0 = sum(1 for idx in v if sp.split(idx)[0] != blk)
         assert len(plan.steps) == outside0
+
+
+def test_plan_does_not_depend_on_the_order_of_its_input():
+    # the gates, the residual and the register arrays are the same whatever
+    # the order of the keys and amplitudes (a reflection's SPBlock rests on
+    # that, since a column's entries come in insertion order)
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        n = int(rng.integers(2, 11))
+        s = int(rng.integers(0, min(n, 4) + 1))
+        v = random_state_dict(n, int(rng.integers(1, (1 << s) + 1)), rng)
+        keys, amps = state_arrays(v)
+        sp, blk = choose_splitting(keys, n, s, seed=int(rng.integers(1 << 30)))
+        plans = []
+        for _ in range(3):
+            order = rng.permutation(len(keys))
+            plans.append(pivot_plan(keys[order], amps[order], sp, blk))
+        want = plans[0]
+        for plan in plans[1:]:
+            for field in ("gates", "residual", "x_layer"):
+                assert [g.to_json() for g in getattr(plan, field)] == [
+                    g.to_json() for g in getattr(want, field)
+                ]
+            assert [st.cnots for st in plan.steps] == [st.cnots for st in want.steps]
+            assert np.array_equal(plan.register[0], want.register[0])
+            assert plan.register[1].tobytes() == want.register[1].tobytes()
 
 
 def test_plan_cnot_audit_within_lemma_bound():
@@ -251,7 +281,7 @@ def test_plan_cnot_audit_within_lemma_bound():
         n, s = 10, 3
         v = random_state_dict(n, 1 << s, rng)
         sp, blk = choose_splitting(v.keys(), n, s, seed=int(rng.integers(1 << 30)))
-        plan = pivot_plan(v, sp, blk)
+        plan = pivot_plan(*state_arrays(v), sp, blk)
         circuit = G.StructuredCircuit(n, (), list(plan.gates))
         audited = C.audit_circuit(circuit, C.AncillaRegime.none()).total
         bound = (n - 1 + C.cost_mcx(s, n, C.AncillaRegime.none())) * len(v)
@@ -323,7 +353,7 @@ def test_sparse_state_prep_scales_past_dense_arrays():
     again = G.circuit_to_dict(sparse_state_prep_on(v, n))
     assert json.dumps(G.circuit_to_dict(c), sort_keys=True) == json.dumps(again, sort_keys=True)
     # the reflection's residual moves the support onto distinct rows, phases exact units
-    _, residual, s = householder_up_to(v, n)
+    _, residual, s = householder_up_to(*state_arrays(v), n)
     dst, ph = G.relabel(residual, n, list(v))
     assert len(set(dst.tolist())) == nnz and s == 3
     np.testing.assert_allclose(np.abs(ph), 1.0, atol=1e-15)
