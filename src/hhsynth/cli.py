@@ -328,8 +328,8 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except MemoryError as e:
         print(
-            f"error: out of memory ({e}); --method ssp and --method no-fill-in "
-            "hold no 2^n array",
+            f"error: out of memory ({e}); --method ssp, --method sparse and "
+            "--method no-fill-in hold no 2^n array",
             file=sys.stderr,
         )
         return EXIT_VALIDATE

@@ -21,6 +21,10 @@ and the phase), built with numpy once per state and shared by its
 dagger; its ``state`` stays the tuple of pairs that JSON and equality
 read.
 
+A :class:`StructuredCircuit` is an immutable gate tuple over ``n`` data
+qubits and declared ancillas.  It is checked once, when it is made, so
+the simulator, the verifier and the audit take it as checked.
+
 Simulation is exact linear algebra on the live rows of a state: an int64
 array of distinct basis indices and their amplitudes, one column per state
 of a batch.  The rows are labels, in any order.  One kernel,
@@ -504,23 +508,31 @@ def dagger_sequence(gates: list[Gate]) -> list[Gate]:
 # circuits
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructuredCircuit:
-    """Ordered gate list over ``n`` data qubits plus declared ancillas.
+    """Ordered gate tuple over ``n`` data qubits plus declared ancillas.
 
     Ancilla kinds are "clean" or "dirty"; ancilla qubits sit at indices
     ``n .. n + a - 1`` (least significant bits of the simulation index).
+    A circuit is immutable and is checked once, when it is made.
     """
 
     n: int
     ancillas: tuple[str, ...] = ()
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "ancillas", tuple(self.ancillas))
+        object.__setattr__(self, "gates", tuple(self.gates))
+        self.validate()
 
     @property
     def total_qubits(self) -> int:
         return self.n + len(self.ancillas)
 
     def validate(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n = {self.n} is negative")
         if any(k not in ("clean", "dirty") for k in self.ancillas):
             raise ValueError("ancilla kinds must be 'clean' or 'dirty'")
         nq = self.total_qubits
@@ -805,7 +817,6 @@ def _check_tol(name: str, tol: float) -> None:
 
 
 def _check_simulable(circuit: StructuredCircuit) -> None:
-    circuit.validate()
     nq = circuit.total_qubits
     if nq > MAX_QUBITS:
         raise SimulationCapExceeded(f"{nq} qubits exceeds the {MAX_QUBITS}-qubit cap")
@@ -1088,10 +1099,8 @@ def circuit_to_dict(c: StructuredCircuit) -> dict:
 
 
 def circuit_from_dict(d: dict) -> StructuredCircuit:
-    c = StructuredCircuit(
+    return StructuredCircuit(
         int_field(d["n"], "n"),
-        tuple(d.get("ancillas", ())),
+        d.get("ancillas", ()),
         [gate_from_dict(g) for g in d["gates"]],
     )
-    c.validate()
-    return c

@@ -91,8 +91,7 @@ class DecompositionResult:
 def _result(
     circuit: G.StructuredCircuit, regime: C.AncillaRegime, trace: list[StepTrace]
 ) -> DecompositionResult:
-    """The validated circuit with its audit under ``regime`` and its trace."""
-    circuit.validate()
+    """The circuit with its audit under ``regime`` and its trace."""
     return DecompositionResult(circuit, C.audit_circuit(circuit, regime), trace)
 
 
@@ -313,7 +312,7 @@ def sparse_householder_iso(
     gates, trace = _reduce_columns(
         w.copy(),
         invert_permutation(strategy.sigma),
-        invert_permutation(strategy.rho)[: 1 << w.m],
+        strategy.rows[: 1 << w.m],
         _pivoted_reflections(w.n, samples, seed),
         trace_entries,
     )
@@ -595,9 +594,7 @@ def perm_via_householder(perm) -> G.StructuredCircuit:
     gates: list[G.Gate] = []
     for tr in reversed(transpositions):
         gates.extend(tr)
-    circuit = G.StructuredCircuit(n, (), gates)
-    circuit.validate()
-    return circuit
+    return G.StructuredCircuit(n, (), gates)
 
 
 def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCircuit, np.ndarray]:
@@ -623,8 +620,7 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
     if np.max(np.abs(u - np.diag(np.diag(u)))) <= EPS0:
         residual[dim - 2] = u[0, 0]
         residual[dim - 1] = u[1, 1]
-        circuit = G.StructuredCircuit(n, (), [])
-        return circuit, residual
+        return G.StructuredCircuit(n, (), []), residual
     target_idx = dim - 2
     wvec, _ = hh.reflection(u[:, 0], 0)
     gh = np.array([[wvec[0], -wvec[1].conjugate()], [wvec[1], wvec[0].conjugate()]], dtype=complex)
@@ -641,6 +637,4 @@ def controlled_u_via_householder(k: int, u: np.ndarray) -> tuple[G.StructuredCir
         raise AssertionError("controlled-u residual is not diagonal")
     residual[dim - 2] = d2[0, 0]
     residual[dim - 1] = d2[1, 1]
-    circuit = G.StructuredCircuit(n, (), gates)
-    circuit.validate()
-    return circuit, residual
+    return G.StructuredCircuit(n, (), gates), residual

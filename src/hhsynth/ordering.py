@@ -4,7 +4,9 @@ An elimination strategy is a pair ``(rho, sigma)`` of row/column position
 maps: reducing ``W`` with strategy ``(rho, sigma)`` is, step by step, the
 trivial reduction of ``apply_permutations(W, rho, sigma)`` — at step ``i``
 the original column ``sigma^{-1}(i)`` is sent to the original row
-``rho^{-1}(i)``.
+``rho^{-1}(i)``.  A strategy holds ``sigma`` and ``rows``, ``rho^{-1}`` on
+its first positions (at least ``2^m``), so it needs no ``2^n`` array; the
+full ``rho`` (the unplaced rows after them, ascending) is built when read.
 
 ``envelope`` computes, per column, the running maximum of the lowest
 nonzero row index (non-decreasing by definition); ``ed`` sums the gaps
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,16 +32,26 @@ from .numerics import SparseIsometry, check_permutation, invert_permutation
 
 @dataclass(frozen=True)
 class EliminationStrategy:
-    rho: np.ndarray  # row position map on 2^n
+    n: int
+    rows: np.ndarray  # original row at each chosen position, positions 0 .. 2^m - 1 at least
     sigma: np.ndarray  # column position map on 2^m
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Row position map on 2^n: the chosen rows, then the others ascending."""
+        rho = np.full(1 << self.n, -1, dtype=np.int64)
+        rho[self.rows] = np.arange(len(self.rows))
+        rho[rho < 0] = np.arange(len(self.rows), 1 << self.n)
+        return rho
 
     @classmethod
     def identity(cls, n: int, m: int) -> "EliminationStrategy":
-        return cls(np.arange(1 << n), np.arange(1 << m))
+        return cls(n, np.arange(1 << m), np.arange(1 << m))
 
     @classmethod
     def checked(cls, rho, sigma, n: int, m: int) -> "EliminationStrategy":
-        return cls(check_permutation(rho, 1 << n), check_permutation(sigma, 1 << m))
+        rows = invert_permutation(check_permutation(rho, 1 << n))
+        return cls(n, rows, check_permutation(sigma, 1 << m))
 
 
 @dataclass(frozen=True)
@@ -65,27 +78,24 @@ def envelope(w: SparseIsometry) -> EnvelopeProfile:
 
 
 def _pack_rows(w: SparseIsometry, order) -> np.ndarray:
-    """Row position map packing, column by column in ``order``, the
+    """The rows placed by packing, column by column in ``order``, the
     not-yet-placed rows of each column into the next free positions
-    (ascending original row index within a group); leftover rows follow in
-    ascending order."""
-    rho = np.full(1 << w.n, -1, dtype=np.int64)
-    next_pos = 0
+    (ascending original row index within a group), listed by position."""
+    placed: dict[int, None] = {}
     for j in order:
-        for r in sorted(r for r in w.col(j) if rho[r] < 0):
-            rho[r] = next_pos
-            next_pos += 1
-    rho[rho < 0] = np.arange(next_pos, 1 << w.n)
-    return rho
+        placed.update(dict.fromkeys(sorted(set(w.col(j)).difference(placed))))
+    return np.fromiter(placed, dtype=np.int64, count=len(placed))
 
 
 def optimal_row_perm(w: SparseIsometry) -> np.ndarray:
     """Row position map minimizing the envelope pointwise for fixed columns.
 
-    Packs the rows column by column, left to right (:func:`_pack_rows`).
-    The result dominates every other row permutation column-wise.
+    Packs the rows column by column, left to right (:func:`_pack_rows`);
+    the unplaced rows follow in ascending order.  The result dominates
+    every other row permutation column-wise.
     """
-    return _pack_rows(w, range(1 << w.m))
+    cols = np.arange(1 << w.m)
+    return EliminationStrategy(w.n, _pack_rows(w, cols), cols).rho
 
 
 def greedy_order(w: SparseIsometry) -> EliminationStrategy:
@@ -120,7 +130,7 @@ def greedy_order(w: SparseIsometry) -> EliminationStrategy:
                     heapq.heappush(heap, (len(live_cols[j2]), j2))
         live_cols[j] = set()
     sigma = invert_permutation(np.array(order, dtype=np.int64))
-    return EliminationStrategy(_pack_rows(w, order), sigma)
+    return EliminationStrategy(w.n, _pack_rows(w, order), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,6 @@ def elim_count(w: SparseIsometry, strategy: EliminationStrategy) -> int:
     of the structural run; bounded by ed(apply_permutations(W, rho, sigma)).
     """
     sigma_inv = invert_permutation(strategy.sigma)
-    rho_inv = invert_permutation(strategy.rho)
-    schedule = [(int(sigma_inv[i]), int(rho_inv[i])) for i in range(1 << w.m)]
+    schedule = [(int(sigma_inv[i]), int(strategy.rows[i])) for i in range(1 << w.m)]
     total, _ = simulate_pattern_reduction(w.pattern(), schedule)
     return total

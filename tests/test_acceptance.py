@@ -149,7 +149,7 @@ def test_criterion_4_elim_bounded_by_envelope_gap():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(0, min(3, n) + 1))
         w = random_sparse_isometry(n, m, int(rng.integers(0, 8)), rng)
-        st = O.EliminationStrategy(rng.permutation(1 << n), rng.permutation(1 << m))
+        st = O.EliminationStrategy.checked(rng.permutation(1 << n), rng.permutation(1 << m), n, m)
         elim = O.elim_count(w, st)
         ed = O.envelope(apply_permutations(w, st.rho, st.sigma)).ed
         assert elim <= ed, (n, m, elim, ed)

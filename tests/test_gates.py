@@ -626,12 +626,50 @@ def test_circuit_json_round_trip():
 
 
 def test_validate_rejects_bad_indices():
-    c = G.StructuredCircuit(1, (), [G.CNOT(0, 1)])
     with pytest.raises(ValueError):
-        c.validate()
-    c = G.StructuredCircuit(2, (), [G.CNOT(1, 1)])
+        G.StructuredCircuit(1, (), [G.CNOT(0, 1)])
     with pytest.raises(ValueError):
-        c.validate()
+        G.StructuredCircuit(2, (), [G.CNOT(1, 1)])
+
+
+INVALID_CIRCUITS = {
+    "repeated_qubit": (2, (), [G.CNOT(0, 0)]),
+    "qubit_past_the_register": (2, ("clean",), [G.CNOT(0, 3)]),
+    "negative_qubit": (2, (), [G.CNOT(-1, 1)]),
+    "unknown_ancilla_kind": (1, ("borrowed",), []),
+    "negative_n": (-1, (), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CIRCUITS))
+def test_an_invalid_circuit_is_refused_when_made(name):
+    with pytest.raises(ValueError):
+        G.StructuredCircuit(*INVALID_CIRCUITS[name])
+
+
+def test_a_circuit_is_immutable():
+    c = G.StructuredCircuit(2, ["clean"], [G.CNOT(0, 2)])
+    assert c.gates == (G.CNOT(0, 2),) and c.ancillas == ("clean",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.gates = ()
+
+
+def test_a_circuit_is_checked_once(monkeypatch):
+    checked = []
+    validate = G.StructuredCircuit.validate
+
+    def counted(circuit):
+        checked.append(circuit)
+        validate(circuit)
+
+    monkeypatch.setattr(G.StructuredCircuit, "validate", counted)
+    w = SparseIsometry(3, 1, [(0, 0, 0.6), (5, 0, 0.8), (3, 1, 1.0)])
+    circuit = M.sparse_householder_iso(w).circuit
+    C.audit_circuit(circuit)
+    assert G.equivalent(circuit, w, "exact", 1e-9).ok
+    G.apply_circuit(np.eye(8, dtype=complex)[:, :2], circuit)
+    G.circuit_to_dict(circuit)
+    assert len(checked) == 1 and checked[0] is circuit
 
 
 def _random_index_map_gate(n, rng):

@@ -92,8 +92,8 @@ def _traced(result):
 
 def _controlled(k, u, regime):
     circuit, residual = M.controlled_u_via_householder(k, u)
-    circuit.gates.append(G.Diagonal(tuple(range(k + 1)), tuple(residual.tolist())))
-    return _untraced(circuit, regime)
+    diagonal = G.Diagonal(tuple(range(k + 1)), tuple(residual.tolist()))
+    return _untraced(G.StructuredCircuit(k + 1, (), circuit.gates + (diagonal,)), regime)
 
 
 def split_circuit(d):

@@ -180,7 +180,7 @@ def test_perm_diag_rejects_non_diagonal_input():
 
 def test_sparse_identity_strategy_identity_matrix():
     res = M.sparse_householder_iso(identity_iso(3, 2), O.EliminationStrategy.identity(3, 2))
-    assert res.circuit.gates == []
+    assert res.circuit.gates == ()
     assert all(t.skipped for t in res.trace)
 
 
@@ -262,7 +262,7 @@ def test_infinite_input_is_refused(bad):
 
 def test_dense_iso_identity_only_phase_fixes():
     res = M.dense_householder_iso(np.eye(4)[:, :2])
-    assert res.circuit.gates == []
+    assert res.circuit.gates == ()
     assert G.equivalent(res.circuit, np.eye(4)[:, :2], "exact", 1e-12).ok
 
 
@@ -328,7 +328,7 @@ def test_dense_iso_keeps_a_global_phase():
 
 def test_dense_unitary_identity_empty():
     res = M.dense_householder_unitary(np.eye(8))
-    assert res.circuit.gates == []
+    assert res.circuit.gates == ()
 
 
 def test_dense_unitary_random_exact():
@@ -488,7 +488,7 @@ def test_no_fill_in_audit_bound():
 
 def test_perm_via_householder_identity():
     c = M.perm_via_householder(np.arange(8))
-    assert c.gates == []
+    assert c.gates == ()
 
 
 def test_perm_via_householder_single_qubit_swap():
@@ -512,7 +512,7 @@ def test_perm_via_householder_random_3q():
 
 def test_controlled_u_identity_empty():
     c, resid = M.controlled_u_via_householder(2, np.eye(2))
-    assert c.gates == []
+    assert c.gates == ()
     np.testing.assert_allclose(resid, np.ones(8), atol=1e-12)
 
 

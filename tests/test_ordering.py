@@ -124,7 +124,7 @@ def test_elim_strategy_matches_permuted_trivial_run():
     rng = np.random.default_rng(32)
     for _ in range(30):
         w = random_sparse_isometry(4, 2, int(rng.integers(0, 8)), rng)
-        st = EliminationStrategy(rng.permutation(16), rng.permutation(4))
+        st = EliminationStrategy.checked(rng.permutation(16), rng.permutation(4), 4, 2)
         permuted = apply_permutations(w, st.rho, st.sigma)
         trivial = EliminationStrategy.identity(4, 2)
         assert elim_count(w, st) == elim_count(permuted, trivial)
@@ -134,7 +134,7 @@ def test_lemma_elim_bounded_by_envelope_gap():
     rng = np.random.default_rng(33)
     for _ in range(60):
         w = random_sparse_isometry(4, 2, int(rng.integers(0, 10)), rng)
-        st = EliminationStrategy(rng.permutation(16), rng.permutation(4))
+        st = EliminationStrategy.checked(rng.permutation(16), rng.permutation(4), 4, 2)
         assert elim_count(w, st) <= envelope(apply_permutations(w, st.rho, st.sigma)).ed
 
 

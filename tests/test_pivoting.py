@@ -290,7 +290,7 @@ def test_plan_cnot_audit_within_lemma_bound():
 
 def test_sparse_state_prep_zero_state():
     c = sparse_state_prep_on({0: 1.0 + 0j}, 4)
-    assert c.gates == []
+    assert c.gates == ()
 
 
 def test_sparse_state_prep_zero_qubits_is_a_global_phase():
