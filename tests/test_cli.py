@@ -309,7 +309,14 @@ def test_compile_dense_past_the_live_cap_exit_3(tmp_path):
     assert run(["compile", mat, "--method", "dense", "--verify", "-o", str(tmp_path / "c.json")]) == 0
 
 
-@pytest.mark.parametrize("argv", [["compile", "--method", "fixed-env"], ["order"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--method", "fixed-env", "--strategy", "identity"],
+        ["compile", "--method", "fixed-env"],
+        ["order"],
+    ],
+)
 def test_a_2n_array_at_n_40_exits_3(tmp_path, argv):
     # these build a 2^n row map; out of memory is one line and exit 3, and
     # the line names the methods that build none
