@@ -62,7 +62,6 @@ from .pivoting import (
     PivotPlan,
     QubitSplitting,
     choose_splitting,
-    hypercube_multisource_bfs,
     pivot_plan,
     sparse_state_prep_on,
 )

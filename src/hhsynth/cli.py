@@ -210,25 +210,28 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, flag: str) -> list[int]:
     out = []
     for part in text.split(","):
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, hi = map(int, part.split("-", 1) if "-" in part[1:] else (part, part))
+        if not 0 <= lo <= hi:
+            raise CliError(f"{flag} {part!r} is an empty or negative range", EXIT_PARSE)
+        out.extend(range(lo, hi + 1))
     return out
 
 
 def cmd_bench(args) -> int:
     regime = C.parse_regime(args.regime)
-    ns = _parse_range(args.n)
-    ss = _parse_range(args.s)
+    ns = _parse_range(args.n, "--n")
+    ss = _parse_range(args.s, "--s")
+    if args.trials < 1:
+        raise CliError(f"--trials {args.trials} is below 1", EXIT_PARSE)
     if max(ns) > MAX_QUBITS:
         raise CliError(
             f"the benchmark needs n <= {MAX_QUBITS} (int64 basis indices)", EXIT_PARSE
         )
+    if min(ss) > max(ns):
+        raise CliError("no (n, s) cell has s <= n", EXIT_PARSE)
     rows = B.bench_ssp(ns, ss, args.trials, args.seed, regime, args.samples)
     lines = [B.CSV_HEADER] + [r.csv() for r in rows]
     text = "\n".join(lines) + "\n"

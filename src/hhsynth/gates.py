@@ -322,9 +322,10 @@ class BlockReflection(NamedTuple):
 
 
 def _state_rows(keys, count: int) -> np.ndarray:
-    """A block state's indices as int64; ValueError if one does not fit."""
+    """A block state's indices as int64; ValueError if one is not an
+    integer or does not fit."""
     try:
-        return np.fromiter(keys, dtype=np.int64, count=count)
+        return np.fromiter((int_field(k, "SPBlock state index") for k in keys), dtype=np.int64, count=count)
     except OverflowError:
         raise ValueError("SPBlock state index does not fit int64") from None
 
@@ -883,6 +884,8 @@ def circuit_unitary(
     _check_simulable(circuit)
     if in_dim is None:
         in_dim = 1 << circuit.n
+    if not 1 <= int_field(in_dim, "in_dim") <= 1 << circuit.n:
+        raise ValueError(f"in_dim {in_dim} is outside 1 .. 2^{circuit.n}")
     _admit(circuit.total_qubits, (1 << circuit.n) * in_dim)
     rows, action = _data_action(
         circuit, np.arange(in_dim), np.eye(in_dim, dtype=complex), restore_tol
@@ -906,7 +909,7 @@ def simulate_on_state(circuit: StructuredCircuit, data_state, restore_tol: float
     dim = 1 << circuit.n
     sparse = isinstance(data_state, dict)
     if sparse:
-        keys = sorted(data_state)
+        keys = sorted(int_field(k, "state index") for k in data_state)
         if keys and not (0 <= keys[0] and keys[-1] < dim):
             raise ValueError(f"state index out of range for {circuit.n} qubits")
         rows = np.array(keys, dtype=np.int64)

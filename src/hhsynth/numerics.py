@@ -86,8 +86,9 @@ def amplitude_norm(amps: np.ndarray) -> float:
 
 def prune_state(v: dict[int, complex]) -> dict[int, complex]:
     """``v`` without its zero amplitudes; raises ValueError on a NaN one,
-    which ``|a| > EPS0`` would drop as if it were zero."""
-    out = {k: complex(a) for k, a in v.items() if abs(a) > EPS0}
+    which ``|a| > EPS0`` would drop as if it were zero, and on a kept index
+    that is not an integer."""
+    out = {int_field(k, "state index"): complex(a) for k, a in v.items() if abs(a) > EPS0}
     if len(out) < len(v) and any(math.isnan(abs(a)) for a in v.values()):
         raise ValueError("amplitude is NaN")
     return out
@@ -126,7 +127,7 @@ class SparseIsometry:
         self.cols: list[dict[int, complex]] = [{} for _ in range(1 << m)]
         if entries is not None:
             for i, j, a in entries:
-                self.set(int(i), int(j), complex(a))
+                self.set(int_field(i, "row index"), int_field(j, "column index"), complex(a))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -13,8 +13,10 @@ initially-outside entries.
 Greedy choices: the splitting maximizes the best block's initial occupancy
 (exhaustive when there are at most ``samples`` splittings, else that many
 seeded draws), and each insertion minimizes the Hamming cost d = d_c + d_r,
-with d_r for all rows from one multi-source breadth-first search per plan
-on the s-dimensional hypercube, from the free slots, repaired at each step.
+with d_r for all rows from one nearest-free-slot table per plan: each
+register value's Hamming distance to its nearest free slot, computed for
+the taken slots at plan start and, after each insertion, for the values
+whose nearest slot was filled, by one chunked ``np.bitwise_count`` argmin.
 
 Doubly-controlled NOTs are emitted as the 3-CNOT relative-phase network;
 the plan's residual, a list of index-map gates, names each one as the
@@ -180,54 +182,19 @@ def _sampled_register_subsets(n: int, s: int, samples: int, rng):
     return out
 
 
-def hypercube_multisource_bfs(s: int, sources) -> tuple[np.ndarray, np.ndarray]:
-    """Distances on the s-cube from the source vertices (an int array or list).
-
-    Returns ``(dist, src)``: for every vertex, the Hamming distance to the
-    nearest source and that source's index (smallest source on ties).  The
-    search is level-synchronous: each level's vertices are the frontier's
-    unvisited neighbours, and each keeps the smallest source among the
-    frontier vertices that reach it.
-    """
-    size = 1 << s
-    dist = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-    src = np.full(size, size, dtype=np.int64)  # past every vertex: unreached
-    sources = np.asarray(sources, dtype=np.int64)
-    dist[sources] = 0
-    src[sources] = sources
-    bits = 1 << np.arange(s, dtype=np.int64)
-    d = 0
-    frontier = np.flatnonzero(dist == 0)
-    while frontier.size:
-        reached = (frontier[:, None] ^ bits).ravel()
-        via = np.repeat(src[frontier], s)
-        new = dist[reached] > d
-        reached, via = reached[new], via[new]
-        np.minimum.at(src, reached, via)
-        d += 1
-        dist[reached] = d
-        frontier = np.flatnonzero(dist == d)
-    src[src == size] = -1
-    return dist, src
-
-
-def _fill_slot(dist: np.ndarray, src: np.ndarray, free: np.ndarray, slot: int) -> np.ndarray:
-    """Take ``slot`` out of the sorted ``free`` slots, repair their table
-    ``(dist, src)`` in place and return the slots left.  Only the vertices
-    whose nearest slot was ``slot`` change (a lost slot lowers no distance
-    and keeps every other vertex's smallest nearest slot), each to the first
-    nearest slot left, at most ``LIVE_CAP`` vertex-slot pairs at a time."""
-    free = free[free != slot]
-    cell = (src == slot).nonzero()[0]
-    if not len(free):  # no slot left: every vertex is unreached
-        dist[:], src[:] = np.iinfo(np.int64).max, -1
-        return free
-    for lo in range(0, len(cell), step := max(1, G.LIVE_CAP // len(free))):
-        part = cell[lo : lo + step]
+def _nearest_free(dist: np.ndarray, src: np.ndarray, free: np.ndarray, vertices: np.ndarray) -> None:
+    """Set ``(dist, src)`` at ``vertices`` to the Hamming distance to the
+    nearest of the sorted ``free`` slots and that slot (the smallest on
+    ties), or to unreached (int64 max, -1) when no slot is free, at most
+    ``LIVE_CAP`` vertex-slot pairs at a time."""
+    if not len(free):
+        dist[vertices], src[vertices] = np.iinfo(np.int64).max, -1
+        return
+    for lo in range(0, len(vertices), step := max(1, G.LIVE_CAP // len(free))):
+        part = vertices[lo : lo + step]
         d = np.bitwise_count(part[:, None] ^ free)
         j = d.argmin(axis=1)
         dist[part], src[part] = d[np.arange(len(part)), j], free[j]
-    return free
 
 
 @dataclass
@@ -272,7 +239,9 @@ def pivot_plan(
 ) -> PivotPlan:
     """Greedy insertion plan moving the state ``amps`` on the int64 indices
     ``keys`` (any order) into the target block, with one nearest-free-slot
-    table that each step repairs (:func:`_fill_slot`)."""
+    table: each free slot is its own nearest, :func:`_nearest_free` sets the
+    taken ones, and after each insertion it sets again the register values
+    whose nearest slot was the one filled."""
     n = splitting.n
     s = splitting.s
     if not len(keys) or not np.all(np.abs(amps) > EPS0):
@@ -282,10 +251,11 @@ def pivot_plan(
     block_mask = splitting.block_mask
     target_key = splitting.join(target_block, 0)
     reg_qubits = splitting.register_qubits
-    free = np.ones(1 << s, dtype=bool)
-    free[G._subset_values(keys[(keys & block_mask) == target_key], reg_qubits, n)] = False
-    free = np.flatnonzero(free)
-    dist, src = hypercube_multisource_bfs(s, free)
+    taken = np.zeros(1 << s, dtype=bool)
+    taken[G._subset_values(keys[(keys & block_mask) == target_key], reg_qubits, n)] = True
+    free = np.flatnonzero(~taken)
+    dist, src = np.zeros(1 << s, dtype=np.int64), np.arange(1 << s, dtype=np.int64)
+    _nearest_free(dist, src, free, np.flatnonzero(taken))
     steps: list[PivotStep] = []
     gates: list[G.Gate] = []
     residual: list[G.Gate] = []
@@ -309,8 +279,11 @@ def pivot_plan(
         keys, ph = G.relabel(word, n, keys)
         amps = amps * ph
         # one slot fills: the fan fires only on the source's control bit and
-        # the NOT only on the free slot, so no entry inside the block moves
-        free = _fill_slot(dist, src, free, slot)
+        # the NOT only on the free slot, so no entry inside the block moves;
+        # a lost slot lowers no distance and keeps every other vertex's
+        # smallest nearest slot, so only the vertices it served change
+        free = free[free != slot]
+        _nearest_free(dist, src, free, (src == slot).nonzero()[0])
     reg = G._subset_values(keys, reg_qubits, n)
     order = reg.argsort()
     x_layer = G.x_layer(target_key, splitting.block_qubits, n)

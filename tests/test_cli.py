@@ -645,6 +645,32 @@ def test_bench_zero_qubits(capsys):
     assert row.startswith("0,0,0,1,0,")  # n, s, trial, nnz, cnots
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "4", "--s", "1", "--trials", "0"], "--trials 0 is below 1"),
+        (["--n", "4", "--s", "1", "--trials", "-2"], "--trials -2 is below 1"),
+        (["--n", "-3", "--s", "1"], "--n '-3' is an empty or negative range"),
+        (["--n", "5-3", "--s", "1"], "--n '5-3' is an empty or negative range"),
+        (["--n", "4", "--s", "2-1"], "--s '2-1' is an empty or negative range"),
+        (["--n", "3", "--s", "5"], "no (n, s) cell has s <= n"),
+        (["--n", "2,3", "--s", "4-5"], "no (n, s) cell has s <= n"),
+    ],
+)
+def test_bench_with_an_empty_grid_exits_2(capsys, args, message):
+    # each printed a header-only CSV with exit 0, except --n 5-3, which
+    # exited 2 with "max() arg is an empty sequence"
+    assert run(["bench", "ssp"] + args) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_bench_skips_the_cells_with_s_above_n(capsys):
+    assert run(["bench", "ssp", "--n", "2-3", "--s", "1,3", "--trials", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["2", "1"], ["3", "1"], ["3", "3"]]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_samples_below_one_exit_2(tmp_path, samples):
     state = {"n": 3, "m": 0, "entries": [[1, 0, 0.6, 0], [6, 0, 0.8, 0]]}

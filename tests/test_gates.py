@@ -504,6 +504,25 @@ def test_dirty_dependent_action_rejected():
         G.circuit_unitary(bad)
 
 
+@pytest.mark.parametrize(
+    "in_dim, message",
+    [(5, r"outside 1 \.\. 2\^2"), (8, "outside"), (0, "outside"), (-1, "outside"), (2.5, "not an integer"), (True, "not an integer")],
+)
+def test_circuit_unitary_refuses_an_in_dim_outside_its_range(in_dim, message):
+    # refused before any array is built (5 and 8 indexed past the identity,
+    # 0 took the argmax of nothing, -1 asked numpy for a negative size, and
+    # numpy refused 2.5 and True with a TypeError)
+    c = G.StructuredCircuit(2, (), [G.CNOT(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        G.circuit_unitary(c, in_dim=in_dim)
+
+
+@pytest.mark.parametrize("in_dim", [1, 3, 4])
+def test_circuit_unitary_accepts_an_in_dim_in_its_range(in_dim):
+    c = G.StructuredCircuit(2, (), [G.CNOT(0, 1)])
+    np.testing.assert_array_equal(G.circuit_unitary(c, in_dim=in_dim), G.circuit_unitary(c)[:, :in_dim])
+
+
 def test_circuit_unitary_matches_full_identity_oracle():
     rng = np.random.default_rng(24)
     cases = []

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hhsynth import gates as G
 from hhsynth.numerics import (
     EPS0,
     SparseIsometry,
@@ -13,6 +14,7 @@ from hhsynth.numerics import (
     matrix_to_dict,
     validate_isometry,
 )
+from hhsynth.pivoting import sparse_state_prep_on
 
 from helpers import dense_gram_report, random_sparse_isometry
 
@@ -220,3 +222,31 @@ def test_matrix_dict_rejects_garbage():
         matrix_from_dict({"n": 1, "m": 0})
     with pytest.raises(ValueError):
         matrix_from_dict({"n": 1, "m": 1, "dense": [[1, 0]]})
+
+
+NOT_INTEGERS = [1.5, True, np.float64(1.0), "1"]
+
+
+@pytest.mark.parametrize("index", NOT_INTEGERS)
+def test_sparse_entry_points_refuse_an_index_that_is_not_an_integer(index):
+    # each was truncated or taken as row 1 before: the state |1>, the
+    # simulated row 1, a block row 1, an isometry entry in row 1
+    calls = [
+        lambda: sparse_state_prep_on({index: 1.0}, 3),
+        lambda: G.simulate_on_state(G.StructuredCircuit(2, (), []), {index: 1.0}),
+        lambda: G.SPBlock.from_dict((0, 1), {index: 0.6, 3: 0.8}),
+        lambda: SparseIsometry(2, 0, [(index, 0, 1.0)]),
+        lambda: SparseIsometry(2, 1, [(0, index, 1.0)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
+
+
+@pytest.mark.parametrize("index", [1, np.int64(1), np.uint8(1)])
+def test_sparse_entry_points_take_python_and_numpy_integers(index):
+    c = sparse_state_prep_on({index: 1.0}, 3)
+    assert G.simulate_on_state(c, {0: 1.0}) == {1: 1.0}
+    assert G.simulate_on_state(G.StructuredCircuit(3, (), []), {index: 1.0}) == {1: 1.0}
+    assert G.SPBlock.from_dict((0, 1), {index: 0.6, 3: 0.8}).state == ((1, 0.6), (3, 0.8))
+    assert SparseIsometry(2, 0, [(index, 0, 1.0)]).cols == [{1: 1.0}]

@@ -13,7 +13,6 @@ from hhsynth.pivoting import (
     QubitSplitting,
     block_scores,
     choose_splitting,
-    hypercube_multisource_bfs,
     pivot_plan,
     sparse_state_prep_on,
 )
@@ -112,6 +111,14 @@ def test_block_scores_match_the_oracle_across_chunks(monkeypatch):
         _assert_scores_match_oracle(pattern, masks)
 
 
+def test_nearest_free_slot_tables_match_across_chunks(monkeypatch):
+    # a cap of 3 pairs holds one vertex per chunk once two slots are free,
+    # so the build and the repairs run in several chunks
+    monkeypatch.setattr(G, "LIVE_CAP", 3)
+    _check_nearest_free_cases()
+    _check_every_step(monkeypatch)
+
+
 def test_choose_splitting_matches_the_per_candidate_oracle():
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -159,13 +166,23 @@ def test_splitting_search_memory_is_chunked():
     assert peak < 4 * G.LIVE_CAP * 8
 
 
-def test_bfs_matches_brute_force():
-    def check(s, sources):
-        dist, src = hypercube_multisource_bfs(s, sources)
+UNREACHED = (np.iinfo(np.int64).max, -1)
+
+
+def _nearest_oracle(vtx, free):
+    """The nearest free slot by brute force, the smallest among equals."""
+    return min(((vtx ^ f).bit_count(), f) for f in free) if free else UNREACHED
+
+
+def _check_nearest_free_cases():
+    # the table as pivot_plan builds it: each free slot is its own nearest
+    # at distance 0, and the kernel sets the taken slots
+    def check(s, free):
+        dist, src = np.zeros(1 << s, dtype=np.int64), np.arange(1 << s, dtype=np.int64)
+        taken = sorted(set(range(1 << s)) - set(free))
+        P._nearest_free(dist, src, np.array(free, dtype=np.int64), np.array(taken, dtype=np.int64))
         for v in range(1 << s):
-            best = min(((v ^ f).bit_count(), f) for f in sources)
-            assert dist[v] == best[0]
-            assert src[v] == best[1]  # smallest source among nearest
+            assert (dist[v], src[v]) == _nearest_oracle(v, free)
 
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -173,22 +190,29 @@ def test_bfs_matches_brute_force():
         k = int(rng.integers(1, 1 << s))
         check(s, sorted(int(x) for x in rng.choice(1 << s, size=k, replace=False)))
     for s in range(9):
-        check(s, [int(rng.integers(1 << s))])  # one source
-        check(s, list(range(1 << s)))  # every vertex is a source
+        check(s, [int(rng.integers(1 << s))])  # one free slot
+        check(s, list(range(1 << s)))  # every vertex is free
+        check(s, [])  # no free slot: every vertex is unreached
+    check(0, [0])  # s = 0: the one vertex is its own slot
 
 
-def test_every_step_keeps_the_nearest_free_slot_table_exact(monkeypatch):
-    # each repaired (dist, src) against a fresh brute-force table of the
-    # slots left, and the slots filled against the plan's own occupancy
-    steps = []
-    fill = P._fill_slot
+def test_nearest_free_matches_brute_force():
+    _check_nearest_free_cases()
 
-    def record(dist, src, free, slot):
-        left = fill(dist, src, free, slot)
-        steps.append((dist.copy(), src.copy(), free.tolist(), slot, left.tolist()))
-        return left
 
-    monkeypatch.setattr(P, "_fill_slot", record)
+def _check_every_step(monkeypatch):
+    # the table after every kernel call, the build and each repair, against
+    # a fresh brute-force table of the slots free then; each repair follows
+    # one insertion into a free slot, and the slots filled match the plan's
+    # own occupancy
+    tables = []
+    kernel = P._nearest_free
+
+    def record(dist, src, free, vertices):
+        kernel(dist, src, free, vertices)
+        tables.append((dist.copy(), src.copy(), free.tolist()))
+
+    monkeypatch.setattr(P, "_nearest_free", record)
     rng = np.random.default_rng(24)
     for _ in range(60):
         s = int(rng.integers(0, 7))
@@ -197,20 +221,22 @@ def test_every_step_keeps_the_nearest_free_slot_table_exact(monkeypatch):
         sp = QubitSplitting(tuple(order[s:]), tuple(order[:s]))
         blk = int(rng.integers(1 << (n - s)))
         v = random_state_dict(n, int(rng.integers(1, (1 << s) + 1)), rng)
-        steps.clear()
+        tables.clear()
         plan = pivot_plan(*state_arrays(v), sp, blk)
-        assert len(steps) == len(plan.steps)
+        assert len(tables) == len(plan.steps) + 1
         free = sorted(set(range(1 << s)) - {sp.split(k)[1] for k in v if sp.split(k)[0] == blk})
-        for dist, src, before, slot, left in steps:
-            assert before == free and slot in free
-            free.remove(slot)
+        for i, (dist, src, left) in enumerate(tables):
+            if i:
+                (slot,) = set(free) - set(left)
+                free.remove(slot)
             assert left == free
             for vtx in range(1 << s):
-                if free:  # the nearest slot left, the smallest among equals
-                    assert (dist[vtx], src[vtx]) == min(((vtx ^ f).bit_count(), f) for f in free)
-                else:
-                    assert (dist[vtx], src[vtx]) == (np.iinfo(np.int64).max, -1)
+                assert (dist[vtx], src[vtx]) == _nearest_oracle(vtx, free)
         assert plan.register[0].tolist() == sorted(set(range(1 << s)) - set(free))
+
+
+def test_every_step_keeps_the_nearest_free_slot_table_exact(monkeypatch):
+    _check_every_step(monkeypatch)
 
 
 def test_single_insertion_at_distance_one():
