@@ -114,6 +114,8 @@ def cmd_compile(args) -> int:
             raise CliError(f"bad permutation input: {e}", EXIT_PARSE)
         circuit = M.perm_via_householder(perm)
         result = M.DecompositionResult(circuit, C.audit_circuit(circuit, regime), [])
+        # sparse, so that the live cap refuses it before it is built
+        w = SparseIsometry(circuit.n, circuit.n, [(int(p), j, 1.0) for j, p in enumerate(perm)])
     else:
         w = _load_matrix(args.input)
         rep = validate_isometry(w, args.tol)
@@ -149,13 +151,7 @@ def cmd_compile(args) -> int:
             raise CliError(str(e), EXIT_VALIDATE)
     circuit = result.circuit
     if args.verify:
-        if args.method == "perm":
-            # sparse, so that the live cap refuses it before it is built
-            n = circuit.n
-            pm = SparseIsometry(n, n, [(int(p), j, 1.0) for j, p in enumerate(perm)])
-            eq = G.equivalent(circuit, pm, "up_to_diagonal", args.tol)
-        else:
-            eq = G.equivalent(circuit, w, "exact", args.tol)
+        eq = G.equivalent(circuit, w, "exact", args.tol)
         if not eq.ok:
             raise CliError(f"verification failed: residual {eq.residual:.3e}", EXIT_VERIFY)
     _dump_json(G.circuit_to_dict(circuit), args.output)

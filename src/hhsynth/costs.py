@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gates as G
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -148,18 +145,15 @@ def cost_dense_sp(n: int) -> int:
     """Dense n-qubit state preparation: ceil(23/24 2^n - 2^{n/2+1} + 5/3).
 
     On 0 or 1 qubits no two-qubit gate can occur, so the cost is 0 (the
-    formula's small-case slack starts at n = 2).
+    formula's small-case slack starts at n = 2).  24 times the argument,
+    23 2^n + 40 - sqrt(576 2^{n+2}), and it with the root floored are
+    bounded by the same multiples of 24, so the integer form is exact.
     """
     if n < 0:
         raise ValueError("negative qubit count")
     if n <= 1:
         return 0
-    rational = Fraction(23 * (1 << n), 24) + Fraction(5, 3)
-    if n % 2 == 0:
-        val = rational - (1 << (n // 2 + 1))
-        return max(0, math.ceil(val))
-    power = (1 << ((n + 1) // 2)) * _SQRT2
-    return max(0, math.ceil(float(rational) - power))
+    return ceil_frac(23 * (1 << n) + 40 - math.isqrt(576 << (n + 2)), 24)
 
 
 def cost_diagonal(m: int) -> int:
@@ -187,8 +181,7 @@ def unitary_cnot_bound(n: int) -> int:
     """ceil(23/48 4^n - 3/2 2^n + 4/3): any n-qubit unitary, no ancilla."""
     if n < 2:
         raise ValueError("formula requires n >= 2")
-    val = Fraction(23 * (1 << (2 * n)), 48) - Fraction(3 * (1 << n), 2) + Fraction(4, 3)
-    return math.ceil(val)
+    return ceil_frac(23 * 4**n - 72 * 2**n + 64, 48)
 
 
 def cost_permutation_detail(n: int, regime: AncillaRegime) -> tuple[int, str]:
@@ -392,6 +385,8 @@ def _gate_cost(g: G.Gate, n_total: int, regime: AncillaRegime) -> tuple[str, str
         return f"spblock[{k}q]", "dense-sp", cost_dense_sp(k)
     if isinstance(g, G.H0Phase):
         k = len(g.qubits) - 1
+        if k < 0:  # on no qubits: a global phase
+            return "h0[0q]", "global-phase", 0
         if math.isclose(abs(math.remainder(g.phi, 2 * math.pi)), math.pi, abs_tol=1e-12):
             c, rule = cost_mcx_detail(k, n_total, regime)  # dressed C_k(-Z)
             return f"h0[pi,{k + 1}q]", rule, c

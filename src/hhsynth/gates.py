@@ -983,9 +983,9 @@ def equivalent(
         m_vals = np.asarray(mat, dtype=complex)
         if m_vals.ndim == 1:
             m_vals = m_vals[:, None]
-        ncols = m_vals.shape[1]
-        if m_vals.shape[0] != (1 << circuit.n) or ncols > m_vals.shape[0]:
+        if m_vals.ndim != 2 or not 0 < m_vals.shape[1] <= m_vals.shape[0] == 1 << circuit.n:
             return EquivalenceResult(False, math.inf)
+        ncols = m_vals.shape[1]
         m_rows = np.arange(1 << circuit.n)
     _check_simulable(circuit)
     if permuted:

@@ -483,7 +483,10 @@ def fixed_envelope_iso(
     if strategy is None:
         strategy = O.greedy_order(w)
     n, m = w.n, w.m
-    env = O.envelope(apply_permutations(w, strategy.rho, strategy.sigma)).env
+    work = apply_permutations(w, strategy.rho, np.arange(1 << m))
+    order = invert_permutation(strategy.sigma)
+    # the permuted envelope: the running maximum of each step's largest row
+    env = np.maximum.accumulate([max(work.col(c)) for c in order])
     dec_gate = G.Decrement(tuple(range(n)))
 
     def reflect(i, u):
@@ -498,16 +501,10 @@ def fixed_envelope_iso(
         unprep = G.SPBlock.from_arrays(tuple(range(n - s_i, n)), *u, inverted=True)
         return _reflection([unprep], [], n, unprep.dagger() + [dec_gate]), [dec_gate], s_i
 
-    gates, trace = _reduce_columns(
-        apply_permutations(w, strategy.rho, np.arange(1 << m)),
-        invert_permutation(strategy.sigma),
-        np.arange(1 << m),
-        reflect,
-        trace_entries,
-    )
+    gates, trace = _reduce_columns(work, order, np.arange(1 << m), reflect, trace_entries)
     if not np.array_equal(strategy.rho, np.arange(1 << n)):
-        rho_gate = G.PermutationGate(tuple(range(n)), tuple(int(x) for x in strategy.rho))
-        gates.extend(rho_gate.dagger())
+        inverse = tuple(invert_permutation(strategy.rho).tolist())
+        gates.append(G.PermutationGate(tuple(range(n)), inverse))
     return _result(G.StructuredCircuit(n, (), gates), regime, trace)
 
 

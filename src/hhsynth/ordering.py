@@ -39,7 +39,10 @@ class EliminationStrategy:
     @cached_property
     def rho(self) -> np.ndarray:
         """Row position map on 2^n: the chosen rows, then the others ascending."""
-        rho = np.full(1 << self.n, -1, dtype=np.int64)
+        try:
+            rho = np.full(1 << self.n, -1, dtype=np.int64)
+        except ValueError as e:  # numpy refuses a size past its address space
+            raise MemoryError(str(e)) from None
         rho[self.rows] = np.arange(len(self.rows))
         rho[rho < 0] = np.arange(len(self.rows), 1 << self.n)
         return rho
@@ -58,10 +61,6 @@ class EliminationStrategy:
 class EnvelopeProfile:
     env: np.ndarray  # one row index per column, non-decreasing
     ed: int  # sum of env(j) - j
-
-    def __post_init__(self):
-        if np.any(np.diff(self.env) < 0):
-            raise ValueError("envelope must be non-decreasing")
 
 
 def envelope(w: SparseIsometry) -> EnvelopeProfile:

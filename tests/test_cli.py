@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,6 +14,7 @@ import hhsynth
 from hhsynth import cli
 from hhsynth import costs as C
 from hhsynth import gates as G
+from hhsynth import methods as M
 from hhsynth.numerics import matrix_to_dict
 
 from helpers import random_sparse_isometry
@@ -114,6 +116,21 @@ def test_compile_perm_verify_past_the_live_cap_exit_3(tmp_path, capsys):
     assert f"exceed the live cap of {G.LIVE_CAP}" in capsys.readouterr().err
 
 
+def test_compile_perm_verify_is_exact(tmp_path, monkeypatch, capsys):
+    # a trailing Z is a diagonal, which an up-to-diagonal check absorbs
+    build = M.perm_via_householder
+
+    def with_z(perm):
+        c = build(perm)
+        return G.StructuredCircuit(c.n, c.ancillas, [*c.gates, G.Diagonal((c.n - 1,), (1, -1))])
+
+    monkeypatch.setattr(M, "perm_via_householder", with_z)
+    perm = write_json(tmp_path / "p.json", {"perm": [2, 0, 3, 1]})
+    code = run(["compile", perm, "--method", "perm", "--verify", "-o", str(tmp_path / "c.json")])
+    assert code == cli.EXIT_VERIFY
+    assert "verification failed" in capsys.readouterr().err
+
+
 def test_compile_non_isometry_exit_3(tmp_path):
     mat = write_json(tmp_path / "bad.json", {"n": 1, "m": 1, "entries": [[0, 0, 1, 0], [1, 0, 1, 0]]})
     assert run(["compile", mat]) == cli.EXIT_VALIDATE
@@ -171,6 +188,16 @@ def test_audit_subcommand(tmp_path, capsys):
     assert run(["audit", circ, "--regime", "dirty:1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["total"] == 1
+
+
+@pytest.mark.parametrize("phi", [math.pi, 1.0])
+def test_audit_h0_on_no_qubits(tmp_path, capsys, phi):
+    # a global phase: it simulates, so it is priced (at 0)
+    gate = {"kind": "h0phase", "qubits": [], "phi": phi}
+    circ = write_json(tmp_path / "c.json", {"n": 2, "ancillas": [], "gates": [gate]})
+    assert run(["audit", circ]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"breakdown": [{"gate": "h0[0q]", "formula": "global-phase", "cnots": 0}], "total": 0}
 
 
 def test_audit_prices_an_mcu(tmp_path, capsys):
@@ -326,6 +353,17 @@ def test_a_2n_array_at_n_40_exits_3(tmp_path, argv):
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
     assert "out of memory" in proc.stderr
     assert "--method ssp, --method sparse and --method no-fill-in" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["compile", "--method", "fixed-env"], ["order"]])
+def test_a_2n_array_past_numpy_s_size_limit_exits_3(tmp_path, argv, capsys):
+    # at n = 60 numpy refuses the row map's size before it allocates, so
+    # this runs in process: the same one line and exit 3 as at n = 40
+    mat = write_json(tmp_path / "v.json", {"n": 60, "m": 0, "entries": [[5, 0, 1.0, 0]]})
+    assert run([argv[0], mat, *argv[1:]]) == cli.EXIT_VALIDATE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of memory" in err
+    assert "--method ssp, --method sparse and --method no-fill-in" in err
 
 
 def _strict_json(text):

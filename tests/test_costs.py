@@ -1,4 +1,6 @@
+import decimal
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +58,23 @@ def test_dense_sp_values():
     assert C.cost_dense_sp(4) == 9
     assert C.cost_dense_sp(6) == 47
     assert C.cost_dense_sp(10) == 919
+
+
+def test_dense_sp_equals_the_formula_to_60_digits():
+    # odd n >= 53 included, where a float square root rounds the ceiling
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for n in range(2, 65):
+            # exact for even n, where 2^{n/2+1} is an integer and 3
+            # divides 23 2^n + 40; correctly rounded for odd n
+            root = decimal.Decimal(2) ** (decimal.Decimal(n) / 2 + 1)
+            assert C.cost_dense_sp(n) == math.ceil((decimal.Decimal(23 << n) + 40) / 24 - root), n
+
+
+def test_unitary_cnot_bound_equals_the_fraction():
+    for n in range(2, 65):
+        exact = Fraction(23 * 4**n, 48) - Fraction(3 * 2**n, 2) + Fraction(4, 3)
+        assert C.unitary_cnot_bound(n) == math.ceil(exact), n
 
 
 def test_diagonal_values():
@@ -140,6 +159,13 @@ def test_audit_h0_as_multicontrolled_not():
     assert 16 * 3 - 8 == 40
     c2 = G.StructuredCircuit(4, (), [G.H0Phase((0, 1, 2, 3), 0.7)])
     assert C.audit_circuit(c2, NONE).total == C.cost_mcu(3, NONE)
+
+
+@pytest.mark.parametrize("phi", [math.pi, 1.0])
+def test_audit_h0_on_no_qubits_is_a_free_global_phase(phi):
+    c = G.StructuredCircuit(2, (), [G.H0Phase((), phi)])
+    report = C.audit_circuit(c, NONE)
+    assert report.breakdown == [("h0[0q]", "global-phase", 0)] and report.total == 0
 
 
 def test_audit_merges_adjacent_sp_pairs():

@@ -429,6 +429,18 @@ def test_equivalent_of_another_shape_is_false_with_infinite_residual(mat):
     assert not res.ok and res.residual == math.inf
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [np.zeros((4, 0)), np.zeros((4, 1, 1)), np.array(1.0)],
+    ids=["no_columns", "three_dimensional", "scalar"],
+)
+def test_equivalent_of_a_dense_shape_it_cannot_compare_is_false(mat, monkeypatch):
+    calls = []
+    monkeypatch.setattr(G, "_data_action", lambda *a: calls.append(a))
+    res = G.equivalent(G.StructuredCircuit(2), mat, "exact", 1e-9)
+    assert not res.ok and res.residual == math.inf and calls == []
+
+
 def test_equivalent_up_to_diagonal():
     c = G.StructuredCircuit(1, (), [G.Diagonal((0,), (1, 1j))])
     m = np.eye(2)[:, :2]

@@ -439,6 +439,17 @@ def test_fixed_envelope_random_exact_and_confined():
                 assert max(t.hh_support) < (1 << t.s)
 
 
+def test_fixed_envelope_permutes_the_matrix_once(monkeypatch):
+    calls = []
+    permute = M.apply_permutations
+    monkeypatch.setattr(M, "apply_permutations", lambda *a: calls.append(a) or permute(*a))
+    w = random_sparse_isometry(4, 2, 4, np.random.default_rng(53))
+    res = M.fixed_envelope_iso(w)
+    assert len(calls) == 1
+    assert sum(isinstance(g, G.PermutationGate) for g in res.circuit.gates) <= 1
+    assert G.equivalent(res.circuit, w, "exact", 1e-9).ok
+
+
 # ---------------------------------------------------------------------------
 # no fill-in
 
